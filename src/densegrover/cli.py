@@ -151,56 +151,42 @@ def cmd_run(args, parser) -> int:
     if args.ancilla is not None:
         if args.rest:
             parser.error("--ancilla takes no positional arguments")
-        if args.ancilla not in range(8):
-            parser.error(f"ancilla message must be 0..7, got {args.ancilla}")
         message = coding.AncillaMessage.from_value(args.ancilla)
         result = coding.run_ancilla_protocol(message)
-        trace = result.trace
-        set_name = "y" if message.set_bit == 0 else "x"
-        print(f"ancilla bit: {message.set_bit} ({set_name} set)")
+        trace, decoded = result.trace, result.recovered.value
+        print(f"ancilla bit: {message.set_bit} ({trace.u_choice.axis} set)")
         print(f"encoder: V{message.v_index}")
-        print(f"output: |{trace.output_label.arrows}>")
-        print(f"decoded message: {result.recovered.value}")
-        if args.trace:
-            print(f"starting state: {_fmt_coords(trace.starting_bell)}")
-            print(f"encoded state:  {_fmt_coords(trace.encoded)}")
-        return 0
-    if len(args.rest) != 3:
-        parser.error("expected: run PRESET KIND MESSAGE (or run --ancilla MESSAGE)")
-    raw_preset, kind, raw_message = args.rest
-    try:
-        preset_index = int(raw_preset)
-        message = int(raw_message)
-    except ValueError:
-        parser.error("PRESET and MESSAGE must be integers")
-    if preset_index not in (1, 2, 3, 4):
-        parser.error(f"preset must be 1..4, got {preset_index}")
-    if kind not in ("x", "y"):
-        parser.error(f"kind must be x or y, got {kind!r}")
-    if message not in range(4):
-        parser.error(f"message must be 0..3, got {message}")
-    c = grover.preset(kind, preset_index)
-    trace = coding.run_protocol(c, message + 1)
-    decoded = coding.decode(trace.output_label, c) - 1
-    print(f"preset: {preset_index} ({kind} kind)")
-    print(f"message: {message} (applies V{message + 1})")
+    else:
+        if len(args.rest) != 3:
+            parser.error("expected: run PRESET KIND MESSAGE (or run --ancilla MESSAGE)")
+        raw_preset, kind, raw_message = args.rest
+        try:
+            preset_index = int(raw_preset)
+            message = int(raw_message)
+        except ValueError:
+            parser.error("PRESET and MESSAGE must be integers")
+        if preset_index not in (1, 2, 3, 4):
+            parser.error(f"preset must be 1..4, got {preset_index}")
+        if kind not in ("x", "y"):
+            parser.error(f"kind must be x or y, got {kind!r}")
+        if message not in range(4):
+            parser.error(f"message must be 0..3, got {message}")
+        c = grover.preset(kind, preset_index)
+        trace = coding.run_protocol(c, message + 1)
+        decoded = coding.decode(trace.output_label, c) - 1
+        print(f"preset: {preset_index} ({kind} kind)")
+        print(f"message: {message} (applies V{message + 1})")
     print(f"output: |{trace.output_label.arrows}>")
     print(f"decoded message: {decoded}")
     if args.trace:
         print(f"starting state: {_fmt_coords(trace.starting_bell)}")
         print(f"encoded state:  {_fmt_coords(trace.encoded)}")
-        probs = "  ".join(
-            f"{label.short} {trace.probabilities[label]:.6f}" for label in BasisLabel
-        )
-        print(f"output probabilities: {probs}")
+        if args.ancilla is None:
+            probs = "  ".join(
+                f"{label.short} {trace.probabilities[label]:.6f}" for label in BasisLabel
+            )
+            print(f"output probabilities: {probs}")
     return 0
-
-
-_VERIFIABLE_GATES = (
-    "U1", "U2", "U3", "U4",
-    "U1-inv", "U2-inv", "U3-inv", "U4-inv",
-    "I_t", "I_s", "V2", "V3", "V4",
-)
 
 
 def _check_prep(consts) -> tuple:
@@ -217,13 +203,13 @@ def cmd_verify(args, parser) -> int:
         parser.error("give either --all or a gate name, not both")
     if not args.all and not args.gate:
         parser.error("expected a gate name or --all")
+    verifiable = [name for name, gate in nmr.GATES.items() if gate.ideal] + ["pseudo-pure-prep"]
     if args.all:
-        names = list(_VERIFIABLE_GATES) + ["pseudo-pure-prep"]
+        names = verifiable
     else:
-        if args.gate not in _VERIFIABLE_GATES + ("pseudo-pure-prep",):
+        if args.gate not in verifiable:
             parser.error(
-                f"unknown or unverifiable gate {args.gate!r}; choose from "
-                f"{', '.join(_VERIFIABLE_GATES)}, pseudo-pure-prep"
+                f"unknown or unverifiable gate {args.gate!r}; choose from {', '.join(verifiable)}"
             )
         names = [args.gate]
     failures = 0
@@ -231,15 +217,12 @@ def cmd_verify(args, parser) -> int:
         if name == "pseudo-pure-prep":
             scale, deviation = _check_prep(consts)
             ok = scale > 0 and deviation < 1e-9
-            status = "ok" if ok else "FAIL"
-            print(f"{name:<16} {status:<4} relative deviation {deviation:.3e}  "
-                  f"scale {scale:.6f}")
+            detail = f"relative deviation {deviation:.3e}  scale {scale:.6f}"
         else:
             check = nmr.verify_realization(name, tol=1e-9, consts=consts)
             ok = check.ok
-            status = "ok" if ok else "FAIL"
-            print(f"{name:<16} {status:<4} distance {check.distance:.3e}  "
-                  f"phase {_fmt_complex(check.phase)}")
+            detail = f"distance {check.distance:.3e}  phase {_fmt_complex(check.phase)}"
+        print(f"{name:<16} {'ok' if ok else 'FAIL':<4} {detail}")
         failures += 0 if ok else 1
     if failures:
         print(f"{failures} gate(s) failed verification")
@@ -260,11 +243,7 @@ def cmd_spectra(args, parser) -> int:
         seq = nmr.protocol_sequence(preset_index, message + 1, consts)
         rho = nmr.simulate_sequence(seq, nmr.equilibrium_state(consts), consts)
     else:
-        try:
-            label = BasisLabel.from_string(args.state)
-        except ValueError as exc:
-            parser.error(str(exc))
-        rho = nmr.basis_pseudo_pure(label)
+        rho = nmr.basis_pseudo_pure(BasisLabel.from_string(args.state))
     lines = ["spin,line_label,offset_hz,amp_real,amp_imag"]
     for spin in (1, 2):
         for line in nmr.predict_spectrum(rho, spin, consts):
@@ -287,11 +266,7 @@ def cmd_spectra(args, parser) -> int:
 
 def cmd_compile(args, parser) -> int:
     consts = _load_constants(parser, args.constants)
-    try:
-        seq = nmr.gate_library(args.gate, consts=consts)
-    except ValueError as exc:
-        parser.error(str(exc))
-    sys.stdout.write(seq.to_text())
+    sys.stdout.write(nmr.gate_library(args.gate, consts=consts).to_text())
     return 0
 
 
@@ -330,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("gate", nargs="?", help="gate name, e.g. I_t or U2")
     p_verify.add_argument("--all", action="store_true", help="verify every library gate")
-    p_verify.add_argument("--constants", metavar="FILE",
-                          help="key=value file overriding nu1_hz, nu2_hz, j_hz, gamma_ratio")
     p_verify.set_defaults(func=cmd_verify)
 
     p_spectra = sub.add_parser(
@@ -342,25 +315,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectra.add_argument("--protocol", nargs=2, type=int, metavar=("PRESET", "MESSAGE"),
                            help="simulate the full pulse program first (y kind)")
     p_spectra.add_argument("--output", metavar="FILE", help="write CSV here instead of stdout")
-    p_spectra.add_argument("--constants", metavar="FILE",
-                           help="key=value file overriding nu1_hz, nu2_hz, j_hz, gamma_ratio")
     p_spectra.set_defaults(func=cmd_spectra)
 
     p_compile = sub.add_parser(
         "compile", help="print the pulse text for a named gate"
     )
     p_compile.add_argument("gate", help="gate name, e.g. I_s or pseudo-pure-prep")
-    p_compile.add_argument("--constants", metavar="FILE",
-                           help="key=value file overriding nu1_hz, nu2_hz, j_hz, gamma_ratio")
     p_compile.set_defaults(func=cmd_compile)
 
+    for p in (p_verify, p_spectra, p_compile):
+        p.add_argument("--constants", metavar="FILE",
+                       help="key=value file overriding nu1_hz, nu2_hz, j_hz, gamma_ratio")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except ValueError as exc:
+        # A library ValueError names an input outside the model's domain.
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -100,12 +100,16 @@ def run_protocol(c: UChoice, k: int, set_kind: str | None = None) -> ProtocolTra
         raise ValueError(
             f"encoder set kind {kind!r} does not pair with the {c.axis!r}-axis decoding operator"
         )
-    psi0 = apply(build_G(c), ket_from_basis(BasisLabel.UU))
-    encoded_ket = apply(encoder(kind, k), psi0)
-    out = apply(build_G_inverse(c), encoded_ket)
-    measurement = measure_basis(out)
+    return _pipeline(c, encoder(kind, k), c, k)
+
+
+def _pipeline(synth: UChoice, v: Operator4, dec: UChoice, k: int) -> ProtocolTrace:
+    """G(synth) on up-up, the manipulation v (encoder k), G^-1(dec), measurement."""
+    psi0 = apply(build_G(synth), ket_from_basis(BasisLabel.UU))
+    encoded_ket = apply(v, psi0)
+    measurement = measure_basis(apply(build_G_inverse(dec), encoded_ket))
     return ProtocolTrace(
-        u_choice=c,
+        u_choice=dec,
         message=k - 1,
         starting_bell=bell.to_bell_coords(psi0),
         encoded=bell.to_bell_coords(encoded_ket),
@@ -190,19 +194,8 @@ def run_ancilla_protocol(m: AncillaMessage) -> AncillaResult:
     encodes with the set named by the ancilla bit, and the receiver
     reads the ancilla first, then decodes with the matching axis.
     """
-    psi0 = apply(build_G(preset("y", 1)), ket_from_basis(BasisLabel.UU))
     kind = "y" if m.set_bit == 0 else "x"
-    encoded_ket = apply(encoder(kind, m.v_index), psi0)
     c_dec = preset(kind, 1)
-    out = apply(build_G_inverse(c_dec), encoded_ket)
-    measurement = measure_basis(out)
-    trace = ProtocolTrace(
-        u_choice=c_dec,
-        message=m.v_index - 1,
-        starting_bell=bell.to_bell_coords(psi0),
-        encoded=bell.to_bell_coords(encoded_ket),
-        output_label=measurement.argmax,
-        probabilities=measurement.probabilities,
-    )
-    recovered = AncillaMessage(m.set_bit, decode(measurement.argmax, c_dec))
+    trace = _pipeline(preset("y", 1), encoder(kind, m.v_index), c_dec, m.v_index)
+    recovered = AncillaMessage(m.set_bit, decode(trace.output_label, c_dec))
     return AncillaResult(trace, recovered)

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .grover import phase_shift_s, preset, sign_flip_target
-from .qstate import BasisLabel, Operator4, _frozen_array, rotation_2x2
+from .qstate import BasisLabel, Operator4, _frozen_array, phase_fit, rotation_2x2
 from . import coding
 from . import grover
 
@@ -44,16 +44,16 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for field in ("nu1_hz", "nu2_hz"):
-            if not getattr(self, field) > 0:
-                raise ValueError(f"{field} must be positive")
+            if not 0 < getattr(self, field) < np.inf:
+                raise ValueError(f"{field} must be positive and finite")
         if self.gamma_ratio is None:
             object.__setattr__(self, "gamma_ratio", self.nu2_hz / self.nu1_hz)
-        if not self.gamma_ratio > 0:
-            raise ValueError("gamma_ratio must be positive")
+        if not 0 < self.gamma_ratio < np.inf:
+            raise ValueError("gamma_ratio must be positive and finite")
         # An uncoupled pair (J = 0) is a valid frame even though the
         # J-relative delay expressions cannot be resolved in it.
-        if not self.j_hz >= 0:
-            raise ValueError("j_hz must be nonnegative")
+        if not 0 <= self.j_hz < np.inf:
+            raise ValueError("j_hz must be nonnegative and finite")
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()
@@ -129,6 +129,8 @@ class Delay:
             den = int(m.group(2)) if m.group(2) else 1
             if den == 0:
                 raise ValueError(f"zero denominator in delay expression {self.duration!r}")
+            if consts.j_hz == 0:
+                raise ValueError(f"delay {self.duration} is undefined for an uncoupled pair (j_hz = 0)")
             return num / (den * consts.j_hz)
         try:
             return float(self.duration)
@@ -168,6 +170,19 @@ class PulseSequence:
 
     def __add__(self, other: "PulseSequence") -> "PulseSequence":
         return PulseSequence(self.elements + tuple(other))
+
+    def inverse(self) -> "PulseSequence":
+        """Time reverse of an rf-only program: reversed order, negated angles.
+
+        Angles are negated as text, so the result round-trips through the
+        text format.  Coupling delays and gradients have no rf inverse.
+        """
+        if not all(isinstance(e, Rf) for e in self.elements):
+            raise ValueError("only rf-only programs can be inverted")
+        return PulseSequence(tuple(
+            Rf(e.spin, e.axis, e.angle[1:] if e.angle.startswith("-") else "-" + e.angle.lstrip("+"))
+            for e in reversed(self.elements)
+        ))
 
     def to_text(self) -> str:
         lines = []
@@ -233,18 +248,15 @@ def hamiltonian(consts: PhysicalConstants, frame: str = "doubly-rotating") -> Op
 def element_unitary(e, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
     """Unitary matrix of one rf pulse or delay; gradients have none."""
     if isinstance(e, Rf):
-        angle = e.angle_rad
-        r = rotation_2x2(e.axis, angle)
+        r = rotation_2x2(e.axis, e.angle_rad)
         if e.spin == "both":
             return np.kron(r, r)
         if e.spin == 1:
             return np.kron(r, _I2)
         return np.kron(_I2, r)
     if isinstance(e, Delay):
-        tau = e.seconds(consts)
-        if tau < 0:
-            raise ValueError("delay must be nonnegative")
-        return np.diag(np.exp(-2j * np.pi * consts.j_hz * tau * np.diag(IZIZ)))
+        # The generator is diagonal, so exp(-i H tau) is entrywise.
+        return np.diag(np.exp(-1j * e.seconds(consts) * np.diag(hamiltonian(consts).matrix)))
     raise ValueError("a gradient pulse has no unitary representation")
 
 
@@ -276,37 +288,78 @@ def _rf(spin, axis, num, den=1) -> Rf:
     return Rf(spin, axis, pi_fraction(num, den))
 
 
-def _u_pulses(j: int) -> list:
-    angles = {1: 3, 2: -3, 4: -1}
-    if j == 3:
-        return [_rf("both", "y", 1, 4)]
-    return [_rf(1, "y", 1, 4), _rf(2, "y", angles[j], 4)]
-
-
-def _u_inverse_pulses(j: int) -> list:
-    angles = {1: -3, 2: 3, 4: 1}
-    if j == 3:
-        return [_rf("both", "y", -1, 4)]
-    return [_rf(1, "y", -1, 4), _rf(2, "y", angles[j], 4)]
-
-
-def _refocused_half_j() -> list:
-    # Equivalent to the coupled-spin evolution [1/2J]; the opposite-phase
-    # hard pulses cancel calibration errors on real hardware.
-    return [Delay("1/4J"), _rf("both", "x", 1), Delay("1/4J"), _rf("both", "x", -1)]
+# Equivalent to the coupled-spin evolution [1/2J]; the opposite-phase
+# hard pulses cancel calibration errors on real hardware.
+_REFOCUSED_HALF_J = (Delay("1/4J"), _rf("both", "x", 1), Delay("1/4J"), _rf("both", "x", -1))
 
 
 def alpha_angle(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Initial proton flip angle arccos(gamma1 / (2 gamma2)) for the prep."""
+    if not consts.gamma_ratio >= 0.5:
+        raise ValueError(f"the pseudo-pure prep needs gamma_ratio >= 0.5, got {consts.gamma_ratio!r}")
     return float(np.arccos(1.0 / (2.0 * consts.gamma_ratio)))
 
 
-_GATE_NAMES = (
-    "U1", "U2", "U3", "U4",
-    "U1-inv", "U2-inv", "U3-inv", "U4-inv",
-    "I_t", "I_s", "V2", "V3", "V4",
-    "pseudo-pure-prep", "readout-carbon", "readout-proton",
-)
+def _pseudo_pure_prep(consts: PhysicalConstants) -> PulseSequence:
+    return PulseSequence((Rf(2, "x", repr(alpha_angle(consts))), Gradient(), _rf(1, "x", 1, 4),
+                          *_REFOCUSED_HALF_J, _rf(1, "y", -1, 4), Gradient()))
+
+
+class Gate(NamedTuple):
+    """A library gate: its pulse builder and, if it has one, its ideal unitary per kind."""
+
+    pulses: Callable[[PhysicalConstants], PulseSequence]
+    ideal: Callable[[str], Operator4] | None = None
+
+
+def _fixed(*elements) -> Callable[[PhysicalConstants], PulseSequence]:
+    seq = PulseSequence(elements)
+    return lambda consts: seq
+
+
+def _u_gate(j: int) -> Gate:
+    # U_j = R_y^1(pi/4) R_y^2(phi2); U3's equal angles make one hard pulse.
+    phi2 = {1: 3, 2: -3, 4: -1}
+    pulses = (_rf("both", "y", 1, 4),) if j == 3 else (_rf(1, "y", 1, 4), _rf(2, "y", phi2[j], 4))
+    return Gate(_fixed(*pulses), lambda kind: grover.build_U(preset(kind, j)))
+
+
+def _inverse(gate: Gate) -> Gate:
+    return Gate(lambda consts: gate.pulses(consts).inverse(), lambda kind: gate.ideal(kind).adjoint())
+
+
+# The gate library, in the order `verify --all` checks it.
+GATES = {
+    "U1": _u_gate(1),
+    "U2": _u_gate(2),
+    "U3": _u_gate(3),
+    "U4": _u_gate(4),
+    "U1-inv": _inverse(_u_gate(1)),
+    "U2-inv": _inverse(_u_gate(2)),
+    "U3-inv": _inverse(_u_gate(3)),
+    "U4-inv": _inverse(_u_gate(4)),
+    "I_t": Gate(
+        _fixed(Delay("1/2J"), _rf("both", "x", 1), Delay("1/2J"), _rf("both", "x", -1)),
+        lambda kind: sign_flip_target(),
+    ),
+    "I_s": Gate(
+        _fixed(*_REFOCUSED_HALF_J,
+               _rf("both", "y", -1, 2), _rf("both", "x", -1, 2), _rf("both", "y", 1, 2)),
+        lambda kind: phase_shift_s(),
+    ),
+    "V2": Gate(_fixed(_rf(2, "x", 1), _rf(2, "y", -1, 2)), lambda kind: coding.encoder(kind, 2)),
+    "V3": Gate(_fixed(_rf(2, "x", 1), _rf(2, "y", 1, 2)), lambda kind: coding.encoder(kind, 3)),
+    "V4": Gate(_fixed(_rf(2, "y", 1)), lambda kind: coding.encoder(kind, 4)),
+    "pseudo-pure-prep": Gate(_pseudo_pure_prep),
+    "readout-carbon": Gate(_fixed(_rf(1, "y", 1, 2))),
+    "readout-proton": Gate(_fixed(_rf(2, "y", 1, 2))),
+}
+
+
+def _gate(name: str) -> Gate:
+    if name not in GATES:
+        raise ValueError(f"unknown gate {name!r}; known gates: {', '.join(GATES)}")
+    return GATES[name]
 
 
 def gate_library(
@@ -317,49 +370,15 @@ def gate_library(
     """Pulse realization of a named gate (y-kind presets only)."""
     if kind != "y":
         raise ValueError("the pulse library covers only the y-kind presets")
-    if name in ("U1", "U2", "U3", "U4"):
-        return PulseSequence(tuple(_u_pulses(int(name[1]))))
-    if name in ("U1-inv", "U2-inv", "U3-inv", "U4-inv"):
-        return PulseSequence(tuple(_u_inverse_pulses(int(name[1]))))
-    if name == "I_t":
-        return PulseSequence((Delay("1/2J"), _rf("both", "x", 1), Delay("1/2J"), _rf("both", "x", -1)))
-    if name == "I_s":
-        return PulseSequence(tuple(
-            _refocused_half_j()
-            + [_rf("both", "y", -1, 2), _rf("both", "x", -1, 2), _rf("both", "y", 1, 2)]
-        ))
-    if name == "V2":
-        return PulseSequence((_rf(2, "x", 1), _rf(2, "y", -1, 2)))
-    if name == "V3":
-        return PulseSequence((_rf(2, "x", 1), _rf(2, "y", 1, 2)))
-    if name == "V4":
-        return PulseSequence((_rf(2, "y", 1),))
-    if name == "pseudo-pure-prep":
-        return PulseSequence(tuple(
-            [Rf(2, "x", repr(alpha_angle(consts))), Gradient(), _rf(1, "x", 1, 4)]
-            + _refocused_half_j()
-            + [_rf(1, "y", -1, 4), Gradient()]
-        ))
-    if name == "readout-carbon":
-        return PulseSequence((_rf(1, "y", 1, 2),))
-    if name == "readout-proton":
-        return PulseSequence((_rf(2, "y", 1, 2),))
-    raise ValueError(f"unknown gate {name!r}; known gates: {', '.join(_GATE_NAMES)}")
+    return _gate(name).pulses(consts)
 
 
 def ideal_gate_unitary(name: str, kind: str = "y") -> Operator4:
     """The exact operator a library gate is meant to realize."""
-    if name in ("U1", "U2", "U3", "U4"):
-        return grover.build_U(preset(kind, int(name[1])))
-    if name in ("U1-inv", "U2-inv", "U3-inv", "U4-inv"):
-        return grover.build_U(preset(kind, int(name[1]))).adjoint()
-    if name == "I_t":
-        return sign_flip_target()
-    if name == "I_s":
-        return phase_shift_s()
-    if name in ("V2", "V3", "V4"):
-        return coding.encoder(kind, int(name[1]))
-    raise ValueError(f"gate {name!r} has no unitary target")
+    ideal = _gate(name).ideal
+    if ideal is None:
+        raise ValueError(f"gate {name!r} has no unitary target")
+    return ideal(kind)
 
 
 class GateCheck(NamedTuple):
@@ -381,14 +400,8 @@ def verify_realization(
     net = np.eye(4, dtype=complex)
     for e in seq:
         net = element_unitary(e, consts) @ net
-    target = ideal_gate_unitary(name, kind).matrix
-    pivot = int(np.argmax(np.abs(target)))
-    lam = net.ravel()[pivot] / target.ravel()[pivot]
-    if abs(lam) < 1e-9:
-        return GateCheck(False, float(np.abs(net - target).max()), 1.0 + 0j)
-    lam = lam / abs(lam)
-    distance = float(np.abs(net - lam * target).max())
-    return GateCheck(distance < tol, distance, complex(lam))
+    phase, distance = phase_fit(net, ideal_gate_unitary(name, kind).matrix)
+    return GateCheck(distance < tol, distance, phase)
 
 
 def equilibrium_state(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> DeviationMatrix:
@@ -488,18 +501,28 @@ def spectrum_fingerprint(
     return Fingerprint(signatures[1], signatures[2])
 
 
+def _g_gates(j: int) -> list:
+    # G = -U I_s U^-1 I_t U in time order; the sign is a global phase.
+    return [f"U{j}", "I_t", f"U{j}-inv", "I_s", f"U{j}"]
+
+
+def _program(names, kind: str) -> PulseSequence:
+    return PulseSequence(tuple(e for name in names for e in gate_library(name, kind)))
+
+
 def synthesis_sequence(j: int, kind: str = "y") -> PulseSequence:
     """Pulse program for G (preset j): U, I_t, U^-1, I_s, U, left to right."""
-    u = gate_library(f"U{j}", kind)
-    u_inv = gate_library(f"U{j}-inv", kind)
-    return u + gate_library("I_t", kind) + u_inv + gate_library("I_s", kind) + u
+    return _program(_g_gates(j), kind)
 
 
 def decoding_sequence(j: int, kind: str = "y") -> PulseSequence:
-    """Pulse program for G^-1 (preset j): U^-1, I_s, U, I_t, U^-1."""
-    u = gate_library(f"U{j}", kind)
-    u_inv = gate_library(f"U{j}-inv", kind)
-    return u_inv + gate_library("I_s", kind) + u + gate_library("I_t", kind) + u_inv
+    """Pulse program for G^-1 (preset j): U^-1, I_s, U, I_t, U^-1.
+
+    These are G's gates in reverse with U and U^-1 swapped; I_s and I_t
+    are involutions, so their pulse blocks are reused as they are.
+    """
+    swap = {f"U{j}": f"U{j}-inv", f"U{j}-inv": f"U{j}"}
+    return _program([swap.get(name, name) for name in reversed(_g_gates(j))], kind)
 
 
 def protocol_sequence(

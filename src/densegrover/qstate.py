@@ -204,13 +204,25 @@ def _raw(obj) -> np.ndarray:
     return np.asarray(obj, dtype=complex)
 
 
+def phase_fit(a: np.ndarray, b: np.ndarray) -> tuple:
+    """The scalar lam with a ~ lam * b, and the residual max |a - lam * b|.
+
+    lam is read off the largest-magnitude entry of b, which keeps the
+    extraction deterministic and well conditioned.
+    """
+    flat_b = b.ravel()
+    pivot = int(np.argmax(np.abs(flat_b)))
+    if abs(flat_b[pivot]) == 0.0:
+        raise ValueError("reference object is zero; phase comparison is undefined")
+    lam = complex(a.ravel()[pivot] / flat_b[pivot])
+    return lam, float(np.abs(a - lam * b).max())
+
+
 def equal_up_to_phase(a, b, tol: float = EXACT_TOL) -> PhaseMatch:
     """Test a = phase * b entrywise for some unit scalar phase.
 
     Works on Ket4, Operator4, Bell-coordinate vectors, or bare arrays,
-    as long as both arguments are the same kind of object.  The phase
-    is read off the largest-magnitude entry of b, which keeps the
-    extraction deterministic and well conditioned.
+    as long as both arguments are the same kind of object.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -220,16 +232,10 @@ def equal_up_to_phase(a, b, tol: float = EXACT_TOL) -> PhaseMatch:
     va, vb = _raw(a), _raw(b)
     if va.shape != vb.shape:
         raise ValueError(f"shape mismatch: {va.shape} vs {vb.shape}")
-    flat_b = vb.ravel()
-    pivot = int(np.argmax(np.abs(flat_b)))
-    if abs(flat_b[pivot]) == 0.0:
-        raise ValueError("reference object is zero; phase comparison is undefined")
-    lam = va.ravel()[pivot] / flat_b[pivot]
-    if abs(abs(lam) - 1.0) > tol:
+    lam, residual = phase_fit(va, vb)
+    if abs(abs(lam) - 1.0) > tol or residual > tol:
         return PhaseMatch(False, None)
-    if np.abs(va - lam * vb).max() > tol:
-        return PhaseMatch(False, None)
-    return PhaseMatch(True, complex(lam))
+    return PhaseMatch(True, lam)
 
 
 def partial_trace(state: Ket4, keep: int) -> ReducedState:

@@ -1,7 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import densegrover
+from densegrover import nmr
 from densegrover.cli import main
 from densegrover.nmr import gate_library, parse_sequence
+
+SRC_DIR = Path(densegrover.__file__).resolve().parents[1]
 
 UU_REFERENCE_CSV = (
     "spin,line_label,offset_hz,amp_real,amp_imag\n"
@@ -22,7 +31,15 @@ def expect_usage_error(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    capsys.readouterr()
+    return capsys.readouterr().err
+
+
+def has_unitary(name):
+    try:
+        nmr.ideal_gate_unitary(name)
+    except ValueError:
+        return False
+    return True
 
 
 class TestTables:
@@ -130,6 +147,19 @@ class TestVerify:
         assert all(" ok" in line for line in lines)
         assert any(line.startswith("pseudo-pure-prep") for line in lines)
 
+    def test_all_lists_the_registry_unitary_gates_and_prep(self, capsys):
+        _, out, _ = run_cli(capsys, "verify", "--all")
+        names = [line.split()[0] for line in out.splitlines()]
+        assert names == [name for name in nmr.GATES if has_unitary(name)] + ["pseudo-pure-prep"]
+
+    def test_failed_gate_reported(self, capsys, monkeypatch):
+        gates = nmr.GATES
+        monkeypatch.setitem(gates, "V2", nmr.Gate(gates["V3"].pulses, gates["V2"].ideal))
+        code, out, _ = run_cli(capsys, "verify", "V2")
+        assert code == 1
+        assert out.splitlines()[0].split()[:3] == ["V2", "FAIL", "distance"]
+        assert out.splitlines()[1] == "1 gate(s) failed verification"
+
     def test_usage_errors(self, capsys):
         expect_usage_error(capsys, "verify", "bogus")
         expect_usage_error(capsys, "verify")
@@ -203,6 +233,11 @@ class TestCompile:
     def test_unknown_gate(self, capsys):
         expect_usage_error(capsys, "compile", "Q7")
 
+    def test_unknown_gate_lists_the_registry(self, capsys):
+        err = expect_usage_error(capsys, "compile", "Q7")
+        assert err.splitlines()[-1].endswith("known gates: " + ", ".join(nmr.GATES))
+        assert set(nmr.GATES) >= {"U1-inv", "pseudo-pure-prep", "readout-proton"}
+
 
 class TestConstantsFile:
     def write(self, tmp_path, text):
@@ -252,6 +287,37 @@ class TestConstantsFile:
         expect_usage_error(
             capsys, "spectra", "uu", "--constants", str(tmp_path / "nope.txt")
         )
+
+    def write_override(self, tmp_path, change):
+        values = {"nu1_hz": "125.76e6", "nu2_hz": "500.13e6", "j_hz": "215",
+                  "gamma_ratio": "3.9768606870229006"}
+        key, value = change.split("=")
+        values[key] = value
+        return self.write(tmp_path, "".join(f"{k}={v}\n" for k, v in values.items()))
+
+    @pytest.mark.parametrize("change", ["j_hz=0", "j_hz=inf", "j_hz=nan", "gamma_ratio=0.4"])
+    @pytest.mark.parametrize("command", [("verify", "--all"), ("spectra", "--protocol", "1", "0")])
+    def test_out_of_domain_constants_are_usage_errors(self, capsys, tmp_path, change, command):
+        path = self.write_override(tmp_path, change)
+        err = expect_usage_error(capsys, *command, "--constants", path)
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("densegrover: error: ")
+        assert change.split("=")[0] in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("change", ["j_hz=0", "j_hz=inf"])
+    def test_out_of_domain_constants_exit_2_in_a_process(self, tmp_path, change):
+        path = self.write_override(tmp_path, change)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "densegrover.cli", "spectra", "--protocol", "1", "0",
+             "--constants", path],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 2
 
 
 class TestDeterminism:

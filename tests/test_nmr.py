@@ -4,9 +4,11 @@ import pytest
 from densegrover import coding, grover
 from densegrover.nmr import (
     DEFAULT_CONSTANTS,
+    GATES,
     Delay,
     DeviationMatrix,
     Fingerprint,
+    Gate,
     Gradient,
     IZ1,
     IZ2,
@@ -79,6 +81,30 @@ class TestConstants:
             PhysicalConstants(nu1_hz=0.0)
         with pytest.raises(ValueError):
             PhysicalConstants(gamma_ratio=-2.0)
+
+    @pytest.mark.parametrize("field", ["nu1_hz", "nu2_hz", "j_hz", "gamma_ratio"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PhysicalConstants(**{field: value})
+
+    def test_uncoupled_pair_has_no_j_delays(self):
+        c = PhysicalConstants(j_hz=0.0)
+        assert Delay("0.005").seconds(c) == 0.005
+        with pytest.raises(ValueError, match="j_hz = 0"):
+            Delay("1/4J").seconds(c)
+        with pytest.raises(ValueError, match="j_hz = 0"):
+            verify_realization("I_t", consts=c)
+        with pytest.raises(ValueError, match="j_hz = 0"):
+            prepare_pseudo_pure(c)
+
+    def test_prep_domain_needs_gamma_ratio_of_half(self):
+        c = PhysicalConstants(gamma_ratio=0.4)
+        with pytest.raises(ValueError, match="gamma_ratio >= 0.5"):
+            alpha_angle(c)
+        with pytest.raises(ValueError, match="gamma_ratio >= 0.5"):
+            prepare_pseudo_pure(c)
+        assert alpha_angle(PhysicalConstants(gamma_ratio=0.5)) == 0.0
 
 
 class TestPulseText:
@@ -271,6 +297,42 @@ class TestGateLibrary:
                 assert plus == minus
 
 
+class TestInverse:
+    def test_inverse_undoes_every_rf_only_gate(self):
+        rng = np.random.default_rng(RNG_SEED + 6)
+        rf_only = [name for name in GATES
+                   if all(isinstance(e, Rf) for e in gate_library(name))]
+        assert set(UNITARY_GATES) - set(rf_only) == {"I_t", "I_s"}
+        for name in rf_only:
+            seq = gate_library(name)
+            inverse = seq.inverse()
+            assert parse_sequence(inverse.to_text()) == inverse
+            rho = random_deviation(rng)
+            out = simulate_sequence(seq + inverse, rho)
+            assert np.abs(out.entries - rho.entries).max() < 1e-12, name
+
+    def test_inverse_rejects_delays_and_gradients(self):
+        for seq in (
+            gate_library("I_t"),
+            gate_library("pseudo-pure-prep"),
+            PulseSequence((Rf(1, "x", "pi"), Delay("0.001"))),
+            PulseSequence((Gradient(),)),
+        ):
+            with pytest.raises(ValueError):
+                seq.inverse()
+
+    def test_u_inverse_is_time_reversed_u(self):
+        for j in (1, 2, 3, 4):
+            assert gate_library(f"U{j}-inv") == gate_library(f"U{j}").inverse()
+
+    def test_angle_text_is_negated(self):
+        seq = parse_sequence("rf 1 x pi/2\nrf 2 y -3pi/4\nrf both x +0.25\nrf 1 y 1e-3\n")
+        assert seq.inverse().to_text() == (
+            "rf 1 y -1e-3\nrf both x -0.25\nrf 2 y 3pi/4\nrf 1 x -pi/2\n"
+        )
+        assert PulseSequence(()).inverse() == PulseSequence(())
+
+
 class TestVerifier:
     def test_sign_flip_realization_phase(self):
         check = verify_realization("I_t")
@@ -298,6 +360,12 @@ class TestVerifier:
     def test_readout_has_no_target(self):
         with pytest.raises(ValueError):
             ideal_gate_unitary("readout-carbon")
+
+    def test_mismatch_reports_distance(self, monkeypatch):
+        monkeypatch.setitem(GATES, "V2", Gate(GATES["V3"].pulses, GATES["V2"].ideal))
+        check = verify_realization("V2")
+        assert not check.ok
+        assert check.distance > 0.5
 
     def test_encoder_targets_match_coding_module(self):
         for k in (2, 3, 4):
