@@ -50,6 +50,8 @@ TABLE2_X_REFERENCE = {
 
 
 def _fmt_csv_number(x: float) -> str:
+    if not np.isfinite(x):
+        raise ValueError(f"refusing to write a non-finite CSV value ({x!r})")
     # Snap sub-1e-9 residue from pulse-level simulation to an exact 0 so
     # protocol CSVs match the ideal reference CSVs byte for byte.
     if abs(x) < 1e-9:

@@ -11,10 +11,14 @@ Pulse text format, one element per line, applied top to bottom:
     rf <spin|both> <x|y> <angle_expr>     angle_expr like pi/4, -3pi/4, or a float (radians)
     delay <expr>                          expr like 1/4J, or a float (seconds)
     grad z
+
+A program is simulated through its lowering (`lower`): one net unitary
+per gradient-free run of elements, memoised per (program, constants).
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -31,6 +35,13 @@ _I2 = np.eye(2, dtype=complex)
 IZ1 = np.kron(_IZ, _I2)
 IZ2 = np.kron(_I2, _IZ)
 IZIZ = np.kron(_IZ, _IZ)
+
+# Bounds of the lowering caches.  The 16 protocol programs and the gate
+# library fit at a few sets of constants; a sweep that draws fresh
+# constants on every call (and with them a fresh prep angle) cycles
+# through the caches instead of growing them.
+_LOWERED_PROGRAMS = 64
+_RF_UNITARIES = 128
 
 
 @dataclass(frozen=True)
@@ -88,6 +99,13 @@ def pi_fraction(num: int, den: int = 1) -> str:
     return f"{sign}{head}" + ("" if den == 1 else f"/{den}")
 
 
+def _check_no_padding(what: str, expr: str) -> None:
+    # float() strips whitespace, but the text format splits on it, so a
+    # padded expression would not survive a round trip.
+    if expr != expr.strip():
+        raise ValueError(f"{what} expression {expr!r} has surrounding whitespace")
+
+
 @dataclass(frozen=True)
 class Rf:
     """On-resonance pulse; spin is 1, 2, or "both" for a hard pulse.
@@ -106,6 +124,7 @@ class Rf:
         if self.axis not in ("x", "y"):
             raise ValueError(f"rf axis must be x or y, got {self.axis!r}")
         parse_angle(self.angle)
+        _check_no_padding("rf angle", self.angle)
 
     @property
     def angle_rad(self) -> float:
@@ -121,6 +140,7 @@ class Delay:
     def __post_init__(self):
         if self.seconds(DEFAULT_CONSTANTS) < 0:
             raise ValueError(f"delay must be nonnegative, got {self.duration!r}")
+        _check_no_padding("delay", self.duration)
 
     def seconds(self, consts: PhysicalConstants) -> float:
         m = _DELAY_RE.match(self.duration)
@@ -248,28 +268,52 @@ def hamiltonian(consts: PhysicalConstants, frame: str = "doubly-rotating") -> Op
 def element_unitary(e, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
     """Unitary matrix of one rf pulse or delay; gradients have none."""
     if isinstance(e, Rf):
-        r = rotation_2x2(e.axis, e.angle_rad)
-        if e.spin == "both":
-            return np.kron(r, r)
-        if e.spin == 1:
-            return np.kron(r, _I2)
-        return np.kron(_I2, r)
+        return _rf_unitary(e)
     if isinstance(e, Delay):
         # The generator is diagonal, so exp(-i H tau) is entrywise.
         return np.diag(np.exp(-1j * e.seconds(consts) * np.diag(hamiltonian(consts).matrix)))
     raise ValueError("a gradient pulse has no unitary representation")
 
 
+@functools.lru_cache(maxsize=_RF_UNITARIES)
+def _rf_unitary(e: Rf) -> np.ndarray:
+    # The rotating frame makes an rf pulse independent of the constants.
+    r = rotation_2x2(e.axis, e.angle_rad)
+    if e.spin == "both":
+        u = np.kron(r, r)
+    elif e.spin == 1:
+        u = np.kron(r, _I2)
+    else:
+        u = np.kron(_I2, r)
+    u.setflags(write=False)
+    return u
+
+
+@functools.lru_cache(maxsize=_LOWERED_PROGRAMS)
+def lower(seq: PulseSequence, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> tuple:
+    """Net unitaries of the gradient-free runs of `seq`, in order.
+
+    A full crush separates each pair, so a program with n gradients has
+    n + 1 segments; a leading, trailing or doubled gradient gives an
+    identity segment.  The arrays are read-only and checked unitary
+    once, here; the result is memoised per (seq, consts).
+    """
+    segments = []
+    net = np.eye(4, dtype=complex)
+    for e in seq:
+        if isinstance(e, Gradient):
+            segments.append(Operator4(net).matrix)
+            net = np.eye(4, dtype=complex)
+        else:
+            net = element_unitary(e, consts) @ net
+    segments.append(Operator4(net).matrix)
+    return tuple(segments)
+
+
 def element_channel(e, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> Callable:
     """The element's action on deviation matrices."""
-    if isinstance(e, Gradient):
-        def channel(rho: DeviationMatrix) -> DeviationMatrix:
-            return DeviationMatrix(np.diag(np.diag(rho.entries)))
-    else:
-        u = element_unitary(e, consts)
-        def channel(rho: DeviationMatrix) -> DeviationMatrix:
-            return DeviationMatrix(u @ rho.entries @ u.conj().T)
-    return channel
+    seq = PulseSequence((e,))
+    return lambda rho: simulate_sequence(seq, rho, consts)
 
 
 def simulate_sequence(
@@ -277,11 +321,13 @@ def simulate_sequence(
     rho0: DeviationMatrix,
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> DeviationMatrix:
-    """Fold the element channels over rho0, left to right."""
-    rho = rho0
-    for e in seq:
-        rho = element_channel(e, consts)(rho)
-    return rho
+    """Conjugate rho0 by each lowered segment, crushing coherences between them."""
+    first, *rest = lower(seq, consts)
+    m = first @ rho0.entries @ first.conj().T
+    for u in rest:
+        m = np.diag(np.diag(m))
+        m = u @ m @ u.conj().T
+    return DeviationMatrix(m)
 
 
 def _rf(spin, axis, num, den=1) -> Rf:
@@ -325,7 +371,9 @@ def _u_gate(j: int) -> Gate:
 
 
 def _inverse(gate: Gate) -> Gate:
-    return Gate(lambda consts: gate.pulses(consts).inverse(), lambda kind: gate.ideal(kind).adjoint())
+    # Only fixed (rf-only) programs have an inverse, so it is built once.
+    return Gate(_fixed(*gate.pulses(DEFAULT_CONSTANTS).inverse()),
+                lambda kind: gate.ideal(kind).adjoint())
 
 
 # The gate library, in the order `verify --all` checks it.
@@ -373,6 +421,7 @@ def gate_library(
     return _gate(name).pulses(consts)
 
 
+@functools.lru_cache(maxsize=2 * len(GATES))
 def ideal_gate_unitary(name: str, kind: str = "y") -> Operator4:
     """The exact operator a library gate is meant to realize."""
     ideal = _gate(name).ideal
@@ -394,13 +443,10 @@ def verify_realization(
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> GateCheck:
     """Compare a gate's net pulse unitary to its ideal, up to global phase."""
-    seq = gate_library(name, kind, consts)
-    if any(isinstance(e, Gradient) for e in seq):
+    segments = lower(gate_library(name, kind, consts), consts)
+    if len(segments) > 1:
         raise ValueError(f"gate {name!r} contains gradients; no net unitary exists")
-    net = np.eye(4, dtype=complex)
-    for e in seq:
-        net = element_unitary(e, consts) @ net
-    phase, distance = phase_fit(net, ideal_gate_unitary(name, kind).matrix)
+    phase, distance = phase_fit(segments[0], ideal_gate_unitary(name, kind).matrix)
     return GateCheck(distance < tol, distance, phase)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import densegrover
 from densegrover import nmr
-from densegrover.cli import main
+from densegrover.cli import _fmt_csv_number, main
 from densegrover.nmr import gate_library, parse_sequence
 
 SRC_DIR = Path(densegrover.__file__).resolve().parents[1]
@@ -216,6 +216,21 @@ class TestSpectra:
         expect_usage_error(capsys, "spectra", "xx")
         expect_usage_error(capsys, "spectra", "--protocol", "5", "0")
         expect_usage_error(capsys, "spectra", "--protocol", "1", "4")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_csv_number_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            _fmt_csv_number(value)
+
+    def test_non_finite_amplitude_is_a_one_line_usage_error(self, capsys, monkeypatch):
+        def nan_lines(rho, spin, consts=nmr.DEFAULT_CONSTANTS):
+            return [nmr.SpectrumLine(spin, "partner_up", 107.5, complex(float("nan"), 0.0))]
+
+        monkeypatch.setattr(nmr, "predict_spectrum", nan_lines)
+        err = expect_usage_error(capsys, "spectra", "uu")
+        assert "non-finite" in err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith("densegrover: error:")
 
 
 class TestCompile:

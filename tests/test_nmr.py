@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from densegrover import coding, grover
+from densegrover import coding, grover, nmr
 from densegrover.nmr import (
     DEFAULT_CONSTANTS,
     GATES,
@@ -25,6 +25,7 @@ from densegrover.nmr import (
     gate_library,
     hamiltonian,
     ideal_gate_unitary,
+    lower,
     parse_angle,
     parse_sequence,
     pi_fraction,
@@ -146,6 +147,19 @@ class TestPulseText:
     def test_text_round_trip_from_sequence(self):
         for name in UNITARY_GATES + ("pseudo-pure-prep", "readout-carbon"):
             seq = gate_library(name)
+            assert parse_sequence(seq.to_text()) == seq
+
+    def test_padded_expressions_rejected(self):
+        for angle in (" 0.5", "0.5 ", "\t-1e-3", "0.25\n"):
+            with pytest.raises(ValueError, match="whitespace"):
+                Rf(1, "x", angle)
+        with pytest.raises(ValueError, match="whitespace"):
+            Delay(" 0.001")
+
+    def test_every_registry_and_protocol_program_round_trips(self):
+        programs = [gate_library(name) for name in GATES]
+        programs += [protocol_sequence(j, k) for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)]
+        for seq in programs:
             assert parse_sequence(seq.to_text()) == seq
 
     def test_text_round_trip_from_text(self):
@@ -482,3 +496,102 @@ class TestPulseProtocol:
                 expected_label = BasisLabel.from_string(TABLE2[(j, k)])
                 expected = spectrum_fingerprint(basis_pseudo_pure(expected_label))
                 assert spectrum_fingerprint(rho) == expected
+
+
+def reference_fold(seq, rho, consts=DEFAULT_CONSTANTS):
+    """Element by element: conjugate by each unitary, crush at each gradient."""
+    m = rho.entries
+    for e in seq:
+        if isinstance(e, Gradient):
+            m = np.diag(np.diag(m))
+        else:
+            u = element_unitary(e, consts)
+            m = u @ m @ u.conj().T
+    return m
+
+
+EDGE_PROGRAMS = {
+    "empty": (),
+    "gradient only": (Gradient(),),
+    "leading gradient": (Gradient(), Rf(1, "x", "pi/3"), Delay("1/4J")),
+    "trailing gradient": (Rf(2, "y", "pi/5"), Delay("1/8J"), Gradient()),
+    "two gradients in a row": (Rf(1, "x", "pi/3"), Gradient(), Gradient(), Rf(2, "y", "pi/2")),
+}
+
+
+class TestLowering:
+    def assert_matches_fold(self, seq, rho, consts=DEFAULT_CONSTANTS):
+        out = simulate_sequence(seq, rho, consts)
+        assert np.abs(out.entries - reference_fold(seq, rho, consts)).max() < 1e-12
+
+    def test_protocol_programs_match_the_fold(self):
+        for j in (1, 2, 3, 4):
+            for k in (1, 2, 3, 4):
+                self.assert_matches_fold(protocol_sequence(j, k), equilibrium_state())
+
+    def test_prep_matches_the_fold(self):
+        self.assert_matches_fold(gate_library("pseudo-pure-prep"), equilibrium_state())
+
+    def test_every_registry_gate_matches_the_fold(self):
+        rng = np.random.default_rng(RNG_SEED + 7)
+        for name in GATES:
+            self.assert_matches_fold(gate_library(name), random_deviation(rng))
+
+    @pytest.mark.parametrize("name", sorted(EDGE_PROGRAMS))
+    def test_edge_programs_match_the_fold(self, name):
+        rng = np.random.default_rng(RNG_SEED + 8)
+        self.assert_matches_fold(PulseSequence(EDGE_PROGRAMS[name]), random_deviation(rng))
+
+    def test_segments_split_at_gradients(self):
+        counts = {name: len(lower(PulseSequence(elements)))
+                  for name, elements in EDGE_PROGRAMS.items()}
+        assert counts == {"empty": 1, "gradient only": 2, "leading gradient": 2,
+                          "trailing gradient": 2, "two gradients in a row": 3}
+        first, middle, last = lower(PulseSequence(EDGE_PROGRAMS["two gradients in a row"]))
+        assert np.array_equal(middle, np.eye(4))
+        assert len(lower(protocol_sequence(2, 3))) == 3
+
+    def test_segments_are_read_only(self):
+        for u in lower(protocol_sequence(1, 2)):
+            assert not u.flags.writeable
+            with pytest.raises(ValueError):
+                u[0, 0] = 0.0
+
+    def test_second_call_returns_the_cached_object(self):
+        seq = protocol_sequence(3, 4)
+        assert lower(seq, DEFAULT_CONSTANTS) is lower(seq, DEFAULT_CONSTANTS)
+        # An equal program built afresh is the same cache entry.
+        assert lower(protocol_sequence(3, 4), DEFAULT_CONSTANTS) is lower(seq, DEFAULT_CONSTANTS)
+
+    def test_changing_j_changes_the_segments(self):
+        # An absolute delay: a 1/nJ delay's phase is the same at every J.
+        seq = PulseSequence((Rf(1, "x", "pi/2"), Delay("0.001"), Rf(2, "y", "pi/2")))
+        a, b = PhysicalConstants(j_hz=215.0), PhysicalConstants(j_hz=300.0)
+        assert np.abs(lower(seq, a)[0] - lower(seq, b)[0]).max() > 1e-3
+        rng = np.random.default_rng(RNG_SEED + 9)
+        rho = random_deviation(rng)
+        for consts in (a, b, a):
+            self.assert_matches_fold(seq, rho, consts)
+
+    def test_cache_hit_builds_no_element_unitaries(self, monkeypatch):
+        calls = []
+
+        def counted(e, consts=DEFAULT_CONSTANTS):
+            calls.append(e)
+            return element_unitary(e, consts)
+
+        seq = protocol_sequence(4, 2)
+        rho = equilibrium_state()
+        expected = simulate_sequence(seq, rho)
+        monkeypatch.setattr(nmr, "element_unitary", counted)
+        monkeypatch.setattr(nmr, "element_channel", None)
+        out = simulate_sequence(protocol_sequence(4, 2), rho)
+        assert calls == []
+        assert np.array_equal(out.entries, expected.entries)
+        fresh = PulseSequence((Rf(1, "x", "0.123"), Gradient(), Delay("1/3J")))
+        simulate_sequence(fresh, rho)
+        assert calls == [fresh.elements[0], fresh.elements[2]]
+
+    def test_gradient_program_has_no_net_unitary(self):
+        with pytest.raises(ValueError, match="contains gradients"):
+            verify_realization("pseudo-pure-prep")
