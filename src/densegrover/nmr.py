@@ -13,7 +13,10 @@ Pulse text format, one element per line, applied top to bottom:
     grad z
 
 A program is simulated through its lowering (`lower`): one net unitary
-per gradient-free run of elements, memoised per (program, constants).
+per gradient-free run of elements.  The frame reads no constant but J,
+and a delay written as n/dJ turns the coupling by 2*pi*n/d at every
+J != 0, so each run is memoised on its elements alone, plus J when it
+holds a delay given in seconds.
 """
 
 from __future__ import annotations
@@ -35,13 +38,16 @@ _I2 = np.eye(2, dtype=complex)
 IZ1 = np.kron(_IZ, _I2)
 IZ2 = np.kron(_I2, _IZ)
 IZIZ = np.kron(_IZ, _IZ)
+_IZIZ_DIAGONAL = np.diag(IZIZ)
 
-# Bounds of the lowering caches.  The 16 protocol programs and the gate
+# Bounds of the memo caches.  The 16 protocol programs and the gate
 # library fit at a few sets of constants; a sweep that draws fresh
 # constants on every call (and with them a fresh prep angle) cycles
 # through the caches instead of growing them.
 _LOWERED_PROGRAMS = 64
+_LOWERED_RUNS = 128
 _RF_UNITARIES = 128
+_PROTOCOL_PROGRAMS = 64
 
 
 @dataclass(frozen=True)
@@ -142,20 +148,39 @@ class Delay:
             raise ValueError(f"delay must be nonnegative, got {self.duration!r}")
         _check_no_padding("delay", self.duration)
 
-    def seconds(self, consts: PhysicalConstants) -> float:
+    @functools.cached_property
+    def j_fraction(self) -> tuple | None:
+        """(n, d) of a J-relative duration n/dJ; None for one in seconds."""
         m = _DELAY_RE.match(self.duration)
-        if m:
-            num = int(m.group(1))
-            den = int(m.group(2)) if m.group(2) else 1
-            if den == 0:
-                raise ValueError(f"zero denominator in delay expression {self.duration!r}")
-            if consts.j_hz == 0:
-                raise ValueError(f"delay {self.duration} is undefined for an uncoupled pair (j_hz = 0)")
-            return num / (den * consts.j_hz)
-        try:
-            return float(self.duration)
-        except ValueError:
-            raise ValueError(f"cannot parse delay expression {self.duration!r}") from None
+        if not m:
+            return None
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) else 1
+        if den == 0:
+            raise ValueError(f"zero denominator in delay expression {self.duration!r}")
+        return num, den
+
+    def _check_coupled(self, consts: PhysicalConstants) -> None:
+        if self.j_fraction is not None and consts.j_hz == 0:
+            raise ValueError(f"delay {self.duration} is undefined for an uncoupled pair (j_hz = 0)")
+
+    def seconds(self, consts: PhysicalConstants) -> float:
+        if self.j_fraction is None:
+            try:
+                return float(self.duration)
+            except ValueError:
+                raise ValueError(f"cannot parse delay expression {self.duration!r}") from None
+        self._check_coupled(consts)
+        num, den = self.j_fraction
+        return num / (den * consts.j_hz)
+
+    def coupling_phase(self, consts: PhysicalConstants) -> float:
+        """The angle 2*pi*J*tau the coupling turns through; 2*pi*n/d for n/dJ at any J != 0."""
+        if self.j_fraction is None:
+            return 2 * np.pi * consts.j_hz * self.seconds(consts)
+        self._check_coupled(consts)
+        num, den = self.j_fraction
+        return 2 * np.pi * num / den
 
 
 @dataclass(frozen=True)
@@ -187,6 +212,23 @@ class PulseSequence:
 
     def __len__(self):
         return len(self.elements)
+
+    @functools.cached_property
+    def segments(self) -> tuple:
+        """The gradient-free runs of elements: n gradients give n + 1 runs."""
+        runs, run = [], []
+        for e in self.elements:
+            if isinstance(e, Gradient):
+                runs.append(tuple(run))
+                run = []
+            else:
+                run.append(e)
+        return (*runs, tuple(run))
+
+    @functools.cached_property
+    def reads_j(self) -> bool:
+        """Whether a delay is given in seconds, so the lowering reads J's value."""
+        return _reads_j(self.elements)
 
     def __add__(self, other: "PulseSequence") -> "PulseSequence":
         return PulseSequence(self.elements + tuple(other))
@@ -265,13 +307,17 @@ def hamiltonian(consts: PhysicalConstants, frame: str = "doubly-rotating") -> Op
     raise ValueError(f"frame must be 'lab' or 'doubly-rotating', got {frame!r}")
 
 
+def _reads_j(elements) -> bool:
+    return any(isinstance(e, Delay) and e.j_fraction is None for e in elements)
+
+
 def element_unitary(e, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
     """Unitary matrix of one rf pulse or delay; gradients have none."""
     if isinstance(e, Rf):
         return _rf_unitary(e)
     if isinstance(e, Delay):
-        # The generator is diagonal, so exp(-i H tau) is entrywise.
-        return np.diag(np.exp(-1j * e.seconds(consts) * np.diag(hamiltonian(consts).matrix)))
+        # exp(-i tau H) with H = 2*pi*J*Iz1*Iz2 diagonal: entrywise in the coupling phase.
+        return np.diag(np.exp(-1j * e.coupling_phase(consts) * _IZIZ_DIAGONAL))
     raise ValueError("a gradient pulse has no unitary representation")
 
 
@@ -289,25 +335,40 @@ def _rf_unitary(e: Rf) -> np.ndarray:
     return u
 
 
-@functools.lru_cache(maxsize=_LOWERED_PROGRAMS)
 def lower(seq: PulseSequence, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> tuple:
     """Net unitaries of the gradient-free runs of `seq`, in order.
 
     A full crush separates each pair, so a program with n gradients has
     n + 1 segments; a leading, trailing or doubled gradient gives an
     identity segment.  The arrays are read-only and checked unitary
-    once, here; the result is memoised per (seq, consts).
+    once, when first built.  The rotating frame reads only J, and only
+    for a delay given in seconds, so the result is memoised per program
+    and each segment per run of elements, with J in the key only where
+    such a delay is present.  Equal runs in different programs share
+    one array.
     """
-    segments = []
+    if consts.j_hz == 0:
+        # Checked before the lookup: a 1/nJ delay lowered at J != 0 has
+        # the same cache key, but is undefined here.
+        for e in seq:
+            if isinstance(e, Delay):
+                e._check_coupled(consts)
+    return _lower_program(seq, consts.j_hz if seq.reads_j else None)
+
+
+@functools.lru_cache(maxsize=_LOWERED_PROGRAMS)
+def _lower_program(seq: PulseSequence, j_hz: float | None) -> tuple:
+    return tuple(_lower_run(run, j_hz if _reads_j(run) else None) for run in seq.segments)
+
+
+@functools.lru_cache(maxsize=_LOWERED_RUNS)
+def _lower_run(run: tuple, j_hz: float | None) -> np.ndarray:
+    # With no J in the key, no element reads J beyond J != 0, checked in `lower`.
+    consts = DEFAULT_CONSTANTS if j_hz is None else PhysicalConstants(j_hz=j_hz)
     net = np.eye(4, dtype=complex)
-    for e in seq:
-        if isinstance(e, Gradient):
-            segments.append(Operator4(net).matrix)
-            net = np.eye(4, dtype=complex)
-        else:
-            net = element_unitary(e, consts) @ net
-    segments.append(Operator4(net).matrix)
-    return tuple(segments)
+    for e in run:
+        net = element_unitary(e, consts) @ net
+    return Operator4(net).matrix
 
 
 def element_channel(e, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> Callable:
@@ -488,11 +549,22 @@ class SpectrumLine:
 _COHERENCE_INDEX = {1: ((2, 0), (3, 1)), 2: ((1, 0), (3, 2))}
 
 
-def _raw_line_amplitudes(rho: np.ndarray, spin: int, consts: PhysicalConstants):
-    readout = element_unitary(Rf(spin, "y", pi_fraction(1, 2)), consts)
+_READOUT_GATES = {1: "readout-carbon", 2: "readout-proton"}
+
+
+def _raw_line_amplitudes(rho: np.ndarray, spin: int):
+    # The readout is an rf pulse, so in the rotating frame it reads no constants.
+    (readout,) = lower(gate_library(_READOUT_GATES[spin]))
     rotated = readout @ rho @ readout.conj().T
     (up_ij, down_ij) = _COHERENCE_INDEX[spin]
     return rotated[up_ij], rotated[down_ij]
+
+
+@functools.lru_cache(maxsize=2)
+def _calibration(spin: int) -> complex:
+    # One over the uu reference's partner-up line: a constant per spin.
+    ref_up, _ = _raw_line_amplitudes(basis_pseudo_pure(BasisLabel.UU).entries, spin)
+    return 1.0 / ref_up
 
 
 def predict_spectrum(
@@ -508,11 +580,8 @@ def predict_spectrum(
     """
     if spin not in (1, 2):
         raise ValueError(f"spin must be 1 or 2, got {spin!r}")
-    ref_up, _ = _raw_line_amplitudes(
-        basis_pseudo_pure(BasisLabel.UU).entries, spin, consts
-    )
-    calibration = 1.0 / ref_up
-    up, down = _raw_line_amplitudes(rho.entries, spin, consts)
+    calibration = _calibration(spin)
+    up, down = _raw_line_amplitudes(rho.entries, spin)
     half_j = consts.j_hz / 2.0
     return [
         SpectrumLine(spin, "partner_up", +half_j, complex(calibration * up)),
@@ -571,12 +640,16 @@ def decoding_sequence(j: int, kind: str = "y") -> PulseSequence:
     return _program([swap.get(name, name) for name in reversed(_g_gates(j))], kind)
 
 
+@functools.lru_cache(maxsize=_PROTOCOL_PROGRAMS)
 def protocol_sequence(
     j: int,
     k: int,
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> PulseSequence:
-    """Complete program: prep, G, encoder k (k=1 does nothing), G^-1."""
+    """Complete program: prep, G, encoder k (k=1 does nothing), G^-1.
+
+    Memoised per (j, k, consts); the program is immutable.
+    """
     if k not in (1, 2, 3, 4):
         raise ValueError(f"encoder index must be 1..4, got {k!r}")
     seq = gate_library("pseudo-pure-prep", consts=consts) + synthesis_sequence(j)

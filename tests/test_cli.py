@@ -319,6 +319,28 @@ class TestConstantsFile:
         assert err.splitlines()[-1].startswith("densegrover: error: ")
         assert change.split("=")[0] in err.splitlines()[-1]
 
+    @pytest.mark.parametrize("change, unrealizable", [
+        ("j_hz=0", {"I_t", "I_s", "pseudo-pure-prep"}),
+        ("gamma_ratio=0.4", {"pseudo-pure-prep"}),
+    ])
+    def test_verify_all_reports_every_gate_before_the_usage_error(
+            self, capsys, tmp_path, change, unrealizable):
+        path = self.write_override(tmp_path, change)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--all", "--constants", path])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        rows = [line.split(maxsplit=2) for line in captured.out.splitlines()]
+        assert [row[0] for row in rows] == (
+            [name for name in nmr.GATES if has_unitary(name)] + ["pseudo-pure-prep"])
+        assert {row[0] for row in rows if row[1] == "n/a"} == unrealizable
+        assert all(row[1] == "ok" for row in rows if row[0] not in unrealizable)
+        reasons = {row[2] for row in rows if row[1] == "n/a"}
+        assert all(reason.startswith("cannot be realized: ") for reason in reasons)
+        error = captured.err.splitlines()[-1]
+        assert error.startswith("densegrover: error: ")
+        assert "cannot be realized: " + error.removeprefix("densegrover: error: ") in reasons
+
     @pytest.mark.parametrize("change", ["j_hz=0", "j_hz=inf"])
     def test_out_of_domain_constants_exit_2_in_a_process(self, tmp_path, change):
         path = self.write_override(tmp_path, change)

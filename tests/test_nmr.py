@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -595,3 +597,113 @@ class TestLowering:
     def test_gradient_program_has_no_net_unitary(self):
         with pytest.raises(ValueError, match="contains gradients"):
             verify_realization("pseudo-pure-prep")
+
+    def test_frame_independent_programs_share_segments_across_constants(self):
+        other = PhysicalConstants(nu1_hz=90e6, nu2_hz=700e6, j_hz=37.5, gamma_ratio=0.6)
+        for name in GATES:
+            if name == "pseudo-pure-prep":
+                continue  # its first pulse turns by an angle that reads gamma_ratio
+            seq = gate_library(name)
+            segments = lower(seq, DEFAULT_CONSTANTS)
+            assert lower(seq, other) is segments
+            assert all(a is b for a, b in zip(lower(seq, other), segments))
+
+    @pytest.mark.parametrize("name", ["I_t", "pseudo-pure-prep"])
+    def test_uncoupled_pair_raises_after_a_cache_hit(self, name):
+        uncoupled = PhysicalConstants(j_hz=0.0)
+        seq = gate_library(name, consts=uncoupled)
+        assert lower(seq, DEFAULT_CONSTANTS) is lower(seq, DEFAULT_CONSTANTS)
+        with pytest.raises(ValueError, match="uncoupled pair"):
+            lower(seq, uncoupled)
+        with pytest.raises(ValueError, match="uncoupled pair"):
+            simulate_sequence(seq, equilibrium_state(uncoupled), uncoupled)
+
+    def test_j_relative_delay_unitary_is_the_same_at_every_j(self):
+        for text in ("1/4J", "1/2J", "3/8J", "2/3J"):
+            delay = Delay(text)
+            at_215 = element_unitary(delay, DEFAULT_CONSTANTS)
+            for j_hz in (1.0, 123.25, 1000.0, 1e6):
+                assert np.array_equal(element_unitary(delay, PhysicalConstants(j_hz=j_hz)), at_215)
+            h = hamiltonian(DEFAULT_CONSTANTS).matrix
+            expected = np.diag(np.exp(-1j * delay.seconds(DEFAULT_CONSTANTS) * np.diag(h)))
+            assert np.abs(at_215 - expected).max() < 1e-12
+
+    def test_absolute_delay_is_the_exponential_of_the_hamiltonian(self):
+        delay = Delay("0.001")
+        for j_hz in (0.0, 215.0, 1000.0):
+            consts = PhysicalConstants(j_hz=j_hz)
+            h = hamiltonian(consts).matrix
+            assert np.array_equal(h, np.diag(np.diag(h)))  # so exp(-i tau H) is entrywise
+            expected = np.diag(np.exp(-1j * 0.001 * np.diag(h)))
+            assert np.abs(element_unitary(delay, consts) - expected).max() < 1e-14
+            (segment,) = lower(PulseSequence((delay,)), consts)
+            assert np.abs(segment - expected).max() < 1e-14
+
+    def test_prep_programs_share_their_middle_segment_across_gamma_ratio(self):
+        a, b = PhysicalConstants(gamma_ratio=0.75), PhysicalConstants(gamma_ratio=9.0)
+        first_a, middle_a, last_a = lower(gate_library("pseudo-pure-prep", consts=a), a)
+        first_b, middle_b, last_b = lower(gate_library("pseudo-pure-prep", consts=b), b)
+        assert middle_a is middle_b
+        assert last_a is last_b
+        assert np.abs(first_a - first_b).max() > 1e-3
+
+    def test_fresh_constants_build_only_the_prep_pulse(self, monkeypatch):
+        calls = []
+
+        def counted(e, consts=DEFAULT_CONSTANTS):
+            calls.append(e)
+            return element_unitary(e, consts)
+
+        def verify_all(consts):
+            for name in UNITARY_GATES:
+                assert verify_realization(name, consts=consts).ok
+            return prepare_pseudo_pure(consts)
+
+        verify_all(DEFAULT_CONSTANTS)
+        monkeypatch.setattr(nmr, "element_unitary", counted)
+        fresh = PhysicalConstants(nu1_hz=77e6, nu2_hz=333e6, j_hz=123.25, gamma_ratio=2.345)
+        verify_all(fresh)
+        assert calls == [gate_library("pseudo-pure-prep", consts=fresh).elements[0]]
+
+
+def constants_cases() -> list:
+    """Edges of the constants domain, then seeded draws in and out of it."""
+    cases = [{"gamma_ratio": 0.5}, {"gamma_ratio": 0.49},
+             {"j_hz": 1e-3}, {"j_hz": 1e6}, {"j_hz": 0.0}]
+    rng = random.Random(RNG_SEED)
+    for _ in range(16):
+        cases.append({
+            "nu1_hz": 10 ** rng.uniform(6, 9),
+            "nu2_hz": 10 ** rng.uniform(6, 9),
+            "j_hz": 0.0 if rng.random() < 0.2 else 10 ** rng.uniform(-3, 6),
+            "gamma_ratio": 10 ** rng.uniform(-1, 1.5),
+        })
+    return cases
+
+
+class TestConstantsDomain:
+    @pytest.mark.parametrize("fields", constants_cases(), ids=str)
+    def test_finite_result_or_value_error(self, fields):
+        consts = PhysicalConstants(**fields)
+        uncoupled = consts.j_hz == 0
+        for name in UNITARY_GATES:
+            if uncoupled and any(isinstance(e, Delay) for e in gate_library(name, consts=consts)):
+                with pytest.raises(ValueError, match="uncoupled pair"):
+                    verify_realization(name, consts=consts)
+                continue
+            check = verify_realization(name, consts=consts)
+            assert np.isfinite(check.distance) and np.isfinite(check.phase)
+            assert check.ok
+        if uncoupled or consts.gamma_ratio < 0.5:
+            with pytest.raises(ValueError, match="uncoupled pair|gamma_ratio >= 0.5"):
+                prepare_pseudo_pure(consts)
+            rho = basis_pseudo_pure(BasisLabel.UU)
+        else:
+            rho = prepare_pseudo_pure(consts)
+            target = target_pseudo_pure()
+            scale = np.real(np.trace(rho.entries @ target) / np.trace(target @ target))
+            assert np.isfinite(rho.entries).all() and scale > 0
+            assert np.abs(rho.entries - scale * target).max() < 1e-9 * scale
+        for spin in (1, 2):
+            for line in predict_spectrum(rho, spin, consts):
+                assert np.isfinite(line.offset_hz) and np.isfinite(line.amplitude)
