@@ -100,14 +100,14 @@ def run_protocol(c: UChoice, k: int, set_kind: str | None = None) -> ProtocolTra
         raise ValueError(
             f"encoder set kind {kind!r} does not pair with the {c.axis!r}-axis decoding operator"
         )
-    return _pipeline(c, encoder(kind, k), c, k)
+    return _pipeline(build_G(c), encoder(kind, k), build_G_inverse(c), c, k)
 
 
-def _pipeline(synth: UChoice, v: Operator4, dec: UChoice, k: int) -> ProtocolTrace:
-    """G(synth) on up-up, the manipulation v (encoder k), G^-1(dec), measurement."""
-    psi0 = apply(build_G(synth), ket_from_basis(BasisLabel.UU))
+def _pipeline(g: Operator4, v: Operator4, g_inv: Operator4, dec: UChoice, k: int) -> ProtocolTrace:
+    """g on up-up, the manipulation v (encoder k), g_inv = G^-1(dec), measurement."""
+    psi0 = apply(g, ket_from_basis(BasisLabel.UU))
     encoded_ket = apply(v, psi0)
-    measurement = measure_basis(apply(build_G_inverse(dec), encoded_ket))
+    measurement = measure_basis(apply(g_inv, encoded_ket))
     return ProtocolTrace(
         u_choice=dec,
         message=k - 1,
@@ -118,30 +118,40 @@ def _pipeline(synth: UChoice, v: Operator4, dec: UChoice, k: int) -> ProtocolTra
     )
 
 
-def starting_bell_index(c: UChoice) -> int:
-    """Which Bell state G(c) synthesizes from up-up (presets only)."""
-    trace_coords = run_protocol(c, 1).starting_bell.coords
-    idx = int(np.argmax(np.abs(trace_coords)))
-    if abs(trace_coords[idx]) < 1.0 - 1e-9:
+def _preset_runs(c: UChoice) -> list[ProtocolTrace]:
+    """The runs k = 1..4 of preset c, sharing one G(c) and one G^-1(c)."""
+    g, g_inv = build_G(c), build_G_inverse(c)
+    return [_pipeline(g, encoder(c.axis, k), g_inv, c, k) for k in (1, 2, 3, 4)]
+
+
+def _bell_column(trace: ProtocolTrace) -> int:
+    """1-based index of the pure Bell state a run starts from."""
+    coords = trace.starting_bell.coords
+    idx = int(np.argmax(np.abs(coords)))
+    if not abs(coords[idx]) >= 1.0 - 1e-9:
         raise ValueError("starting state is not a pure Bell state")
     return idx + 1
+
+
+def starting_bell_index(c: UChoice) -> int:
+    """Which Bell state G(c) synthesizes from up-up (presets only)."""
+    return _bell_column(run_protocol(c, 1))
 
 
 def table2(kind: str = "y") -> dict:
     """Outcome grid keyed by (starting Bell index, k) over all 16 runs."""
     grid = {}
     for j in (1, 2, 3, 4):
-        c = preset(kind, j)
-        column = starting_bell_index(c)
-        for k in (1, 2, 3, 4):
-            grid[(column, k)] = run_protocol(c, k).output_label
+        runs = _preset_runs(preset(kind, j))
+        column = _bell_column(runs[0])
+        for trace in runs:
+            grid[(column, trace.message + 1)] = trace.output_label
     return grid
 
 
 @functools.lru_cache(maxsize=None)
 def _decode_map(axis: str, j: int) -> dict:
-    c = preset(axis, j)
-    mapping = {run_protocol(c, k).output_label: k for k in (1, 2, 3, 4)}
+    mapping = {trace.output_label: trace.message + 1 for trace in _preset_runs(preset(axis, j))}
     # Injectivity of k -> label is what makes two-bit transmission work.
     if len(mapping) != 4:
         raise AssertionError(f"outcome map for preset {j} ({axis}) is not a bijection")
@@ -196,6 +206,8 @@ def run_ancilla_protocol(m: AncillaMessage) -> AncillaResult:
     """
     kind = "y" if m.set_bit == 0 else "x"
     c_dec = preset(kind, 1)
-    trace = _pipeline(preset("y", 1), encoder(kind, m.v_index), c_dec, m.v_index)
+    trace = _pipeline(
+        build_G(preset("y", 1)), encoder(kind, m.v_index), build_G_inverse(c_dec), c_dec, m.v_index
+    )
     recovered = AncillaMessage(m.set_bit, decode(trace.output_label, c_dec))
     return AncillaResult(trace, recovered)

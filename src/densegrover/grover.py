@@ -9,20 +9,13 @@ produce exactly the four Bell states from the up-up input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bell
-from .qstate import (
-    BasisLabel,
-    Operator4,
-    apply,
-    compose,
-    ket_from_basis,
-    scaled,
-    single_spin_rotation,
-)
+from .qstate import BasisLabel, Operator4, apply, ket_from_basis, rotation_2x2
 
 _PI = np.pi
 
@@ -54,6 +47,9 @@ class UChoice:
     def __post_init__(self):
         if self.axis not in ("x", "y"):
             raise ValueError(f"axis must be x or y, got {self.axis!r}")
+        for name in ("phi1", "phi2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,34 +85,36 @@ def is_preset(c: UChoice) -> bool:
 
 def build_U(c: UChoice) -> Operator4:
     """U = R_axis^1(phi1) * R_axis^2(phi2) (the two factors commute)."""
-    return compose(
-        [
-            single_spin_rotation(1, c.axis, c.phi1),
-            single_spin_rotation(2, c.axis, c.phi2),
-        ]
-    )
+    return Operator4(np.kron(rotation_2x2(c.axis, c.phi1), rotation_2x2(c.axis, c.phi2)))
+
+
+# I_t and I_s are fixed; Operator4 stores them read-only, so one copy is shared.
+_SIGN_FLIP_TARGET = Operator4(np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex))
+_PHASE_SHIFT_S = Operator4(np.diag([-1.0, 1.0, 1.0, 1.0]).astype(complex))
 
 
 def sign_flip_target() -> Operator4:
     """Conditional sign flip diag(1, -1, -1, 1)."""
-    return Operator4(np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex))
+    return _SIGN_FLIP_TARGET
 
 
 def phase_shift_s() -> Operator4:
     """Conditional phase shift diag(-1, 1, 1, 1) marking the up-up state."""
-    return Operator4(np.diag([-1.0, 1.0, 1.0, 1.0]).astype(complex))
+    return _PHASE_SHIFT_S
 
 
 def build_G(c: UChoice) -> Operator4:
-    """G = -U * I_s * U^-1 * I_t * U."""
-    u = build_U(c)
-    return scaled(compose([u, phase_shift_s(), u.adjoint(), sign_flip_target(), u]), -1.0)
+    """G = -U * I_s * U^-1 * I_t * U, checked unitary once as a whole."""
+    u = build_U(c).matrix
+    u_inv = u.conj().T
+    return Operator4(-(u @ _PHASE_SHIFT_S.matrix @ u_inv @ _SIGN_FLIP_TARGET.matrix @ u))
 
 
 def build_G_inverse(c: UChoice) -> Operator4:
     """G^-1 = -U^-1 * I_t * U * I_s * U^-1 (I_t and I_s are involutions)."""
-    u = build_U(c)
-    return scaled(compose([u.adjoint(), sign_flip_target(), u, phase_shift_s(), u.adjoint()]), -1.0)
+    u = build_U(c).matrix
+    u_inv = u.conj().T
+    return Operator4(-(u_inv @ _SIGN_FLIP_TARGET.matrix @ u @ _PHASE_SHIFT_S.matrix @ u_inv))
 
 
 def _format_coefficient(value: complex, tol: float) -> str | None:

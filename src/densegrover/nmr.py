@@ -290,9 +290,9 @@ class DeviationMatrix:
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen_array(self.entries, (4, 4)))
         m = self.entries
-        if np.abs(m - m.conj().T).max() >= 1e-12:
+        if not np.abs(m - m.conj().T).max() < 1e-12:  # written so that NaN fails
             raise ValueError("deviation matrix must be Hermitian")
-        if abs(m.trace()) >= 1e-12:
+        if not abs(m.trace()) < 1e-12:
             raise ValueError("deviation matrix must be traceless")
 
 

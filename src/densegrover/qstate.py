@@ -101,7 +101,7 @@ class Operator4:
         object.__setattr__(self, "matrix", _frozen_array(self.matrix, (4, 4)))
         if self.unitary:
             defect = np.abs(self.matrix @ self.matrix.conj().T - np.eye(4)).max()
-            if defect >= EXACT_TOL:
+            if not defect < EXACT_TOL:  # written so that a NaN defect fails
                 raise ValueError(f"matrix flagged unitary deviates from unitarity by {defect:.3e}")
 
     def adjoint(self) -> "Operator4":
@@ -117,12 +117,12 @@ class ReducedState:
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen_array(self.entries, (2, 2)))
         m = self.entries
-        if np.abs(m - m.conj().T).max() >= EXACT_TOL:
+        if not np.abs(m - m.conj().T).max() < EXACT_TOL:
             raise ValueError("reduced state must be Hermitian")
-        if abs(m.trace() - 1.0) >= EXACT_TOL:
+        if not abs(m.trace() - 1.0) < EXACT_TOL:
             raise ValueError("reduced state must have trace 1")
         eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < -EXACT_TOL or eigs.max() > 1.0 + EXACT_TOL:
+        if not (eigs.min() >= -EXACT_TOL and eigs.max() <= 1.0 + EXACT_TOL):
             raise ValueError("reduced-state eigenvalues must lie in [0, 1]")
 
 
@@ -224,7 +224,7 @@ def equal_up_to_phase(a, b, tol: float = EXACT_TOL) -> PhaseMatch:
     Works on Ket4, Operator4, Bell-coordinate vectors, or bare arrays,
     as long as both arguments are the same kind of object.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
         if type(a) is not type(b):
@@ -233,7 +233,7 @@ def equal_up_to_phase(a, b, tol: float = EXACT_TOL) -> PhaseMatch:
     if va.shape != vb.shape:
         raise ValueError(f"shape mismatch: {va.shape} vs {vb.shape}")
     lam, residual = phase_fit(va, vb)
-    if abs(abs(lam) - 1.0) > tol or residual > tol:
+    if not (abs(abs(lam) - 1.0) <= tol and residual <= tol):  # NaN fails
         return PhaseMatch(False, None)
     return PhaseMatch(True, lam)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from densegrover import coding
 from densegrover.bell import bell_state, from_bell_coords, to_bell_coords
 from densegrover.coding import (
     AncillaMessage,
@@ -159,6 +160,15 @@ class TestTable2:
         grid = table2("x")
         outputs = [grid[(1, k)] for k in (1, 2, 3, 4)]
         assert outputs == [BasisLabel.UU, BasisLabel.UD, BasisLabel.DU, BasisLabel.DD]
+
+    @pytest.mark.parametrize("kind", ["x", "y"])
+    def test_builds_g_and_its_inverse_once_per_preset(self, kind, monkeypatch):
+        calls = []
+        for name in ("build_G", "build_G_inverse"):
+            build = getattr(coding, name)
+            monkeypatch.setattr(coding, name, lambda c, b=build, n=name: calls.append(n) or b(c))
+        table2(kind)
+        assert sorted(calls) == ["build_G"] * 4 + ["build_G_inverse"] * 4
 
 
 class TestDecode:

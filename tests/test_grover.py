@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from densegrover.bell import BellVector, bell_state, rotate_epr, to_bell_coords
+from densegrover import grover
 from densegrover.grover import (
     Table1Entry,
     UChoice,
@@ -19,11 +20,14 @@ from densegrover.grover import (
 from densegrover.qstate import (
     BasisLabel,
     Ket4,
+    Operator4,
     apply,
     compose,
     equal_up_to_phase,
     ket_from_basis,
     partial_trace,
+    scaled,
+    single_spin_rotation,
 )
 
 RNG_SEED = 90125
@@ -70,6 +74,23 @@ def bell_coords(*coords):
     return BellVector(np.array(coords, dtype=complex))
 
 
+# The eight presets plus two generic angle pairs, one per axis.
+CHOICES = [preset(axis, j) for axis in ("x", "y") for j in (1, 2, 3, 4)] + [
+    UChoice("y", 0.7, -1.3),
+    UChoice("x", 2.1, 0.4),
+]
+
+
+def reference_chain(c):
+    """U, G and G^-1 as a chain of separately checked operators."""
+    u = compose([single_spin_rotation(1, c.axis, c.phi1), single_spin_rotation(2, c.axis, c.phi2)])
+    i_s = Operator4(np.diag([-1.0, 1.0, 1.0, 1.0]).astype(complex))
+    i_t = Operator4(np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex))
+    g = scaled(compose([u, i_s, u.adjoint(), i_t, u]), -1.0)
+    g_inv = scaled(compose([u.adjoint(), i_t, u, i_s, u.adjoint()]), -1.0)
+    return u, g, g_inv
+
+
 class TestPresets:
     def test_y_angles(self):
         p = np.pi
@@ -104,6 +125,12 @@ class TestPresets:
         with pytest.raises(ValueError):
             UChoice("q", 0.0, 0.0)
 
+    def test_non_finite_angles_rejected(self):
+        with pytest.raises(ValueError, match="phi1"):
+            UChoice("y", np.nan, 0.0)
+        with pytest.raises(ValueError, match="phi2"):
+            UChoice("x", 0.0, np.inf)
+
 
 class TestBuildU:
     def test_zero_angles_give_identity(self):
@@ -131,6 +158,11 @@ class TestBuildU:
         u = build_U(preset("y", 1))
         assert np.abs(u.matrix @ u.matrix.conj().T - np.eye(4)).max() < 1e-12
 
+    def test_non_unitary_rotation_is_still_caught(self, monkeypatch):
+        monkeypatch.setattr(grover, "rotation_2x2", lambda axis, angle: np.array([[1, 1], [0, 1]]))
+        with pytest.raises(ValueError, match="unitarity"):
+            build_U(preset("y", 1))
+
 
 class TestDiagonalOperators:
     def test_sign_flip_entries(self):
@@ -138,6 +170,12 @@ class TestDiagonalOperators:
 
     def test_phase_shift_entries(self):
         assert np.array_equal(phase_shift_s().matrix, np.diag([-1, 1, 1, 1]))
+
+    def test_shared_and_read_only(self):
+        for make in (sign_flip_target, phase_shift_s):
+            assert make() is make()
+            with pytest.raises(ValueError):
+                make().matrix[0, 0] = 2.0
 
     def test_involutions(self):
         for op in (sign_flip_target(), phase_shift_s()):
@@ -217,6 +255,15 @@ class TestBuildG:
                 for label in (BasisLabel.UU, BasisLabel.DD):
                     coords = to_bell_coords(apply(g, ket_from_basis(label))).coords
                     assert abs(np.abs(coords).max() - 1.0) < 1e-12
+
+
+class TestOneCheckedProduct:
+    @pytest.mark.parametrize("c", CHOICES, ids=lambda c: f"{c.axis}-{c.phi1:.3f}-{c.phi2:.3f}")
+    def test_equals_the_reference_chain(self, c):
+        u, g, g_inv = reference_chain(c)
+        assert np.array_equal(build_U(c).matrix, u.matrix)
+        assert np.array_equal(build_G(c).matrix, g.matrix)
+        assert np.array_equal(build_G_inverse(c).matrix, g_inv.matrix)
 
 
 class TestTable1:

@@ -250,6 +250,10 @@ class TestChannels:
         with pytest.raises(ValueError):
             DeviationMatrix(bad)
 
+    def test_deviation_matrix_rejects_nan(self):
+        with pytest.raises(ValueError):
+            DeviationMatrix(np.full((4, 4), np.nan))
+
     def test_refocusing_identity(self):
         rng = np.random.default_rng(RNG_SEED + 3)
         refocused = PulseSequence(

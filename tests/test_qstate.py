@@ -116,6 +116,10 @@ class TestOperators:
         with pytest.raises(ValueError):
             Operator4(np.ones((4, 4)))
 
+    def test_nan_matrix_is_not_unitary(self):
+        with pytest.raises(ValueError):
+            Operator4(np.full((4, 4), np.nan))
+
     def test_non_unitary_allowed_when_flagged(self):
         op = Operator4(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex), unitary=False)
         assert not op.unitary
@@ -196,6 +200,13 @@ class TestEqualUpToPhase:
         with pytest.raises(ValueError):
             equal_up_to_phase(psi, psi, tol=0.0)
 
+    def test_nan_never_matches(self):
+        match = equal_up_to_phase(np.array([np.nan, 0, 0, 0]), np.array([1.0, 0, 0, 0]))
+        assert match == (False, None)
+        psi = ket_from_basis(BasisLabel.UU)
+        with pytest.raises(ValueError):
+            equal_up_to_phase(psi, psi, tol=np.nan)
+
     def test_scaled_but_not_phased_rejected(self):
         rng = np.random.default_rng(RNG_SEED + 4)
         psi = random_ket(rng)
@@ -235,6 +246,10 @@ class TestPartialTrace:
             ReducedState(np.array([[0.5, 0.2], [0.3, 0.5]]))
         with pytest.raises(ValueError):
             ReducedState(np.array([[0.9, 0.0], [0.0, 0.2]]))
+
+    def test_reduced_state_rejects_nan(self):
+        with pytest.raises(ValueError):
+            ReducedState(np.full((2, 2), np.nan))
 
 
 class TestMeasurement:
