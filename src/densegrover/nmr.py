@@ -22,6 +22,7 @@ holds a delay given in seconds.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -40,11 +41,10 @@ IZ2 = np.kron(_I2, _IZ)
 IZIZ = np.kron(_IZ, _IZ)
 _IZIZ_DIAGONAL = np.diag(IZIZ)
 
-# Bounds of the memo caches.  The 16 protocol programs and the gate
-# library fit at a few sets of constants; a sweep that draws fresh
-# constants on every call (and with them a fresh prep angle) cycles
-# through the caches instead of growing them.
-_LOWERED_PROGRAMS = 64
+# Bounds of the memo caches.  The lowered runs of the 16 protocol
+# programs and the gate library fit at a few sets of constants; a sweep
+# that draws fresh constants on every call (and with them a fresh prep
+# angle) cycles through the caches instead of growing them.
 _LOWERED_RUNS = 128
 _RF_UNITARIES = 128
 _PROTOCOL_PROGRAMS = 64
@@ -129,7 +129,8 @@ class Rf:
             raise ValueError(f"rf spin must be 1, 2, or 'both', got {self.spin!r}")
         if self.axis not in ("x", "y"):
             raise ValueError(f"rf axis must be x or y, got {self.axis!r}")
-        parse_angle(self.angle)
+        if not math.isfinite(parse_angle(self.angle)):
+            raise ValueError(f"rf angle must be finite, got {self.angle!r}")
         _check_no_padding("rf angle", self.angle)
 
     @property
@@ -144,8 +145,8 @@ class Delay:
     duration: str
 
     def __post_init__(self):
-        if self.seconds(DEFAULT_CONSTANTS) < 0:
-            raise ValueError(f"delay must be nonnegative, got {self.duration!r}")
+        if not 0 <= self.seconds(DEFAULT_CONSTANTS) < np.inf:
+            raise ValueError(f"delay must be nonnegative and finite, got {self.duration!r}")
         _check_no_padding("delay", self.duration)
 
     @functools.cached_property
@@ -177,10 +178,14 @@ class Delay:
     def coupling_phase(self, consts: PhysicalConstants) -> float:
         """The angle 2*pi*J*tau the coupling turns through; 2*pi*n/d for n/dJ at any J != 0."""
         if self.j_fraction is None:
-            return 2 * np.pi * consts.j_hz * self.seconds(consts)
-        self._check_coupled(consts)
-        num, den = self.j_fraction
-        return 2 * np.pi * num / den
+            phase = 2 * np.pi * consts.j_hz * self.seconds(consts)
+        else:
+            self._check_coupled(consts)
+            phase = 2 * np.pi * self.j_fraction[0] / self.j_fraction[1]
+        if not math.isfinite(phase):
+            raise ValueError(f"delay {self.duration} turns the coupling by a non-finite angle "
+                             f"at j_hz = {consts.j_hz!r}")
+        return phase
 
 
 @dataclass(frozen=True)
@@ -215,20 +220,18 @@ class PulseSequence:
 
     @functools.cached_property
     def segments(self) -> tuple:
-        """The gradient-free runs of elements: n gradients give n + 1 runs."""
-        runs, run = [], []
+        """The gradient-free runs, n + 1 for n gradients, each as (run, reads_j).
+
+        reads_j: the run holds a delay given in seconds, so lowering it reads J.
+        """
+        runs = [[]]
         for e in self.elements:
             if isinstance(e, Gradient):
-                runs.append(tuple(run))
-                run = []
+                runs.append([])
             else:
-                run.append(e)
-        return (*runs, tuple(run))
-
-    @functools.cached_property
-    def reads_j(self) -> bool:
-        """Whether a delay is given in seconds, so the lowering reads J's value."""
-        return _reads_j(self.elements)
+                runs[-1].append(e)
+        return tuple((tuple(run), any(isinstance(e, Delay) and e.j_fraction is None for e in run))
+                     for run in runs)
 
     def __add__(self, other: "PulseSequence") -> "PulseSequence":
         return PulseSequence(self.elements + tuple(other))
@@ -307,10 +310,6 @@ def hamiltonian(consts: PhysicalConstants, frame: str = "doubly-rotating") -> Op
     raise ValueError(f"frame must be 'lab' or 'doubly-rotating', got {frame!r}")
 
 
-def _reads_j(elements) -> bool:
-    return any(isinstance(e, Delay) and e.j_fraction is None for e in elements)
-
-
 def element_unitary(e, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
     """Unitary matrix of one rf pulse or delay; gradients have none."""
     if isinstance(e, Rf):
@@ -342,9 +341,9 @@ def lower(seq: PulseSequence, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> 
     n + 1 segments; a leading, trailing or doubled gradient gives an
     identity segment.  The arrays are read-only and checked unitary
     once, when first built.  The rotating frame reads only J, and only
-    for a delay given in seconds, so the result is memoised per program
-    and each segment per run of elements, with J in the key only where
-    such a delay is present.  Equal runs in different programs share
+    for a delay given in seconds, so each segment is memoised on its
+    run of elements, with J in the key only where the run holds such a
+    delay.  Equal runs in one program or in different programs share
     one array.
     """
     if consts.j_hz == 0:
@@ -353,12 +352,7 @@ def lower(seq: PulseSequence, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> 
         for e in seq:
             if isinstance(e, Delay):
                 e._check_coupled(consts)
-    return _lower_program(seq, consts.j_hz if seq.reads_j else None)
-
-
-@functools.lru_cache(maxsize=_LOWERED_PROGRAMS)
-def _lower_program(seq: PulseSequence, j_hz: float | None) -> tuple:
-    return tuple(_lower_run(run, j_hz if _reads_j(run) else None) for run in seq.segments)
+    return tuple(_lower_run(run, consts.j_hz if reads_j else None) for run, reads_j in seq.segments)
 
 
 @functools.lru_cache(maxsize=_LOWERED_RUNS)
@@ -395,8 +389,9 @@ def _rf(spin, axis, num, den=1) -> Rf:
     return Rf(spin, axis, pi_fraction(num, den))
 
 
-# Equivalent to the coupled-spin evolution [1/2J]; the opposite-phase
-# hard pulses cancel calibration errors on real hardware.
+# Equivalent to the coupled-spin evolution [1/2J].  Like a Hahn echo,
+# the opposite-phase hard pulses refocus resonance offsets during the
+# delays; they do not cancel rf-amplitude errors, which stay first order.
 _REFOCUSED_HALF_J = (Delay("1/4J"), _rf("both", "x", 1), Delay("1/4J"), _rf("both", "x", -1))
 
 
@@ -407,9 +402,13 @@ def alpha_angle(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     return float(np.arccos(1.0 / (2.0 * consts.gamma_ratio)))
 
 
+# Built once, so the run memo matches the preps' shared runs by identity.
+_PREP_AFTER_ALPHA = (Gradient(), _rf(1, "x", 1, 4), *_REFOCUSED_HALF_J, _rf(1, "y", -1, 4),
+                     Gradient())
+
+
 def _pseudo_pure_prep(consts: PhysicalConstants) -> PulseSequence:
-    return PulseSequence((Rf(2, "x", repr(alpha_angle(consts))), Gradient(), _rf(1, "x", 1, 4),
-                          *_REFOCUSED_HALF_J, _rf(1, "y", -1, 4), Gradient()))
+    return PulseSequence((Rf(2, "x", repr(alpha_angle(consts))), *_PREP_AFTER_ALPHA))
 
 
 class Gate(NamedTuple):

@@ -14,9 +14,9 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-# 1e-12 for exact-arithmetic identities, 1e-9 for composed pipelines.
+# Tolerance of the exact-arithmetic identities: unitarity, Hermiticity,
+# unit trace and phase matches.
 EXACT_TOL = 1e-12
-PIPELINE_TOL = 1e-9
 
 
 class BasisLabel(enum.Enum):

@@ -40,7 +40,7 @@ from densegrover.nmr import (
     target_pseudo_pure,
     verify_realization,
 )
-from densegrover.qstate import BasisLabel
+from densegrover.qstate import BasisLabel, phase_fit
 
 RNG_SEED = 55511
 
@@ -164,6 +164,22 @@ class TestPulseText:
         for seq in programs:
             assert parse_sequence(seq.to_text()) == seq
 
+    @pytest.mark.parametrize("text", ["delay nan", "delay inf", "delay 1e400",
+                                      "rf 1 x nan", "rf 2 y inf", "rf both x -inf"])
+    def test_non_finite_expressions_rejected_with_their_line(self, text):
+        expr = text.split()[-1]
+        with pytest.raises(ValueError, match=f"must be .*finite, got '{expr}'"):
+            parse_sequence(text)
+        with pytest.raises(ValueError, match=f"^line 2: .*'{expr}'"):
+            parse_sequence("rf 1 y pi/4\n" + text)
+
+    def test_overflowing_coupling_phase_names_the_delay(self):
+        seq = parse_sequence("delay 1e308")
+        with pytest.raises(ValueError, match="delay 1e308 .* non-finite angle at j_hz = 215.0"):
+            lower(seq)
+        with pytest.raises(ValueError, match="delay 1e308"):
+            element_unitary(seq.elements[0])
+
     def test_text_round_trip_from_text(self):
         text = "rf 1 y pi/4\nrf 2 y -3pi/4\ndelay 1/4J\ngrad z\nrf both x -pi\n"
         assert parse_sequence(text).to_text() == text
@@ -274,6 +290,52 @@ class TestChannels:
             out = simulate_sequence(gate_library("I_t"), rho)
             expected = it @ rho.entries @ it.conj().T
             assert np.abs(out.entries - expected).max() < 1e-12
+
+
+def model_unitary(elements, offset_hz=0.0, pair_eps=0.0):
+    """Net unitary of a gradient-free program under a test-local error model.
+
+    Each delay also turns both spins about z by a resonance offset,
+    H = 2*pi*J*Iz1*Iz2 + 2*pi*offset_hz*(Iz1 + Iz2), and each hard pi
+    pulse (the refocusing pairs) turns by 1 + pair_eps times its angle.
+    """
+    net = np.eye(4, dtype=complex)
+    for e in elements:
+        if isinstance(e, Delay):
+            turn = 2 * np.pi * offset_hz * e.seconds(DEFAULT_CONSTANTS)
+            u = element_unitary(e) @ np.diag(np.exp(-1j * turn * np.diag(IZ1 + IZ2)))
+        elif e.spin == "both" and abs(e.angle_rad) == np.pi:
+            u = element_unitary(Rf(e.spin, e.axis, repr(e.angle_rad * (1 + pair_eps))))
+        else:
+            u = element_unitary(e)
+        net = u @ net
+    return net
+
+
+class TestRefocusing:
+    """What the opposite-phase hard pulses around the coupling delays buy."""
+
+    def programs(self):
+        # (gate, its ideal, the library program, the same gate with one bare delay)
+        i_s = gate_library("I_s").elements
+        assert i_s[:4] == nmr._REFOCUSED_HALF_J
+        return [
+            ("I_s", grover.phase_shift_s().matrix, i_s, (Delay("1/2J"),) + i_s[4:]),
+            ("I_t", grover.sign_flip_target().matrix, gate_library("I_t").elements, (Delay("1/J"),)),
+        ]
+
+    @pytest.mark.parametrize("offset_hz", [1.0, 10.0, 50.0])
+    def test_resonance_offsets_are_refocused(self, offset_hz):
+        for name, ideal, refocused, bare in self.programs():
+            assert phase_fit(model_unitary(bare), ideal)[1] <= 1e-12, name
+            assert phase_fit(model_unitary(refocused, offset_hz), ideal)[1] <= 1e-12, name
+            assert phase_fit(model_unitary(bare, offset_hz), ideal)[1] > 1e-2, name
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2])
+    def test_rf_amplitude_errors_are_not_cancelled(self, eps):
+        for name, ideal, refocused, _ in self.programs():
+            distance = phase_fit(model_unitary(refocused, pair_eps=eps), ideal)[1]
+            assert 1 <= distance / eps <= 3, name
 
 
 class TestGateLibrary:
@@ -525,6 +587,11 @@ EDGE_PROGRAMS = {
 }
 
 
+def same_objects(a, b) -> bool:
+    """Whether two lowerings hold the very same segment arrays, in order."""
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
 class TestLowering:
     def assert_matches_fold(self, seq, rho, consts=DEFAULT_CONSTANTS):
         out = simulate_sequence(seq, rho, consts)
@@ -565,9 +632,10 @@ class TestLowering:
 
     def test_second_call_returns_the_cached_object(self):
         seq = protocol_sequence(3, 4)
-        assert lower(seq, DEFAULT_CONSTANTS) is lower(seq, DEFAULT_CONSTANTS)
-        # An equal program built afresh is the same cache entry.
-        assert lower(protocol_sequence(3, 4), DEFAULT_CONSTANTS) is lower(seq, DEFAULT_CONSTANTS)
+        assert same_objects(lower(seq, DEFAULT_CONSTANTS), lower(seq, DEFAULT_CONSTANTS))
+        # An equal program built afresh hits the same cache entries.
+        fresh = lower(protocol_sequence(3, 4), DEFAULT_CONSTANTS)
+        assert same_objects(fresh, lower(seq, DEFAULT_CONSTANTS))
 
     def test_changing_j_changes_the_segments(self):
         # An absolute delay: a 1/nJ delay's phase is the same at every J.
@@ -578,6 +646,16 @@ class TestLowering:
         rho = random_deviation(rng)
         for consts in (a, b, a):
             self.assert_matches_fold(seq, rho, consts)
+
+    def test_j_is_keyed_per_run_inside_one_program(self):
+        seq = PulseSequence((Rf(1, "x", "pi/2"), Delay("0.001"), Gradient(),
+                             Delay("1/4J"), Rf(2, "y", "pi/3")))
+        assert [reads_j for _, reads_j in seq.segments] == [True, False]
+        a, b = PhysicalConstants(j_hz=215.0), PhysicalConstants(j_hz=300.0)
+        first_a, second_a = lower(seq, a)
+        first_b, second_b = lower(seq, b)
+        assert np.abs(first_a - first_b).max() > 1e-3
+        assert second_a is second_b
 
     def test_cache_hit_builds_no_element_unitaries(self, monkeypatch):
         calls = []
@@ -608,15 +686,13 @@ class TestLowering:
             if name == "pseudo-pure-prep":
                 continue  # its first pulse turns by an angle that reads gamma_ratio
             seq = gate_library(name)
-            segments = lower(seq, DEFAULT_CONSTANTS)
-            assert lower(seq, other) is segments
-            assert all(a is b for a, b in zip(lower(seq, other), segments))
+            assert same_objects(lower(seq, other), lower(seq, DEFAULT_CONSTANTS))
 
     @pytest.mark.parametrize("name", ["I_t", "pseudo-pure-prep"])
     def test_uncoupled_pair_raises_after_a_cache_hit(self, name):
         uncoupled = PhysicalConstants(j_hz=0.0)
         seq = gate_library(name, consts=uncoupled)
-        assert lower(seq, DEFAULT_CONSTANTS) is lower(seq, DEFAULT_CONSTANTS)
+        assert same_objects(lower(seq, DEFAULT_CONSTANTS), lower(seq, DEFAULT_CONSTANTS))
         with pytest.raises(ValueError, match="uncoupled pair"):
             lower(seq, uncoupled)
         with pytest.raises(ValueError, match="uncoupled pair"):
