@@ -19,7 +19,6 @@ from .bell import BellVector, bell_state, from_bell_coords, rotate_epr, to_bell_
 from .grover import UChoice, build_G, build_G_inverse, build_U, preset, table1
 from .coding import (
     AncillaMessage,
-    EncoderSet,
     ProtocolTrace,
     decode,
     encoder,

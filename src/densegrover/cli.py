@@ -91,6 +91,8 @@ def _load_constants(parser: argparse.ArgumentParser, path: str | None):
                 if not sep or key not in required:
                     parser.error(f"{path}: line {lineno}: expected <key>=<value> "
                                  f"with key in {', '.join(required)}")
+                if key in values:
+                    parser.error(f"{path}: line {lineno}: duplicate key {key}")
                 try:
                     values[key] = float(value.strip())
                 except ValueError:

@@ -35,23 +35,9 @@ def _pauli_on_2(axis: str) -> Operator4:
     return scaled(single_spin_rotation(2, axis, np.pi), -1j)
 
 
-@dataclass(frozen=True, eq=False)
-class EncoderSet:
-    """The four particle-2 manipulations paired with one decoding axis."""
-
-    kind: str
-    operators: tuple
-
-    def __post_init__(self):
-        if self.kind not in ("x", "y"):
-            raise ValueError(f"encoder-set kind must be x or y, got {self.kind!r}")
-        if len(self.operators) != 4:
-            raise ValueError("an encoder set holds exactly four operators")
-
-
 @functools.lru_cache(maxsize=None)
-def encoder_set(kind: str) -> EncoderSet:
-    """Build the encoder set paired with the given decoding axis."""
+def encoder_set(kind: str) -> tuple:
+    """The four particle-2 manipulations paired with the given decoding axis."""
     if kind == "y":
         ops = (
             identity(),
@@ -68,15 +54,14 @@ def encoder_set(kind: str) -> EncoderSet:
         )
     else:
         raise ValueError(f"encoder-set kind must be x or y, got {kind!r}")
-    return EncoderSet(kind, ops)
+    return ops
 
 
-def encoder(set_or_kind, k: int) -> Operator4:
-    """The k-th (1..4) manipulation of the set."""
+def encoder(kind: str, k: int) -> Operator4:
+    """The k-th (1..4) manipulation of the set paired with axis `kind`."""
     if k not in (1, 2, 3, 4):
         raise ValueError(f"encoder index must be 1..4, got {k!r}")
-    enc = set_or_kind if isinstance(set_or_kind, EncoderSet) else encoder_set(set_or_kind)
-    return enc.operators[k - 1]
+    return encoder_set(kind)[k - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,16 +76,11 @@ class ProtocolTrace:
     probabilities: dict
 
 
-def run_protocol(c: UChoice, k: int, set_kind: str | None = None) -> ProtocolTrace:
-    """Full pipeline: G(c) on up-up, encoder k, G^-1(c), measurement."""
+def run_protocol(c: UChoice, k: int) -> ProtocolTrace:
+    """Full pipeline: G(c) on up-up, encoder k of c's axis, G^-1(c), measurement."""
     if not is_preset(c):
         raise ValueError("protocol runs require one of the eight named presets")
-    kind = c.axis if set_kind is None else set_kind
-    if kind != c.axis:
-        raise ValueError(
-            f"encoder set kind {kind!r} does not pair with the {c.axis!r}-axis decoding operator"
-        )
-    return _pipeline(build_G(c), encoder(kind, k), build_G_inverse(c), c, k)
+    return _pipeline(build_G(c), encoder(c.axis, k), build_G_inverse(c), c, k)
 
 
 def _pipeline(g: Operator4, v: Operator4, g_inv: Operator4, dec: UChoice, k: int) -> ProtocolTrace:

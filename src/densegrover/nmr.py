@@ -88,7 +88,11 @@ def parse_angle(expr: str) -> float:
         den = int(m.group(3)) if m.group(3) else 1
         if den == 0:
             raise ValueError(f"zero denominator in angle expression {expr!r}")
-        return sign * num * np.pi / den
+        try:
+            return sign * num * np.pi / den
+        except OverflowError:
+            raise ValueError(f"angle expression {expr!r} holds an integer too large "
+                             "for a float") from None
     try:
         return float(expr)
     except ValueError:
@@ -125,7 +129,8 @@ class Rf:
     angle: str
 
     def __post_init__(self):
-        if self.spin not in (1, 2, "both"):
+        # type() rejects True and 1.0, which equal 1 but print as other text.
+        if not (self.spin == "both" or (type(self.spin) is int and self.spin in (1, 2))):
             raise ValueError(f"rf spin must be 1, 2, or 'both', got {self.spin!r}")
         if self.axis not in ("x", "y"):
             raise ValueError(f"rf axis must be x or y, got {self.axis!r}")
@@ -145,7 +150,12 @@ class Delay:
     duration: str
 
     def __post_init__(self):
-        if not 0 <= self.seconds(DEFAULT_CONSTANTS) < np.inf:
+        try:
+            seconds = self.seconds(DEFAULT_CONSTANTS)
+        except OverflowError:
+            raise ValueError(f"delay expression {self.duration!r} holds an integer too large "
+                             "for a float") from None
+        if not 0 <= seconds < np.inf:
             raise ValueError(f"delay must be nonnegative and finite, got {self.duration!r}")
         _check_no_padding("delay", self.duration)
 
@@ -299,17 +309,6 @@ class DeviationMatrix:
             raise ValueError("deviation matrix must be traceless")
 
 
-def hamiltonian(consts: PhysicalConstants, frame: str = "doubly-rotating") -> Operator4:
-    """Hermitian generator in rad/s; the simulation uses the rotating frame."""
-    coupling = 2 * np.pi * consts.j_hz * IZIZ
-    if frame == "doubly-rotating":
-        return Operator4(coupling, unitary=False)
-    if frame == "lab":
-        zeeman = -2 * np.pi * consts.nu1_hz * IZ1 - 2 * np.pi * consts.nu2_hz * IZ2
-        return Operator4(zeeman + coupling, unitary=False)
-    raise ValueError(f"frame must be 'lab' or 'doubly-rotating', got {frame!r}")
-
-
 def element_unitary(e, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
     """Unitary matrix of one rf pulse or delay; gradients have none."""
     if isinstance(e, Rf):
@@ -424,9 +423,10 @@ def _fixed(*elements) -> Callable[[PhysicalConstants], PulseSequence]:
 
 
 def _u_gate(j: int) -> Gate:
-    # U_j = R_y^1(pi/4) R_y^2(phi2); U3's equal angles make one hard pulse.
-    phi2 = {1: 3, 2: -3, 4: -1}
-    pulses = (_rf("both", "y", 1, 4),) if j == 3 else (_rf(1, "y", 1, 4), _rf(2, "y", phi2[j], 4))
+    # U_j = R_y^1(phi1) R_y^2(phi2) in quarter turns; equal angles make one hard pulse.
+    c = preset("y", j)
+    q1, q2 = (round(4 * phi / np.pi) for phi in (c.phi1, c.phi2))
+    pulses = (_rf("both", "y", q1, 4),) if q1 == q2 else (_rf(1, "y", q1, 4), _rf(2, "y", q2, 4))
     return Gate(_fixed(*pulses), lambda kind: grover.build_U(preset(kind, j)))
 
 

@@ -92,20 +92,18 @@ class Ket4:
 
 @dataclass(frozen=True, eq=False)
 class Operator4:
-    """4x4 operator; the unitary flag is validated at construction."""
+    """4x4 unitary operator; unitarity is checked at construction."""
 
     matrix: np.ndarray
-    unitary: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_array(self.matrix, (4, 4)))
-        if self.unitary:
-            defect = np.abs(self.matrix @ self.matrix.conj().T - np.eye(4)).max()
-            if not defect < EXACT_TOL:  # written so that a NaN defect fails
-                raise ValueError(f"matrix flagged unitary deviates from unitarity by {defect:.3e}")
+        defect = np.abs(self.matrix @ self.matrix.conj().T - np.eye(4)).max()
+        if not defect < EXACT_TOL:  # written so that a NaN defect fails
+            raise ValueError(f"operator deviates from unitarity by {defect:.3e}")
 
     def adjoint(self) -> "Operator4":
-        return Operator4(self.matrix.conj().T, unitary=self.unitary)
+        return Operator4(self.matrix.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,9 +172,7 @@ def identity() -> Operator4:
 
 
 def apply(op: Operator4, state: Ket4) -> Ket4:
-    """Matrix-vector product; only unitary operators may act on states."""
-    if not op.unitary:
-        raise ValueError("refusing to apply an operator whose unitary flag is unset")
+    """Matrix-vector product."""
     return Ket4(op.matrix @ state.amplitudes)
 
 
@@ -188,13 +184,12 @@ def compose(ops: Iterable[Operator4]) -> Operator4:
     matrix = ops[0].matrix
     for op in ops[1:]:
         matrix = matrix @ op.matrix
-    return Operator4(matrix, unitary=all(op.unitary for op in ops))
+    return Operator4(matrix)
 
 
 def scaled(op: Operator4, factor: complex) -> Operator4:
-    """Scalar multiple; the unitary flag survives only unit-modulus factors."""
-    stays_unitary = op.unitary and abs(abs(factor) - 1.0) <= EXACT_TOL
-    return Operator4(np.asarray(factor) * op.matrix, unitary=stays_unitary)
+    """Scalar multiple; a factor off the unit circle raises ValueError."""
+    return Operator4(np.asarray(factor) * op.matrix)
 
 
 def _raw(obj) -> np.ndarray:

@@ -239,6 +239,21 @@ class TestCompile:
         assert code == 0
         assert out == "rf both y pi/4\n"
 
+    @pytest.mark.parametrize("gate, text", [
+        ("U1", "rf 1 y pi/4\nrf 2 y 3pi/4\n"),
+        ("U2", "rf 1 y pi/4\nrf 2 y -3pi/4\n"),
+        ("U3", "rf both y pi/4\n"),
+        ("U4", "rf 1 y pi/4\nrf 2 y -pi/4\n"),
+        ("U1-inv", "rf 2 y -3pi/4\nrf 1 y -pi/4\n"),
+        ("U2-inv", "rf 2 y 3pi/4\nrf 1 y -pi/4\n"),
+        ("U3-inv", "rf both y -pi/4\n"),
+        ("U4-inv", "rf 2 y pi/4\nrf 1 y -pi/4\n"),
+    ])
+    def test_u_gate_pulse_text(self, capsys, gate, text):
+        code, out, _ = run_cli(capsys, "compile", gate)
+        assert code == 0
+        assert out == text
+
     def test_round_trip_through_parser(self, capsys):
         for name in ("U1", "I_s", "V2", "pseudo-pure-prep", "readout-proton"):
             code, out, _ = run_cli(capsys, "compile", name)
@@ -297,6 +312,13 @@ class TestConstantsFile:
             tmp_path, "nu1_hz=fast\nnu2_hz=4e6\nj_hz=215\ngamma_ratio=4\n"
         )
         expect_usage_error(capsys, "spectra", "uu", "--constants", path)
+
+    def test_duplicate_key_rejected_with_its_line(self, capsys, tmp_path):
+        path = self.write(
+            tmp_path, "nu1_hz=125.76e6\nnu2_hz=500.13e6\nj_hz=140.5\ngamma_ratio=4\nj_hz=0\n"
+        )
+        err = expect_usage_error(capsys, "spectra", "--protocol", "1", "0", "--constants", path)
+        assert err.splitlines()[-1].endswith(f"{path}: line 5: duplicate key j_hz")
 
     def test_unreadable_file_rejected(self, capsys, tmp_path):
         expect_usage_error(

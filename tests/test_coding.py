@@ -5,7 +5,6 @@ from densegrover import coding
 from densegrover.bell import bell_state, from_bell_coords, to_bell_coords
 from densegrover.coding import (
     AncillaMessage,
-    EncoderSet,
     decode,
     encoder,
     encoder_set,
@@ -42,7 +41,7 @@ def on_spin_2(block):
 
 class TestEncoderSets:
     def test_y_set_definitions(self):
-        ops = encoder_set("y").operators
+        ops = encoder_set("y")
         expected = [
             np.eye(4, dtype=complex),
             on_spin_2(_ry(-np.pi / 2) @ _SX),
@@ -53,7 +52,7 @@ class TestEncoderSets:
             assert np.abs(op.matrix - ref).max() < 1e-12
 
     def test_x_set_definitions(self):
-        ops = encoder_set("x").operators
+        ops = encoder_set("x")
         expected = [
             np.eye(4, dtype=complex),
             on_spin_2(_rx(np.pi / 2) @ _SZ),
@@ -74,13 +73,14 @@ class TestEncoderSets:
         with pytest.raises(ValueError):
             encoder_set("q")
         with pytest.raises(ValueError):
-            EncoderSet("y", (None,))
+            encoder("q", 1)
 
     def test_encoder_accepts_set_objects(self):
         enc = encoder_set("y")
-        assert encoder(enc, 1) is enc.operators[0]
+        assert len(enc) == 4
+        assert encoder("y", 1) is enc[0]
         with pytest.raises(ValueError):
-            encoder(enc, 5)
+            encoder("y", 5)
 
     def test_worked_example_on_second_bell_state(self):
         psi2 = bell_state(2)
@@ -127,15 +127,6 @@ class TestRunProtocol:
     def test_rejects_generic_angles(self):
         with pytest.raises(ValueError):
             run_protocol(UChoice("y", 0.1, 0.2), 1)
-
-    def test_rejects_mismatched_set_kind(self):
-        with pytest.raises(ValueError) as err:
-            run_protocol(preset("y", 1), 1, set_kind="x")
-        assert "x" in str(err.value) and "y" in str(err.value)
-
-    def test_matching_set_kind_accepted(self):
-        trace = run_protocol(preset("x", 1), 4, set_kind="x")
-        assert trace.output_label is BasisLabel.DD
 
 
 class TestTable2:

@@ -25,7 +25,6 @@ from densegrover.nmr import (
     element_unitary,
     equilibrium_state,
     gate_library,
-    hamiltonian,
     ideal_gate_unitary,
     lower,
     parse_angle,
@@ -173,6 +172,19 @@ class TestPulseText:
         with pytest.raises(ValueError, match=f"^line 2: .*'{expr}'"):
             parse_sequence("rf 1 y pi/4\n" + text)
 
+    @pytest.mark.parametrize("text", ["rf 1 x 1" + "0" * 400 + "pi", "rf 1 x pi/1" + "0" * 400,
+                                      "delay 1" + "0" * 400 + "/J", "delay 1/1" + "0" * 400 + "J"])
+    def test_integers_too_large_for_a_float_rejected_with_their_line(self, text):
+        expr = text.split()[-1]
+        with pytest.raises(ValueError, match=f"^line 1: .*'{expr}' holds an integer too large"):
+            parse_sequence(text)
+
+    @pytest.mark.parametrize("spin", [True, False, 1.0, 2.0])
+    def test_rf_spin_must_print_as_it_parses(self, spin):
+        # True == 1 and 1.0 == 1, but "rf True x pi" and "rf 1.0 x pi" do not parse.
+        with pytest.raises(ValueError, match="rf spin must be 1, 2, or 'both'"):
+            Rf(spin, "x", "pi")
+
     def test_overflowing_coupling_phase_names_the_delay(self):
         seq = parse_sequence("delay 1e308")
         with pytest.raises(ValueError, match="delay 1e308 .* non-finite angle at j_hz = 215.0"):
@@ -192,27 +204,6 @@ class TestPulseText:
     def test_sequence_concatenation(self):
         combined = gate_library("U1") + gate_library("I_t")
         assert len(combined) == len(gate_library("U1")) + len(gate_library("I_t"))
-
-
-class TestHamiltonian:
-    def test_rotating_frame_is_pure_coupling(self):
-        h = hamiltonian(DEFAULT_CONSTANTS)
-        expected = 2 * np.pi * 215.0 * np.diag([0.25, -0.25, -0.25, 0.25])
-        assert np.abs(h.matrix - expected).max() < 1e-9
-
-    def test_lab_frame_commutes_with_longitudinal_operators(self):
-        h = hamiltonian(DEFAULT_CONSTANTS, frame="lab").matrix
-        assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
-        assert np.abs(h @ IZ1 - IZ1 @ h).max() == 0.0
-        assert np.abs(h @ IZ2 - IZ2 @ h).max() == 0.0
-
-    def test_uncoupled_rotating_frame_vanishes(self):
-        c = PhysicalConstants(j_hz=0.0)
-        assert np.abs(hamiltonian(c).matrix).max() == 0.0
-
-    def test_frame_validated(self):
-        with pytest.raises(ValueError):
-            hamiltonian(DEFAULT_CONSTANTS, frame="interaction")
 
 
 class TestChannels:
@@ -704,7 +695,7 @@ class TestLowering:
             at_215 = element_unitary(delay, DEFAULT_CONSTANTS)
             for j_hz in (1.0, 123.25, 1000.0, 1e6):
                 assert np.array_equal(element_unitary(delay, PhysicalConstants(j_hz=j_hz)), at_215)
-            h = hamiltonian(DEFAULT_CONSTANTS).matrix
+            h = 2 * np.pi * DEFAULT_CONSTANTS.j_hz * IZIZ
             expected = np.diag(np.exp(-1j * delay.seconds(DEFAULT_CONSTANTS) * np.diag(h)))
             assert np.abs(at_215 - expected).max() < 1e-12
 
@@ -712,7 +703,7 @@ class TestLowering:
         delay = Delay("0.001")
         for j_hz in (0.0, 215.0, 1000.0):
             consts = PhysicalConstants(j_hz=j_hz)
-            h = hamiltonian(consts).matrix
+            h = 2 * np.pi * consts.j_hz * IZIZ
             assert np.array_equal(h, np.diag(np.diag(h)))  # so exp(-i tau H) is entrywise
             expected = np.diag(np.exp(-1j * 0.001 * np.diag(h)))
             assert np.abs(element_unitary(delay, consts) - expected).max() < 1e-14

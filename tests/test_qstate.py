@@ -120,15 +120,6 @@ class TestOperators:
         with pytest.raises(ValueError):
             Operator4(np.full((4, 4), np.nan))
 
-    def test_non_unitary_allowed_when_flagged(self):
-        op = Operator4(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex), unitary=False)
-        assert not op.unitary
-
-    def test_apply_rejects_non_unitary(self):
-        op = Operator4(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex), unitary=False)
-        with pytest.raises(ValueError):
-            apply(op, ket_from_basis(BasisLabel.UU))
-
     def test_identity_application(self):
         rng = np.random.default_rng(RNG_SEED)
         psi = random_ket(rng)
@@ -159,9 +150,9 @@ class TestOperators:
 
     def test_scaled_keeps_unit_modulus_unitary(self):
         op = scaled(identity(), -1j)
-        assert op.unitary
-        stretched = scaled(identity(), 2.0)
-        assert not stretched.unitary
+        assert np.array_equal(op.matrix, -1j * np.eye(4))
+        with pytest.raises(ValueError, match="unitarity"):
+            scaled(identity(), 2.0)
 
     def test_adjoint_inverts(self):
         rng = np.random.default_rng(RNG_SEED + 1)
