@@ -16,7 +16,7 @@ from .qstate import (
     single_spin_rotation,
 )
 from .bell import BellVector, bell_state, from_bell_coords, rotate_epr, to_bell_coords
-from .grover import UChoice, build_G, build_G_inverse, build_U, preset, table1
+from .grover import UChoice, build_G, build_G_inverse, build_G_pair, build_U, preset, table1
 from .coding import (
     AncillaMessage,
     ProtocolTrace,

@@ -28,6 +28,9 @@ _BELL_MATRIX = np.array(
     ],
     dtype=complex,
 ) / _SQRT2
+# Maps product-basis amplitudes to Bell coordinates.
+BELL_ADJOINT = _BELL_MATRIX.conj().T
+BELL_ADJOINT.setflags(write=False)
 
 
 def _check_index(i: int) -> int:
@@ -57,7 +60,7 @@ def bell_state(i: int) -> Ket4:
 
 
 def to_bell_coords(state: Ket4) -> BellVector:
-    return BellVector(_BELL_MATRIX.conj().T @ state.amplitudes)
+    return BellVector(BELL_ADJOINT @ state.amplitudes)
 
 
 def from_bell_coords(v: BellVector) -> Ket4:

@@ -16,14 +16,22 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bell
-from .grover import UChoice, build_G, build_G_inverse, is_preset, preset, preset_index
+from .grover import (
+    UChoice,
+    build_G,
+    build_G_inverse,
+    build_G_pair,
+    is_preset,
+    preset,
+    preset_index,
+)
 from .qstate import (
+    _LABELS,
     BasisLabel,
+    Ket4,
     Operator4,
-    apply,
     compose,
     identity,
-    ket_from_basis,
     measure_basis,
     scaled,
     single_spin_rotation,
@@ -57,9 +65,18 @@ def encoder_set(kind: str) -> tuple:
     return ops
 
 
+@functools.lru_cache(maxsize=None)
+def _encoder_stack(kind: str) -> np.ndarray:
+    """The matrices of encoder_set(kind) as one read-only (4, 4, 4) array."""
+    stack = np.stack([v.matrix for v in encoder_set(kind)])
+    stack.setflags(write=False)
+    return stack
+
+
 def encoder(kind: str, k: int) -> Operator4:
     """The k-th (1..4) manipulation of the set paired with axis `kind`."""
-    if k not in (1, 2, 3, 4):
+    # bool is an int subclass, so True would pass as encoder 1.
+    if isinstance(k, bool) or k not in (1, 2, 3, 4):
         raise ValueError(f"encoder index must be 1..4, got {k!r}")
     return encoder_set(kind)[k - 1]
 
@@ -80,33 +97,28 @@ def run_protocol(c: UChoice, k: int) -> ProtocolTrace:
     """Full pipeline: G(c) on up-up, encoder k of c's axis, G^-1(c), measurement."""
     if not is_preset(c):
         raise ValueError("protocol runs require one of the eight named presets")
-    return _pipeline(build_G(c), encoder(c.axis, k), build_G_inverse(c), c, k)
+    g, g_inv = build_G_pair(c)
+    return _pipeline(g, encoder(c.axis, k), g_inv, c, k)
 
 
 def _pipeline(g: Operator4, v: Operator4, g_inv: Operator4, dec: UChoice, k: int) -> ProtocolTrace:
     """g on up-up, the manipulation v (encoder k), g_inv = G^-1(dec), measurement."""
-    psi0 = apply(g, ket_from_basis(BasisLabel.UU))
-    encoded_ket = apply(v, psi0)
-    measurement = measure_basis(apply(g_inv, encoded_ket))
+    psi0 = g.matrix[:, 0]  # column 0 is g applied to up-up
+    encoded = v.matrix @ psi0
+    measurement = measure_basis(Ket4(g_inv.matrix @ encoded))
     return ProtocolTrace(
         u_choice=dec,
         message=k - 1,
-        starting_bell=bell.to_bell_coords(psi0),
-        encoded=bell.to_bell_coords(encoded_ket),
+        starting_bell=bell.BellVector(bell.BELL_ADJOINT @ psi0),
+        encoded=bell.BellVector(bell.BELL_ADJOINT @ encoded),
         output_label=measurement.argmax,
         probabilities=measurement.probabilities,
     )
 
 
-def _preset_runs(c: UChoice) -> list[ProtocolTrace]:
-    """The runs k = 1..4 of preset c, sharing one G(c) and one G^-1(c)."""
-    g, g_inv = build_G(c), build_G_inverse(c)
-    return [_pipeline(g, encoder(c.axis, k), g_inv, c, k) for k in (1, 2, 3, 4)]
-
-
-def _bell_column(trace: ProtocolTrace) -> int:
-    """1-based index of the pure Bell state a run starts from."""
-    coords = trace.starting_bell.coords
+def _bell_column(psi0: np.ndarray) -> int:
+    """1-based index of the pure Bell state with amplitudes psi0."""
+    coords = bell.BELL_ADJOINT @ psi0
     idx = int(np.argmax(np.abs(coords)))
     if not abs(coords[idx]) >= 1.0 - 1e-9:
         raise ValueError("starting state is not a pure Bell state")
@@ -115,23 +127,37 @@ def _bell_column(trace: ProtocolTrace) -> int:
 
 def starting_bell_index(c: UChoice) -> int:
     """Which Bell state G(c) synthesizes from up-up (presets only)."""
-    return _bell_column(run_protocol(c, 1))
+    if not is_preset(c):
+        raise ValueError("protocol runs require one of the eight named presets")
+    return _bell_column(build_G(c).matrix[:, 0])
+
+
+def _preset_outcomes(c: UChoice) -> tuple:
+    """Starting Bell index of preset c and the output labels of its runs k = 1..4.
+
+    The four runs share one G(c) and one G^-1(c) and are one stacked
+    product: row k-1 of (V_k psi0) @ G^-1.T is G^-1 V_k psi0.
+    """
+    g, g_inv = build_G_pair(c)
+    psi0 = g.matrix[:, 0]
+    outputs = (_encoder_stack(c.axis) @ psi0) @ g_inv.matrix.T
+    return _bell_column(psi0), [_LABELS[i] for i in np.abs(outputs).argmax(axis=1).tolist()]
 
 
 def table2(kind: str = "y") -> dict:
     """Outcome grid keyed by (starting Bell index, k) over all 16 runs."""
     grid = {}
     for j in (1, 2, 3, 4):
-        runs = _preset_runs(preset(kind, j))
-        column = _bell_column(runs[0])
-        for trace in runs:
-            grid[(column, trace.message + 1)] = trace.output_label
+        column, labels = _preset_outcomes(preset(kind, j))
+        for k, label in enumerate(labels, start=1):
+            grid[(column, k)] = label
     return grid
 
 
 @functools.lru_cache(maxsize=None)
 def _decode_map(axis: str, j: int) -> dict:
-    mapping = {trace.output_label: trace.message + 1 for trace in _preset_runs(preset(axis, j))}
+    _, labels = _preset_outcomes(preset(axis, j))
+    mapping = {label: k for k, label in enumerate(labels, start=1)}
     # Injectivity of k -> label is what makes two-bit transmission work.
     if len(mapping) != 4:
         raise AssertionError(f"outcome map for preset {j} ({axis}) is not a bijection")
@@ -154,9 +180,10 @@ class AncillaMessage:
     v_index: int
 
     def __post_init__(self):
-        if self.set_bit not in (0, 1):
+        # bool is an int subclass, so True would pass as 1.
+        if isinstance(self.set_bit, bool) or self.set_bit not in (0, 1):
             raise ValueError(f"set_bit must be 0 or 1, got {self.set_bit!r}")
-        if self.v_index not in (1, 2, 3, 4):
+        if isinstance(self.v_index, bool) or self.v_index not in (1, 2, 3, 4):
             raise ValueError(f"v_index must be 1..4, got {self.v_index!r}")
 
     @property
@@ -166,7 +193,7 @@ class AncillaMessage:
 
     @classmethod
     def from_value(cls, value: int) -> "AncillaMessage":
-        if value not in range(8):
+        if isinstance(value, bool) or value not in range(8):
             raise ValueError(f"ancilla message value must be 0..7, got {value!r}")
         return cls(value >> 2, (value & 3) + 1)
 

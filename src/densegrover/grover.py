@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bell
-from .qstate import BasisLabel, Operator4, apply, ket_from_basis, rotation_2x2
+from .qstate import BasisLabel, Operator4, apply, ket_from_basis, kron2, rotation_2x2
 
 _PI = np.pi
 
@@ -65,7 +65,8 @@ def preset(axis: str, j: int) -> UChoice:
     """Named angle choice j (1..4) for the given rotation axis."""
     if axis not in _PRESET_ANGLES:
         raise ValueError(f"axis must be x or y, got {axis!r}")
-    if j not in (1, 2, 3, 4):
+    # bool is an int subclass, so True would pass as preset 1.
+    if isinstance(j, bool) or j not in (1, 2, 3, 4):
         raise ValueError(f"preset index must be 1..4, got {j!r}")
     phi1, phi2 = _PRESET_ANGLES[axis][j]
     return UChoice(axis, phi1, phi2)
@@ -85,7 +86,7 @@ def is_preset(c: UChoice) -> bool:
 
 def build_U(c: UChoice) -> Operator4:
     """U = R_axis^1(phi1) * R_axis^2(phi2) (the two factors commute)."""
-    return Operator4(np.kron(rotation_2x2(c.axis, c.phi1), rotation_2x2(c.axis, c.phi2)))
+    return Operator4(kron2(rotation_2x2(c.axis, c.phi1), rotation_2x2(c.axis, c.phi2)))
 
 
 # I_t and I_s are fixed; Operator4 stores them read-only, so one copy is shared.
@@ -103,18 +104,29 @@ def phase_shift_s() -> Operator4:
     return _PHASE_SHIFT_S
 
 
+def _g_from_u(u: np.ndarray) -> Operator4:
+    return Operator4(-(u @ _PHASE_SHIFT_S.matrix @ u.conj().T @ _SIGN_FLIP_TARGET.matrix @ u))
+
+
+def _g_inverse_from_u(u: np.ndarray) -> Operator4:
+    u_inv = u.conj().T
+    return Operator4(-(u_inv @ _SIGN_FLIP_TARGET.matrix @ u @ _PHASE_SHIFT_S.matrix @ u_inv))
+
+
 def build_G(c: UChoice) -> Operator4:
     """G = -U * I_s * U^-1 * I_t * U, checked unitary once as a whole."""
-    u = build_U(c).matrix
-    u_inv = u.conj().T
-    return Operator4(-(u @ _PHASE_SHIFT_S.matrix @ u_inv @ _SIGN_FLIP_TARGET.matrix @ u))
+    return _g_from_u(build_U(c).matrix)
 
 
 def build_G_inverse(c: UChoice) -> Operator4:
     """G^-1 = -U^-1 * I_t * U * I_s * U^-1 (I_t and I_s are involutions)."""
+    return _g_inverse_from_u(build_U(c).matrix)
+
+
+def build_G_pair(c: UChoice) -> tuple[Operator4, Operator4]:
+    """(G, G^-1) from one U; each equals build_G(c) and build_G_inverse(c) exactly."""
     u = build_U(c).matrix
-    u_inv = u.conj().T
-    return Operator4(-(u_inv @ _SIGN_FLIP_TARGET.matrix @ u @ _PHASE_SHIFT_S.matrix @ u_inv))
+    return _g_from_u(u), _g_inverse_from_u(u)
 
 
 def _format_coefficient(value: complex, tol: float) -> str | None:

@@ -30,15 +30,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .grover import phase_shift_s, preset, sign_flip_target
-from .qstate import BasisLabel, Operator4, _frozen_array, phase_fit, rotation_2x2
+from .qstate import BasisLabel, Operator4, _frozen_array, kron2, phase_fit, rotation_2x2
 from . import coding
 from . import grover
 
 _IZ = np.diag([0.5, -0.5]).astype(complex)
 _I2 = np.eye(2, dtype=complex)
-IZ1 = np.kron(_IZ, _I2)
-IZ2 = np.kron(_I2, _IZ)
-IZIZ = np.kron(_IZ, _IZ)
+IZ1 = kron2(_IZ, _I2)
+IZ2 = kron2(_I2, _IZ)
+IZIZ = kron2(_IZ, _IZ)
 _IZIZ_DIAGONAL = np.diag(IZIZ)
 
 # Bounds of the memo caches.  The lowered runs of the 16 protocol
@@ -78,14 +78,31 @@ DEFAULT_CONSTANTS = PhysicalConstants()
 _ANGLE_RE = re.compile(r"^([+-]?)(\d*)pi(?:/(\d+))?$")
 _DELAY_RE = re.compile(r"^(\d+)/(\d*)J$")
 
+# The most significant digits an integer below the float maximum (1.8e308) has.
+_FLOAT_DIGITS = 309
+
+
+def _parse_int(digits: str, what: str) -> int:
+    """The integer a run of decimal digits spells; `what` names the expression.
+
+    The length is checked before int() sees the text, because int()
+    refuses text past the interpreter's digit limit (4300 by default)
+    with a message about that limit instead of the expression.
+    """
+    significant = digits.lstrip("0")
+    if len(significant) > _FLOAT_DIGITS:
+        raise ValueError(f"{what} holds an integer too large for a float")
+    return int(significant or "0")
+
 
 def parse_angle(expr: str) -> float:
     """Radians from an expression like pi/4, -3pi/4, pi, or a float literal."""
     m = _ANGLE_RE.match(expr)
     if m:
         sign = -1.0 if m.group(1) == "-" else 1.0
-        num = int(m.group(2)) if m.group(2) else 1
-        den = int(m.group(3)) if m.group(3) else 1
+        what = f"angle expression {expr!r}"
+        num = _parse_int(m.group(2), what) if m.group(2) else 1
+        den = _parse_int(m.group(3), what) if m.group(3) else 1
         if den == 0:
             raise ValueError(f"zero denominator in angle expression {expr!r}")
         try:
@@ -165,8 +182,9 @@ class Delay:
         m = _DELAY_RE.match(self.duration)
         if not m:
             return None
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) else 1
+        what = f"delay expression {self.duration!r}"
+        num = _parse_int(m.group(1), what)
+        den = _parse_int(m.group(2), what) if m.group(2) else 1
         if den == 0:
             raise ValueError(f"zero denominator in delay expression {self.duration!r}")
         return num, den
@@ -324,11 +342,11 @@ def _rf_unitary(e: Rf) -> np.ndarray:
     # The rotating frame makes an rf pulse independent of the constants.
     r = rotation_2x2(e.axis, e.angle_rad)
     if e.spin == "both":
-        u = np.kron(r, r)
+        u = kron2(r, r)
     elif e.spin == 1:
-        u = np.kron(r, _I2)
+        u = kron2(r, _I2)
     else:
-        u = np.kron(_I2, r)
+        u = kron2(_I2, r)
     u.setflags(write=False)
     return u
 

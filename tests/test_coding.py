@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from densegrover import coding
+from densegrover import coding, grover
 from densegrover.bell import bell_state, from_bell_coords, to_bell_coords
 from densegrover.coding import (
     AncillaMessage,
@@ -13,8 +13,15 @@ from densegrover.coding import (
     starting_bell_index,
     table2,
 )
-from densegrover.grover import UChoice, preset
-from densegrover.qstate import BasisLabel, apply, equal_up_to_phase, partial_trace
+from densegrover.grover import UChoice, build_G, build_G_inverse, preset
+from densegrover.qstate import (
+    BasisLabel,
+    apply,
+    equal_up_to_phase,
+    ket_from_basis,
+    measure_basis,
+    partial_trace,
+)
 
 RNG_SEED = 424242
 
@@ -82,6 +89,10 @@ class TestEncoderSets:
         with pytest.raises(ValueError):
             encoder("y", 5)
 
+    def test_bool_index_rejected(self):
+        with pytest.raises(ValueError, match="got True"):
+            encoder("y", True)
+
     def test_worked_example_on_second_bell_state(self):
         psi2 = bell_state(2)
         s = 1 / np.sqrt(2)
@@ -128,6 +139,46 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             run_protocol(UChoice("y", 0.1, 0.2), 1)
 
+    def test_builds_u_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
+        run_protocol(preset("y", 2), 3)
+        assert calls == [preset("y", 2)]
+
+
+def _checked_chain(g, v, g_inv):
+    """Starting and encoded Bell coordinates and the measurement, one checked object per step."""
+    psi0 = apply(g, ket_from_basis(BasisLabel.UU))
+    encoded = apply(v, psi0)
+    return to_bell_coords(psi0), to_bell_coords(encoded), measure_basis(apply(g_inv, encoded))
+
+
+def _assert_trace_equals_chain(trace, chain):
+    starting, encoded, measurement = chain
+    assert np.array_equal(trace.starting_bell.coords, starting.coords)
+    assert np.array_equal(trace.encoded.coords, encoded.coords)
+    assert list(trace.probabilities) == list(measurement.probabilities)
+    assert np.array_equal(list(trace.probabilities.values()), list(measurement.probabilities.values()))
+    assert trace.output_label is measurement.argmax
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("kind", ["x", "y"])
+    def test_runs_equal_the_checked_chain(self, kind):
+        for j in (1, 2, 3, 4):
+            c = preset(kind, j)
+            g, g_inv = build_G(c), build_G_inverse(c)
+            for k in (1, 2, 3, 4):
+                _assert_trace_equals_chain(run_protocol(c, k), _checked_chain(g, encoder(kind, k), g_inv))
+
+    @pytest.mark.parametrize("value", range(8))
+    def test_ancilla_runs_equal_the_checked_chain(self, value):
+        message = AncillaMessage.from_value(value)
+        kind = "y" if message.set_bit == 0 else "x"
+        chain = _checked_chain(build_G(preset("y", 1)), encoder(kind, message.v_index),
+                               build_G_inverse(preset(kind, 1)))
+        _assert_trace_equals_chain(run_ancilla_protocol(message).trace, chain)
+
 
 class TestTable2:
     def test_full_grid(self):
@@ -154,12 +205,21 @@ class TestTable2:
 
     @pytest.mark.parametrize("kind", ["x", "y"])
     def test_builds_g_and_its_inverse_once_per_preset(self, kind, monkeypatch):
+        # G and G^-1 of a preset come from one U.
         calls = []
-        for name in ("build_G", "build_G_inverse"):
-            build = getattr(coding, name)
-            monkeypatch.setattr(coding, name, lambda c, b=build, n=name: calls.append(n) or b(c))
+        monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
         table2(kind)
-        assert sorted(calls) == ["build_G"] * 4 + ["build_G_inverse"] * 4
+        assert calls == [preset(kind, j) for j in (1, 2, 3, 4)]
+
+    @pytest.mark.parametrize("kind", ["x", "y"])
+    def test_stacked_outcomes_equal_single_runs(self, kind):
+        grid = table2(kind)
+        for j in (1, 2, 3, 4):
+            c = preset(kind, j)
+            column = starting_bell_index(c)
+            labels = {k: run_protocol(c, k).output_label for k in (1, 2, 3, 4)}
+            assert all(grid[(column, k)] is label for k, label in labels.items())
+            assert coding._decode_map(kind, j) == {label: k for k, label in labels.items()}
 
 
 class TestDecode:
@@ -203,6 +263,15 @@ class TestAncilla:
             AncillaMessage(0, 0)
         with pytest.raises(ValueError):
             AncillaMessage.from_value(8)
+
+    @pytest.mark.parametrize("make", [
+        lambda: AncillaMessage(True, 1),
+        lambda: AncillaMessage(0, True),
+        lambda: AncillaMessage.from_value(True),
+    ], ids=["set_bit", "v_index", "from_value"])
+    def test_bool_rejected(self, make):
+        with pytest.raises(ValueError, match="got True"):
+            make()
 
     def test_identity_message(self):
         result = run_ancilla_protocol(AncillaMessage(0, 1))

@@ -122,6 +122,8 @@ class TestPresets:
             preset("z", 1)
         with pytest.raises(ValueError):
             preset("y", 5)
+        with pytest.raises(ValueError, match="got True"):
+            preset("y", True)
         with pytest.raises(ValueError):
             UChoice("q", 0.0, 0.0)
 
@@ -264,6 +266,16 @@ class TestOneCheckedProduct:
         assert np.array_equal(build_U(c).matrix, u.matrix)
         assert np.array_equal(build_G(c).matrix, g.matrix)
         assert np.array_equal(build_G_inverse(c).matrix, g_inv.matrix)
+
+    @pytest.mark.parametrize("c", CHOICES, ids=lambda c: f"{c.axis}-{c.phi1:.3f}-{c.phi2:.3f}")
+    def test_pair_builds_one_u_and_equals_the_reference_chain(self, c, monkeypatch):
+        _, g, g_inv = reference_chain(c)
+        calls = []
+        monkeypatch.setattr(grover, "build_U", lambda c, b=build_U: calls.append(c) or b(c))
+        pair = grover.build_G_pair(c)
+        assert calls == [c]
+        assert np.array_equal(pair[0].matrix, g.matrix)
+        assert np.array_equal(pair[1].matrix, g_inv.matrix)
 
 
 class TestTable1:

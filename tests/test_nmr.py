@@ -179,6 +179,19 @@ class TestPulseText:
         with pytest.raises(ValueError, match=f"^line 1: .*'{expr}' holds an integer too large"):
             parse_sequence(text)
 
+    @pytest.mark.parametrize("text", ["rf 1 x 1" + "0" * 5000 + "pi", "rf 1 x pi/1" + "0" * 5000,
+                                      "delay 1/1" + "0" * 5000 + "J", "delay 1" + "0" * 5000 + "/J"],
+                             ids=["angle-numerator", "angle-denominator",
+                                  "delay-denominator", "delay-numerator"])
+    def test_integers_past_the_interpreter_digit_limit_rejected_with_their_line(self, text):
+        with pytest.raises(ValueError, match="^line 1: .* holds an integer too large for a float") as err:
+            parse_sequence(text)
+        assert "set_int_max_str_digits" not in str(err.value)
+
+    def test_leading_zeros_are_not_significant_digits(self):
+        assert parse_angle("0" * 5000 + "3pi/4") == 3 * np.pi / 4
+        assert Delay("0" * 5000 + "1/4J").j_fraction == (1, 4)
+
     @pytest.mark.parametrize("spin", [True, False, 1.0, 2.0])
     def test_rf_spin_must_print_as_it_parses(self, spin):
         # True == 1 and 1.0 == 1, but "rf True x pi" and "rf 1.0 x pi" do not parse.
@@ -207,6 +220,12 @@ class TestPulseText:
 
 
 class TestChannels:
+    def test_spin_operators_equal_np_kron(self):
+        iz, eye = np.diag([0.5, -0.5]).astype(complex), np.eye(2, dtype=complex)
+        assert np.array_equal(IZ1, np.kron(iz, eye))
+        assert np.array_equal(IZ2, np.kron(eye, iz))
+        assert np.array_equal(IZIZ, np.kron(iz, iz))
+
     def test_half_coupling_delay_unitary(self):
         u = element_unitary(Delay("1/2J"), DEFAULT_CONSTANTS)
         phase = np.exp(-1j * np.pi / 4)

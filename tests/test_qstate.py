@@ -12,6 +12,7 @@ from densegrover.qstate import (
     equal_up_to_phase,
     identity,
     ket_from_basis,
+    kron2,
     measure_basis,
     partial_trace,
     rotation_2x2,
@@ -109,6 +110,18 @@ class TestRotations:
             single_spin_rotation(1, "w", 0.1)
         with pytest.raises(ValueError):
             single_spin_rotation(1, "x", np.inf)
+
+
+class TestKron2:
+    def test_equals_np_kron_on_rotations_and_the_identity(self):
+        rng = np.random.default_rng(RNG_SEED + 7)
+        eye = np.eye(2, dtype=complex)
+        for angle_a, angle_b in rng.uniform(-2 * np.pi, 2 * np.pi, size=(32, 2)):
+            left = [rotation_2x2(axis, angle_a) for axis in "xyz"] + [eye]
+            right = [rotation_2x2(axis, angle_b) for axis in "xyz"] + [eye]
+            for a in left:
+                for b in right:
+                    assert np.array_equal(kron2(a, b), np.kron(a, b))
 
 
 class TestOperators:
