@@ -42,9 +42,10 @@ IZIZ = kron2(_IZ, _IZ)
 _IZIZ_DIAGONAL = np.diag(IZIZ)
 
 # Bounds of the memo caches.  The lowered runs of the 16 protocol
-# programs and the gate library fit at a few sets of constants; a sweep
-# that draws fresh constants on every call (and with them a fresh prep
-# angle) cycles through the caches instead of growing them.
+# programs and the gate library, and the gate checks keyed on those runs,
+# fit at a few sets of constants; a sweep that draws fresh constants on
+# every call (and with them a fresh prep angle) cycles through the caches
+# instead of growing them.
 _LOWERED_RUNS = 128
 _RF_UNITARIES = 128
 _PROTOCOL_PROGRAMS = 64
@@ -520,11 +521,24 @@ def verify_realization(
     tol: float = 1e-9,
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> GateCheck:
-    """Compare a gate's net pulse unitary to its ideal, up to global phase."""
-    segments = lower(gate_library(name, kind, consts), consts)
-    if len(segments) > 1:
+    """Compare a gate's net pulse unitary to its ideal, up to global phase.
+
+    The check is memoised on the key of the gate's lowered run, so a
+    library gate is fitted once and then reused under any constants.
+    """
+    if not tol > 0:  # written so that NaN fails
+        raise ValueError("tolerance must be positive")
+    seq = gate_library(name, kind, consts)
+    # Lowered first for its errors: an uncoupled pair, or a gradient.
+    if len(lower(seq, consts)) > 1:
         raise ValueError(f"gate {name!r} contains gradients; no net unitary exists")
-    phase, distance = phase_fit(segments[0], ideal_gate_unitary(name, kind).matrix)
+    ((run, reads_j),) = seq.segments
+    return _gate_check(name, kind, tol, run, consts.j_hz if reads_j else None)
+
+
+@functools.lru_cache(maxsize=_LOWERED_RUNS)
+def _gate_check(name: str, kind: str, tol: float, run: tuple, j_hz: float | None) -> GateCheck:
+    phase, distance = phase_fit(_lower_run(run, j_hz), ideal_gate_unitary(name, kind).matrix)
     return GateCheck(distance < tol, distance, phase)
 
 

@@ -464,6 +464,75 @@ class TestVerifier:
             target = ideal_gate_unitary(f"V{k}")
             assert np.abs(target.matrix - coding.encoder("y", k).matrix).max() == 0.0
 
+    @pytest.mark.parametrize("tol", [0.0, -0.0, -1e-9, -np.inf, np.nan])
+    def test_non_positive_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            verify_realization("I_t", tol=tol)
+
+
+def sweep_constants(count: int, seed: int) -> list:
+    """Seeded in-domain constants, J log-uniform from 1e-3 to 1e6 Hz."""
+    rng = random.Random(seed)
+    return [PhysicalConstants(nu1_hz=10 ** rng.uniform(6, 9), nu2_hz=10 ** rng.uniform(6, 9),
+                              j_hz=10 ** rng.uniform(-3, 6),
+                              gamma_ratio=10 ** rng.uniform(-0.3, 1.5))
+            for _ in range(count)]
+
+
+def same_bits(check, phase, distance) -> bool:
+    return (np.float64(check.distance).tobytes() == np.float64(distance).tobytes()
+            and np.complex128(check.phase).tobytes() == np.complex128(phase).tobytes())
+
+
+class TestVerifierMemo:
+    def test_memoised_check_is_bitwise_the_fresh_fit(self):
+        for consts in [DEFAULT_CONSTANTS, *sweep_constants(12, RNG_SEED + 20)]:
+            for name in UNITARY_GATES:
+                (segment,) = lower(gate_library(name, consts=consts), consts)
+                phase, distance = phase_fit(segment, ideal_gate_unitary(name).matrix)
+                for _ in range(2):  # the miss, then the hit
+                    check = verify_realization(name, consts=consts)
+                    assert same_bits(check, phase, distance), (name, consts)
+                    assert check.ok is (distance < 1e-9)
+
+    def test_tolerance_is_part_of_the_key(self):
+        distance = verify_realization("I_t").distance
+        assert distance > 0
+        assert not verify_realization("I_t", tol=distance).ok
+        assert verify_realization("I_t", tol=np.nextafter(distance, 1.0)).ok
+        assert verify_realization("I_t").ok
+
+    def test_fresh_constants_make_no_phase_fits(self, monkeypatch):
+        calls = []
+
+        def counted(u, v):
+            calls.append(u)
+            return phase_fit(u, v)
+
+        monkeypatch.setattr(nmr, "phase_fit", counted)
+        nmr._gate_check.cache_clear()
+        for name in UNITARY_GATES:
+            verify_realization(name)
+        assert len(calls) == len(UNITARY_GATES)
+        calls.clear()
+        for consts in sweep_constants(20, RNG_SEED + 21):
+            for name in UNITARY_GATES:
+                assert verify_realization(name, consts=consts).ok
+        assert calls == []
+
+    def test_domain_errors_survive_a_warm_memo(self):
+        for name in UNITARY_GATES:
+            assert verify_realization(name, consts=PhysicalConstants(j_hz=300.0)).ok
+        uncoupled = PhysicalConstants(j_hz=0.0)
+        for name in ("I_t", "I_s"):
+            with pytest.raises(ValueError, match="uncoupled pair"):
+                verify_realization(name, consts=uncoupled)
+        with pytest.raises(ValueError, match="contains gradients"):
+            verify_realization("pseudo-pure-prep")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="has no unitary target"):
+                verify_realization("readout-carbon")
+
 
 class TestPseudoPure:
     def test_target_equals_projector_form(self):
