@@ -13,10 +13,13 @@ Pulse text format, one element per line, applied top to bottom:
     grad z
 
 A program is simulated through its lowering (`lower`): one net unitary
-per gradient-free run of elements.  The frame reads no constant but J,
-and a delay written as n/dJ turns the coupling by 2*pi*n/d at every
-J != 0, so each run is memoised on its elements alone, plus J when it
-holds a delay given in seconds.
+per gradient-free run of elements, memoised in `_lower_run`, the only
+lowering memo.  The frame reads no constant but J, and a delay written
+as n/dJ turns the coupling by 2*pi*n/d at every J != 0, so a run's key
+is its elements plus J when it holds a delay given in seconds or when
+J = 0, and its elements alone otherwise (`_run_j`).  At J = 0 a run
+with an n/dJ delay therefore never hits the key it has at J != 0: it
+is lowered afresh, and the delay raises.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ _IZIZ_DIAGONAL = np.diag(IZIZ)
 # every call (and with them a fresh prep angle) cycles through the caches
 # instead of growing them.
 _LOWERED_RUNS = 128
-_RF_UNITARIES = 128
 _PROTOCOL_PROGRAMS = 64
 
 
@@ -331,25 +333,13 @@ class DeviationMatrix:
 def element_unitary(e, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
     """Unitary matrix of one rf pulse or delay; gradients have none."""
     if isinstance(e, Rf):
-        return _rf_unitary(e)
+        # The rotating frame makes an rf pulse independent of the constants.
+        r = rotation_2x2(e.axis, e.angle_rad)
+        return kron2(_I2 if e.spin == 2 else r, _I2 if e.spin == 1 else r)
     if isinstance(e, Delay):
         # exp(-i tau H) with H = 2*pi*J*Iz1*Iz2 diagonal: entrywise in the coupling phase.
         return np.diag(np.exp(-1j * e.coupling_phase(consts) * _IZIZ_DIAGONAL))
     raise ValueError("a gradient pulse has no unitary representation")
-
-
-@functools.lru_cache(maxsize=_RF_UNITARIES)
-def _rf_unitary(e: Rf) -> np.ndarray:
-    # The rotating frame makes an rf pulse independent of the constants.
-    r = rotation_2x2(e.axis, e.angle_rad)
-    if e.spin == "both":
-        u = kron2(r, r)
-    elif e.spin == 1:
-        u = kron2(r, _I2)
-    else:
-        u = kron2(_I2, r)
-    u.setflags(write=False)
-    return u
 
 
 def lower(seq: PulseSequence, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> tuple:
@@ -359,23 +349,24 @@ def lower(seq: PulseSequence, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> 
     n + 1 segments; a leading, trailing or doubled gradient gives an
     identity segment.  The arrays are read-only and checked unitary
     once, when first built.  The rotating frame reads only J, and only
-    for a delay given in seconds, so each segment is memoised on its
-    run of elements, with J in the key only where the run holds such a
-    delay.  Equal runs in one program or in different programs share
-    one array.
+    for a delay given in seconds, so each segment is memoised in
+    `_lower_run` on its run of elements, with J in the key only where
+    the run holds such a delay, or where J = 0: there an n/dJ delay is
+    undefined, so its run misses and raises instead of hitting the
+    array built at J != 0.  Equal runs in one program or in different
+    programs share one array.
     """
-    if consts.j_hz == 0:
-        # Checked before the lookup: a 1/nJ delay lowered at J != 0 has
-        # the same cache key, but is undefined here.
-        for e in seq:
-            if isinstance(e, Delay):
-                e._check_coupled(consts)
-    return tuple(_lower_run(run, consts.j_hz if reads_j else None) for run, reads_j in seq.segments)
+    return tuple(_lower_run(run, _run_j(reads_j, consts)) for run, reads_j in seq.segments)
+
+
+def _run_j(reads_j: bool, consts: PhysicalConstants) -> float | None:
+    """The J in a run's memo key, given the run's `segments` flag; None where J is not read."""
+    return consts.j_hz if reads_j or consts.j_hz == 0 else None
 
 
 @functools.lru_cache(maxsize=_LOWERED_RUNS)
 def _lower_run(run: tuple, j_hz: float | None) -> np.ndarray:
-    # With no J in the key, no element reads J beyond J != 0, checked in `lower`.
+    # With no J in the key, J != 0 and the run reads no J (see `_run_j`).
     consts = DEFAULT_CONSTANTS if j_hz is None else PhysicalConstants(j_hz=j_hz)
     net = np.eye(4, dtype=complex)
     for e in run:
@@ -500,7 +491,6 @@ def gate_library(
     return _gate(name).pulses(consts)
 
 
-@functools.lru_cache(maxsize=2 * len(GATES))
 def ideal_gate_unitary(name: str, kind: str = "y") -> Operator4:
     """The exact operator a library gate is meant to realize."""
     ideal = _gate(name).ideal
@@ -524,16 +514,17 @@ def verify_realization(
     """Compare a gate's net pulse unitary to its ideal, up to global phase.
 
     The check is memoised on the key of the gate's lowered run, so a
-    library gate is fitted once and then reused under any constants.
+    library gate is fitted once and then reused under any constants
+    that leave that key unchanged.  A miss lowers the run, which raises
+    for an n/dJ delay at J = 0.
     """
     if not tol > 0:  # written so that NaN fails
         raise ValueError("tolerance must be positive")
     seq = gate_library(name, kind, consts)
-    # Lowered first for its errors: an uncoupled pair, or a gradient.
-    if len(lower(seq, consts)) > 1:
+    if len(seq.segments) > 1:
         raise ValueError(f"gate {name!r} contains gradients; no net unitary exists")
     ((run, reads_j),) = seq.segments
-    return _gate_check(name, kind, tol, run, consts.j_hz if reads_j else None)
+    return _gate_check(name, kind, tol, run, _run_j(reads_j, consts))
 
 
 @functools.lru_cache(maxsize=_LOWERED_RUNS)
@@ -583,19 +574,13 @@ _COHERENCE_INDEX = {1: ((2, 0), (3, 1)), 2: ((1, 0), (3, 2))}
 _READOUT_GATES = {1: "readout-carbon", 2: "readout-proton"}
 
 
-def _raw_line_amplitudes(rho: np.ndarray, spin: int):
-    # The readout is an rf pulse, so in the rotating frame it reads no constants.
-    (readout,) = lower(gate_library(_READOUT_GATES[spin]))
-    rotated = readout @ rho @ readout.conj().T
-    (up_ij, down_ij) = _COHERENCE_INDEX[spin]
-    return rotated[up_ij], rotated[down_ij]
-
-
 @functools.lru_cache(maxsize=2)
-def _calibration(spin: int) -> complex:
-    # One over the uu reference's partner-up line: a constant per spin.
-    ref_up, _ = _raw_line_amplitudes(basis_pseudo_pure(BasisLabel.UU).entries, spin)
-    return 1.0 / ref_up
+def _readout(spin: int) -> tuple:
+    # The readout is an rf pulse, so in the rotating frame it reads no
+    # constants; its calibration is one over the uu reference's partner-up line.
+    (readout,) = lower(gate_library(_READOUT_GATES[spin]))
+    reference = readout @ basis_pseudo_pure(BasisLabel.UU).entries @ readout.conj().T
+    return readout, 1.0 / reference[_COHERENCE_INDEX[spin][0]]
 
 
 def predict_spectrum(
@@ -609,14 +594,16 @@ def predict_spectrum(
     +1 on its nonzero (partner-up) line; which signed frequency offset
     carries the partner-up label is a convention, set here to +J/2.
     """
-    if spin not in (1, 2):
+    # type() rejects True and 1.0, as Rf does.
+    if not (type(spin) is int and spin in (1, 2)):
         raise ValueError(f"spin must be 1 or 2, got {spin!r}")
-    calibration = _calibration(spin)
-    up, down = _raw_line_amplitudes(rho.entries, spin)
+    readout, calibration = _readout(spin)
+    rotated = readout @ rho.entries @ readout.conj().T
+    up_ij, down_ij = _COHERENCE_INDEX[spin]
     half_j = consts.j_hz / 2.0
     return [
-        SpectrumLine(spin, "partner_up", +half_j, complex(calibration * up)),
-        SpectrumLine(spin, "partner_down", -half_j, complex(calibration * down)),
+        SpectrumLine(spin, "partner_up", +half_j, complex(calibration * rotated[up_ij])),
+        SpectrumLine(spin, "partner_down", -half_j, complex(calibration * rotated[down_ij])),
     ]
 
 

@@ -7,10 +7,26 @@ import pytest
 
 import densegrover
 from densegrover import nmr
-from densegrover.cli import _fmt_csv_number, main
+from densegrover.cli import TABLE2_Y_REFERENCE, _fmt_csv_number, main
 from densegrover.nmr import gate_library, parse_sequence
 
 SRC_DIR = Path(densegrover.__file__).resolve().parents[1]
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+# The benchmark's byte-stable golden outputs, each with the command that
+# prints it.  verify_all.txt is left out: its prep deviation is rounding
+# residue near 1e-16, which the benchmark compares within a tolerance.
+GOLDEN_COMMANDS = {
+    "compile_pseudo-pure-prep": ("compile", "pseudo-pure-prep"),
+    "run_2_y_2_trace": ("run", "2", "y", "2", "--trace"),
+    "run_ancilla_7": ("run", "--ancilla", "7"),
+    "spectra_uu": ("spectra", "uu"),
+    "spectra_ud": ("spectra", "ud"),
+    "spectra_du": ("spectra", "du"),
+    "spectra_dd": ("spectra", "dd"),
+    "tables_1_x": ("tables", "1", "x"),
+    "tables_2_y": ("tables", "2", "y"),
+}
 
 UU_REFERENCE_CSV = (
     "spin,line_label,offset_hz,amp_real,amp_imag\n"
@@ -377,6 +393,29 @@ class TestConstantsFile:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 2
+
+
+def golden(stem: str) -> str:
+    return (GOLDEN_DIR / f"{stem}.txt").read_text(encoding="utf-8")
+
+
+class TestGolden:
+    def test_every_golden_file_but_verify_all_is_compared(self):
+        stems = {path.stem for path in GOLDEN_DIR.glob("*.txt")}
+        assert stems == set(GOLDEN_COMMANDS) | {"verify_all"}
+
+    @pytest.mark.parametrize("stem", sorted(GOLDEN_COMMANDS))
+    def test_stdout_is_the_golden_file(self, capsys, stem):
+        code, out, _ = run_cli(capsys, *GOLDEN_COMMANDS[stem])
+        assert code == 0
+        assert out == golden(stem)
+
+    @pytest.mark.parametrize("message", range(4))
+    @pytest.mark.parametrize("preset", range(1, 5))
+    def test_protocol_csv_is_the_golden_csv_of_its_table_state(self, capsys, preset, message):
+        code, out, _ = run_cli(capsys, "spectra", "--protocol", str(preset), str(message))
+        assert code == 0
+        assert out == golden("spectra_" + TABLE2_Y_REFERENCE[(preset, message + 1)])
 
 
 class TestDeterminism:

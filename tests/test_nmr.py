@@ -520,6 +520,17 @@ class TestVerifierMemo:
                 assert verify_realization(name, consts=consts).ok
         assert calls == []
 
+    def test_fresh_constants_lower_and_fit_nothing(self, monkeypatch):
+        for name in UNITARY_GATES:
+            assert verify_realization(name).ok
+        lowered, fitted = [], []
+        monkeypatch.setattr(nmr, "lower", lambda *args: lowered.append(args) or lower(*args))
+        monkeypatch.setattr(nmr, "phase_fit", lambda *args: fitted.append(args) or phase_fit(*args))
+        fresh = PhysicalConstants(nu1_hz=81e6, nu2_hz=402e6, j_hz=151.125, gamma_ratio=1.875)
+        for name in UNITARY_GATES:
+            assert verify_realization(name, consts=fresh).ok
+        assert lowered == [] and fitted == []
+
     def test_domain_errors_survive_a_warm_memo(self):
         for name in UNITARY_GATES:
             assert verify_realization(name, consts=PhysicalConstants(j_hz=300.0)).ok
@@ -608,6 +619,20 @@ class TestSpectra:
     def test_spin_validated(self):
         with pytest.raises(ValueError):
             predict_spectrum(basis_pseudo_pure(BasisLabel.UU), 3)
+
+    @pytest.mark.parametrize("spin", [True, 1.0, 2.0, np.int64(2), "1"], ids=repr)
+    def test_spin_must_be_the_int_1_or_2(self, spin):
+        # Equal to 1 or 2 is not enough: SpectrumLine would carry True or 1.0.
+        with pytest.raises(ValueError, match="spin must be 1 or 2"):
+            predict_spectrum(basis_pseudo_pure(BasisLabel.UU), spin)
+
+    def test_warm_spectrum_lowers_nothing(self, monkeypatch):
+        rho = basis_pseudo_pure(BasisLabel.UD)
+        expected = [predict_spectrum(rho, spin) for spin in (1, 2)]
+        calls = []
+        monkeypatch.setattr(nmr, "lower", lambda *args: calls.append(args) or lower(*args))
+        assert [predict_spectrum(rho, spin) for spin in (1, 2)] == expected
+        assert calls == []
 
 
 class TestPulseProtocol:
