@@ -12,14 +12,22 @@ Pulse text format, one element per line, applied top to bottom:
     delay <expr>                          expr like 1/4J, or a float (seconds)
     grad z
 
-A program is simulated through its lowering (`lower`): one net unitary
-per gradient-free run of elements, memoised in `_lower_run`, the only
-lowering memo.  The frame reads no constant but J, and a delay written
-as n/dJ turns the coupling by 2*pi*n/d at every J != 0, so a run's key
-is its elements plus J when it holds a delay given in seconds or when
-J = 0, and its elements alone otherwise (`_run_j`).  At J = 0 a run
-with an n/dJ delay therefore never hits the key it has at J != 0: it
-is lowered afresh, and the delay raises.
+A program acts on deviation matrices as one linear map, its 16x16
+transfer matrix (`_transfer`), which acts on the row-major vec of rho:
+vec(rho)[4*i + j] = rho[i, j].  A gradient-free run with net unitary U
+is kron(U, conj U) there, and a full crush keeps only the 4 population
+entries vec(rho)[0, 5, 10, 15] and zeroes the other 12.  The transfer
+is memoised per program and per its runs' keys, and built as the first
+run followed by the memoised transfer of the program after its first
+crush, so programs that differ only before that crush share the rest.
+
+Each run's U is its lowering (`lower`), memoised in `_lower_run`, the
+only lowering memo.  The frame reads no constant but J, and a delay
+written as n/dJ turns the coupling by 2*pi*n/d at every J != 0, so a
+run's key is its elements plus J when it holds a delay given in seconds
+or when J = 0, and its elements alone otherwise (`_run_j`).  At J = 0 a
+run with an n/dJ delay therefore never hits the key it has at J != 0:
+it is lowered afresh, and the delay raises.
 """
 
 from __future__ import annotations
@@ -45,10 +53,10 @@ IZIZ = kron2(_IZ, _IZ)
 _IZIZ_DIAGONAL = np.diag(IZIZ)
 
 # Bounds of the memo caches.  The lowered runs of the 16 protocol
-# programs and the gate library, and the gate checks keyed on those runs,
-# fit at a few sets of constants; a sweep that draws fresh constants on
-# every call (and with them a fresh prep angle) cycles through the caches
-# instead of growing them.
+# programs and the gate library, the transfers of those programs, and the
+# gate checks keyed on the gates' programs fit at a few sets of constants;
+# a sweep that draws fresh constants on every call (and with them a fresh
+# prep angle) cycles through the caches instead of growing them.
 _LOWERED_RUNS = 128
 _PROTOCOL_PROGRAMS = 64
 
@@ -249,6 +257,23 @@ class PulseSequence:
     def __len__(self):
         return len(self.elements)
 
+    def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # Hashing the elements is a Python-level call per element, and a
+        # program is a memo key on every simulation, so it is done once.
+        return hash(self.elements)
+
+    @functools.cached_property
+    def after_first_crush(self) -> "PulseSequence | None":
+        """The elements after the first gradient, or None without one."""
+        for i, e in enumerate(self.elements):
+            if isinstance(e, Gradient):
+                return PulseSequence(self.elements[i + 1:])
+        return None
+
     @functools.cached_property
     def segments(self) -> tuple:
         """The gradient-free runs, n + 1 for n gradients, each as (run, reads_j).
@@ -374,6 +399,37 @@ def _lower_run(run: tuple, j_hz: float | None) -> np.ndarray:
     return Operator4(net).matrix
 
 
+# The row-major vec indices of the populations rho[i, i], all a full crush keeps.
+_POPULATIONS = np.array([0, 5, 10, 15])
+
+
+def _superoperator(u: np.ndarray) -> np.ndarray:
+    """kron(u, conj u), which maps vec(rho) to vec(u rho u^dagger)."""
+    return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(16, 16)
+
+
+@functools.lru_cache(maxsize=_LOWERED_RUNS)
+def _transfer(seq: PulseSequence, js: tuple) -> np.ndarray:
+    # js holds the `_run_j` of each of the program's runs, in order.
+    (run, _), *rest = seq.segments
+    t = _superoperator(_lower_run(run, js[0]))
+    if rest:
+        t = _after_crush(seq.after_first_crush, js[1:]) @ t[_POPULATIONS]
+    return _frozen_array(t, (16, 16))
+
+
+@functools.lru_cache(maxsize=_LOWERED_RUNS)
+def _after_crush(seq: PulseSequence, js: tuple) -> np.ndarray:
+    # The 16x4 map from the populations a crush leaves to vec of the state
+    # after `seq`.  It is folded run by run rather than through `_transfer`,
+    # so the depth of the fold does not grow with the number of gradients.
+    t = np.eye(16)[:, _POPULATIONS]
+    for (run, _), j_hz in zip(seq.segments, js):
+        t = _superoperator(_lower_run(run, j_hz))[:, _POPULATIONS] @ t[_POPULATIONS]
+    t.setflags(write=False)
+    return t
+
+
 def element_channel(e, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> Callable:
     """The element's action on deviation matrices."""
     seq = PulseSequence((e,))
@@ -385,13 +441,18 @@ def simulate_sequence(
     rho0: DeviationMatrix,
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> DeviationMatrix:
-    """Conjugate rho0 by each lowered segment, crushing coherences between them."""
-    first, *rest = lower(seq, consts)
-    m = first @ rho0.entries @ first.conj().T
-    for u in rest:
-        m = np.diag(np.diag(m))
-        m = u @ m @ u.conj().T
-    return DeviationMatrix(m)
+    """Apply the program's 16x16 transfer matrix to vec(rho0).
+
+    vec is row-major, vec(rho)[4*i + j] = rho[i, j], so a lowered run
+    with net unitary U acts as kron(U, conj U).  A gradient between two
+    runs is the crush mask diag(vec(I4)): it keeps the 4 populations,
+    vec entries 0, 5, 10 and 15, and zeroes every coherence.  The
+    transfer is memoised on the program and its runs' keys (`_run_j`),
+    so a warm call lowers nothing; at J = 0 an n/dJ delay's key misses
+    and the delay raises.
+    """
+    js = tuple(_run_j(reads_j, consts) for _, reads_j in seq.segments)
+    return DeviationMatrix((_transfer(seq, js) @ rho0.entries.reshape(16)).reshape(4, 4))
 
 
 def _rf(spin, axis, num, den=1) -> Rf:
@@ -513,28 +574,34 @@ def verify_realization(
 ) -> GateCheck:
     """Compare a gate's net pulse unitary to its ideal, up to global phase.
 
-    The check is memoised on the key of the gate's lowered run, so a
-    library gate is fitted once and then reused under any constants
-    that leave that key unchanged.  A miss lowers the run, which raises
-    for an n/dJ delay at J = 0.
+    The check is memoised on the gate's program and its run's J key
+    (`_run_j`), so a library gate is fitted once and then reused under
+    any constants that leave that key unchanged.  A miss lowers the
+    run, which raises for an n/dJ delay at J = 0.
     """
     if not tol > 0:  # written so that NaN fails
         raise ValueError("tolerance must be positive")
     seq = gate_library(name, kind, consts)
     if len(seq.segments) > 1:
         raise ValueError(f"gate {name!r} contains gradients; no net unitary exists")
-    ((run, reads_j),) = seq.segments
-    return _gate_check(name, kind, tol, run, _run_j(reads_j, consts))
+    ((_, reads_j),) = seq.segments
+    return _gate_check(name, kind, tol, seq, _run_j(reads_j, consts))
 
 
 @functools.lru_cache(maxsize=_LOWERED_RUNS)
-def _gate_check(name: str, kind: str, tol: float, run: tuple, j_hz: float | None) -> GateCheck:
+def _gate_check(name: str, kind: str, tol: float, seq: PulseSequence,
+                j_hz: float | None) -> GateCheck:
+    ((run, _),) = seq.segments
     phase, distance = phase_fit(_lower_run(run, j_hz), ideal_gate_unitary(name, kind).matrix)
     return GateCheck(distance < tol, distance, phase)
 
 
+@functools.lru_cache(maxsize=_LOWERED_RUNS)
 def equilibrium_state(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> DeviationMatrix:
-    """Thermal deviation matrix gamma1*Iz1 + gamma2*Iz2 with gamma1 = 1."""
+    """Thermal deviation matrix gamma1*Iz1 + gamma2*Iz2 with gamma1 = 1.
+
+    Memoised per constants; the result is immutable.
+    """
     return DeviationMatrix(IZ1 + consts.gamma_ratio * IZ2)
 
 
@@ -575,12 +642,16 @@ _READOUT_GATES = {1: "readout-carbon", 2: "readout-proton"}
 
 
 @functools.lru_cache(maxsize=2)
-def _readout(spin: int) -> tuple:
+def _readout(spin: int) -> np.ndarray:
     # The readout is an rf pulse, so in the rotating frame it reads no
-    # constants; its calibration is one over the uu reference's partner-up line.
+    # constants.  The result is the readout superoperator's rows for the
+    # (partner-up, partner-down) entries, times the calibration: one over
+    # the uu reference's partner-up line.
     (readout,) = lower(gate_library(_READOUT_GATES[spin]))
     reference = readout @ basis_pseudo_pure(BasisLabel.UU).entries @ readout.conj().T
-    return readout, 1.0 / reference[_COHERENCE_INDEX[spin][0]]
+    calibration = 1.0 / reference[_COHERENCE_INDEX[spin][0]]
+    rows = _superoperator(readout)[[4 * i + j for i, j in _COHERENCE_INDEX[spin]]]
+    return _frozen_array(calibration * rows, (2, 16))
 
 
 def predict_spectrum(
@@ -597,13 +668,11 @@ def predict_spectrum(
     # type() rejects True and 1.0, as Rf does.
     if not (type(spin) is int and spin in (1, 2)):
         raise ValueError(f"spin must be 1 or 2, got {spin!r}")
-    readout, calibration = _readout(spin)
-    rotated = readout @ rho.entries @ readout.conj().T
-    up_ij, down_ij = _COHERENCE_INDEX[spin]
+    up, down = (_readout(spin) @ rho.entries.reshape(16)).tolist()
     half_j = consts.j_hz / 2.0
     return [
-        SpectrumLine(spin, "partner_up", +half_j, complex(calibration * rotated[up_ij])),
-        SpectrumLine(spin, "partner_down", -half_j, complex(calibration * rotated[down_ij])),
+        SpectrumLine(spin, "partner_up", +half_j, up),
+        SpectrumLine(spin, "partner_down", -half_j, down),
     ]
 
 
@@ -619,15 +688,25 @@ def spectrum_fingerprint(
     rho: DeviationMatrix,
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> Fingerprint:
-    """Identify which basis pseudo-pure state produced the spectrum."""
+    """Identify which basis pseudo-pure state produced the spectrum.
+
+    A basis state shows one line per spin, so a spin whose weaker line
+    exceeds 1e-9 times its dominant line is refused; the test is
+    relative, so the fingerprint does not depend on the state's scale.
+    """
     signatures = {}
     for spin in (1, 2):
-        lines = predict_spectrum(rho, spin, consts)
-        dominant = max(lines, key=lambda line: abs(line.amplitude))
+        up, down = predict_spectrum(rho, spin, consts)
+        dominant, weaker = (up, down) if abs(up.amplitude) >= abs(down.amplitude) else (down, up)
         if abs(dominant.amplitude) < 1e-9:
             raise ValueError(
                 f"spin {spin} line amplitudes are all below 1e-9; "
                 "not a basis pseudo-pure state"
+            )
+        if abs(weaker.amplitude) > 1e-9 * abs(dominant.amplitude):
+            raise ValueError(
+                f"spin {spin} shows both doublet lines ({abs(dominant.amplitude):.3g} and "
+                f"{abs(weaker.amplitude):.3g}); not a basis pseudo-pure state"
             )
         sign = 1 if dominant.amplitude.real > 0 else -1
         signatures[spin] = (dominant.line, sign)

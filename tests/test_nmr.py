@@ -576,6 +576,28 @@ class TestPseudoPure:
         rho = basis_pseudo_pure(BasisLabel.DU)
         assert np.abs(np.diag(rho.entries) - [-0.25, -0.25, 0.75, -0.25]).max() < 1e-15
 
+    @pytest.mark.parametrize("gamma_ratio", [0.5, 0.75, 1.0, 3.97, 12.0])
+    def test_alpha_pulse_and_crush_leave_iz1_plus_half_iz2(self, gamma_ratio):
+        # gamma * cos(alpha) = 1/2 at every gamma_ratio >= 1/2, so the prep
+        # reaches the same state after its first crush, and the target after.
+        consts = PhysicalConstants(gamma_ratio=gamma_ratio)
+        alpha = gate_library("pseudo-pure-prep", consts=consts).elements[0]
+        rho = simulate_sequence(PulseSequence((alpha, Gradient())),
+                                equilibrium_state(consts), consts)
+        assert np.abs(rho.entries - (IZ1 + IZ2 / 2)).max() < 1e-14
+        prep = prepare_pseudo_pure(consts).entries
+        target = target_pseudo_pure()
+        scale = np.real(np.trace(prep @ target) / np.trace(target @ target))
+        assert scale > 0
+        assert np.abs(prep - scale * target).max() < 1e-12 * np.abs(scale * target).max()
+
+    def test_equilibrium_state_is_memoised_per_constants(self):
+        consts = PhysicalConstants(gamma_ratio=2.5)
+        rho = equilibrium_state(consts)
+        assert equilibrium_state(PhysicalConstants(gamma_ratio=2.5)) is rho
+        assert not rho.entries.flags.writeable
+        assert np.abs(rho.entries - (IZ1 + 2.5 * IZ2)).max() == 0.0
+
 
 class TestSpectra:
     def test_reference_state_calibration(self):
@@ -615,6 +637,21 @@ class TestSpectra:
     def test_featureless_state_rejected(self):
         with pytest.raises(ValueError):
             spectrum_fingerprint(DeviationMatrix(np.zeros((4, 4), dtype=complex)))
+
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.6, 0.4), (0.4, 0.6), (1.0, 1e-6)],
+                             ids=str)
+    def test_mixtures_of_basis_states_are_not_fingerprinted(self, weights):
+        # uu and dd light opposite lines of each spin; max() would name one of them.
+        rho = DeviationMatrix(weights[0] * basis_pseudo_pure(BasisLabel.UU).entries
+                              + weights[1] * basis_pseudo_pure(BasisLabel.DD).entries)
+        with pytest.raises(ValueError, match="not a basis pseudo-pure state"):
+            spectrum_fingerprint(rho)
+
+    def test_weaker_line_is_judged_relative_to_the_dominant_one(self):
+        residue = 1e-11 * basis_pseudo_pure(BasisLabel.DD).entries
+        for scale in (1e-6, 1.0, 1e6):
+            rho = DeviationMatrix(scale * (basis_pseudo_pure(BasisLabel.UD).entries + residue))
+            assert spectrum_fingerprint(rho) == spectrum_fingerprint(basis_pseudo_pure(BasisLabel.UD))
 
     def test_spin_validated(self):
         with pytest.raises(ValueError):
@@ -848,6 +885,97 @@ class TestLowering:
         fresh = PhysicalConstants(nu1_hz=77e6, nu2_hz=333e6, j_hz=123.25, gamma_ratio=2.345)
         verify_all(fresh)
         assert calls == [gate_library("pseudo-pure-prep", consts=fresh).elements[0]]
+
+
+def superoperator_reference(seq, consts=DEFAULT_CONSTANTS):
+    """The transfer matrix by np.kron, one element at a time, crushing by a mask."""
+    crush = np.diag(np.eye(4).reshape(16)).astype(complex)
+    t = np.eye(16, dtype=complex)
+    for e in seq:
+        if isinstance(e, Gradient):
+            t = crush @ t
+        else:
+            u = element_unitary(e, consts)
+            t = np.kron(u, u.conj()) @ t
+    return t
+
+
+def run_keys(seq, consts=DEFAULT_CONSTANTS) -> tuple:
+    return tuple(nmr._run_j(reads_j, consts) for _, reads_j in seq.segments)
+
+
+def recorded(monkeypatch, name) -> list:
+    """Patch nmr.<name> with a wrapper that records each call's arguments."""
+    calls, original = [], getattr(nmr, name)
+    monkeypatch.setattr(nmr, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+class TestTransfer:
+    def test_matches_the_kron_reference(self):
+        programs = [protocol_sequence(j, k) for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)]
+        programs += [PulseSequence(elements) for elements in EDGE_PROGRAMS.values()]
+        for seq in programs:
+            t = nmr._transfer(seq, run_keys(seq))
+            assert np.abs(t - superoperator_reference(seq)).max() < 1e-12
+
+    def test_transfer_is_read_only(self):
+        seq = protocol_sequence(1, 2)
+        t = nmr._transfer(seq, run_keys(seq))
+        assert t.shape == (16, 16)
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0] = 0.0
+
+    def test_warm_simulation_lowers_nothing(self, monkeypatch):
+        rho = equilibrium_state()
+        expected = {(j, k): simulate_sequence(protocol_sequence(j, k), rho).entries
+                    for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)}
+        lowered, runs = recorded(monkeypatch, "lower"), recorded(monkeypatch, "_lower_run")
+        for (j, k), entries in expected.items():
+            out = simulate_sequence(protocol_sequence(j, k), rho)
+            assert np.array_equal(out.entries, entries)
+        assert lowered == [] and runs == []
+
+    def test_fresh_constants_prep_lowers_only_its_alpha_pulse(self, monkeypatch):
+        prepare_pseudo_pure(DEFAULT_CONSTANTS)
+        memos = (nmr._lower_run, nmr._transfer, nmr._after_crush)
+        before = [memo.cache_info() for memo in memos]
+        runs = recorded(monkeypatch, "_lower_run")
+        fresh = PhysicalConstants(nu1_hz=61e6, nu2_hz=377e6, j_hz=97.5, gamma_ratio=4.125)
+        prepare_pseudo_pure(fresh)
+        alpha = gate_library("pseudo-pure-prep", consts=fresh).elements[0]
+        assert runs == [((alpha,), None)]
+        # The alpha run and the prep's transfer miss; the tail after the first crush hits.
+        misses, hits = zip(*((after.misses - b.misses, after.hits - b.hits)
+                             for after, b in zip((m.cache_info() for m in memos), before)))
+        assert misses == (1, 1, 0)
+        assert hits == (0, 0, 1)
+
+    def test_equal_programs_built_apart_hash_and_compare_equal(self):
+        seq = protocol_sequence(2, 3)
+        rebuilt = parse_sequence(seq.to_text())
+        assert rebuilt is not seq and rebuilt.elements is not seq.elements
+        assert rebuilt == seq and hash(rebuilt) == hash(seq)
+        assert {seq: 1}[rebuilt] == 1
+        other = protocol_sequence(2, 4)
+        assert other != seq
+        assert nmr._transfer(rebuilt, run_keys(rebuilt)) is nmr._transfer(seq, run_keys(seq))
+
+    def test_many_gradients_fold_without_deep_recursion(self):
+        rng = np.random.default_rng(RNG_SEED + 31)
+        seq = PulseSequence((Rf(1, "x", "pi/3"), Gradient(), Rf(2, "y", "pi/5")) * 2000)
+        rho = random_deviation(rng)
+        out = simulate_sequence(seq, rho)
+        assert np.abs(out.entries - reference_fold(seq, rho)).max() < 1e-12
+
+    def test_uncoupled_pair_raises_after_a_warm_transfer(self):
+        seq = protocol_sequence(2, 3)
+        simulate_sequence(seq, equilibrium_state())
+        uncoupled = PhysicalConstants(j_hz=0.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="uncoupled pair"):
+                simulate_sequence(seq, equilibrium_state(uncoupled), uncoupled)
 
 
 def constants_cases() -> list:
