@@ -16,18 +16,15 @@ A program acts on deviation matrices as one linear map, its 16x16
 transfer matrix (`_transfer`), which acts on the row-major vec of rho:
 vec(rho)[4*i + j] = rho[i, j].  A gradient-free run with net unitary U
 is kron(U, conj U) there, and a full crush keeps only the 4 population
-entries vec(rho)[0, 5, 10, 15] and zeroes the other 12.  The transfer
-is memoised per program and per its runs' keys, and built as the first
-run followed by the memoised transfer of the program after its first
-crush, so programs that differ only before that crush share the rest.
+entries vec(rho)[0, 5, 10, 15] and zeroes the other 12.
 
-Each run's U is its lowering (`lower`), memoised in `_lower_run`, the
-only lowering memo.  The frame reads no constant but J, and a delay
-written as n/dJ turns the coupling by 2*pi*n/d at every J != 0, so a
-run's key is its elements plus J when it holds a delay given in seconds
-or when J = 0, and its elements alone otherwise (`_run_j`).  At J = 0 a
-run with an n/dJ delay therefore never hits the key it has at J != 0:
-it is lowered afresh, and the delay raises.
+Every memo here is keyed on a program and one J (`_j_key`).  The frame
+reads no constant but J, and an n/dJ delay turns the coupling by
+2*pi*n/d at every J != 0, so the key is J where the program holds a
+delay given in seconds or where J = 0, and None otherwise: at J = 0 an
+n/dJ delay misses and raises.  The transfer is the first run followed
+by the memoised map of the runs after the first crush (`_after_crush`),
+which programs that differ only before that crush share.
 """
 
 from __future__ import annotations
@@ -52,12 +49,10 @@ IZ2 = kron2(_I2, _IZ)
 IZIZ = kron2(_IZ, _IZ)
 _IZIZ_DIAGONAL = np.diag(IZIZ)
 
-# Bounds of the memo caches.  The lowered runs of the 16 protocol
-# programs and the gate library, the transfers of those programs, and the
-# gate checks keyed on the gates' programs fit at a few sets of constants;
-# a sweep that draws fresh constants on every call (and with them a fresh
-# prep angle) cycles through the caches instead of growing them.
-_LOWERED_RUNS = 128
+# Bounds of the memo caches.  The 16 protocol programs and the gate library
+# fit at a few sets of constants; a sweep that draws fresh constants (and
+# with them a fresh prep angle) cycles through the caches instead.
+_PROGRAMS = 128
 _PROTOCOL_PROGRAMS = 64
 
 
@@ -267,27 +262,16 @@ class PulseSequence:
         return hash(self.elements)
 
     @functools.cached_property
-    def after_first_crush(self) -> "PulseSequence | None":
-        """The elements after the first gradient, or None without one."""
-        for i, e in enumerate(self.elements):
-            if isinstance(e, Gradient):
-                return PulseSequence(self.elements[i + 1:])
-        return None
+    def segments(self) -> tuple:
+        """The gradient-free runs, n + 1 for n gradients, each a tuple of elements."""
+        cuts = [i for i, e in enumerate(self.elements) if isinstance(e, Gradient)]
+        bounds = zip([-1, *cuts], [*cuts, len(self.elements)])
+        return tuple(self.elements[start + 1:stop] for start, stop in bounds)
 
     @functools.cached_property
-    def segments(self) -> tuple:
-        """The gradient-free runs, n + 1 for n gradients, each as (run, reads_j).
-
-        reads_j: the run holds a delay given in seconds, so lowering it reads J.
-        """
-        runs = [[]]
-        for e in self.elements:
-            if isinstance(e, Gradient):
-                runs.append([])
-            else:
-                runs[-1].append(e)
-        return tuple((tuple(run), any(isinstance(e, Delay) and e.j_fraction is None for e in run))
-                     for run in runs)
+    def reads_j(self) -> bool:
+        """Whether the program holds a delay given in seconds, so lowering it reads J."""
+        return any(isinstance(e, Delay) and e.j_fraction is None for e in self.elements)
 
     def __add__(self, other: "PulseSequence") -> "PulseSequence":
         return PulseSequence(self.elements + tuple(other))
@@ -372,27 +356,23 @@ def lower(seq: PulseSequence, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> 
 
     A full crush separates each pair, so a program with n gradients has
     n + 1 segments; a leading, trailing or doubled gradient gives an
-    identity segment.  The arrays are read-only and checked unitary
-    once, when first built.  The rotating frame reads only J, and only
-    for a delay given in seconds, so each segment is memoised in
-    `_lower_run` on its run of elements, with J in the key only where
-    the run holds such a delay, or where J = 0: there an n/dJ delay is
-    undefined, so its run misses and raises instead of hitting the
-    array built at J != 0.  Equal runs in one program or in different
-    programs share one array.
+    identity segment.  Each array is read-only and checked unitary.  It
+    keeps no memo; its callers' memos are keyed on the program and `_j_key`.
     """
-    return tuple(_lower_run(run, _run_j(reads_j, consts)) for run, reads_j in seq.segments)
+    return tuple(_lower_run(run, consts) for run in seq.segments)
 
 
-def _run_j(reads_j: bool, consts: PhysicalConstants) -> float | None:
-    """The J in a run's memo key, given the run's `segments` flag; None where J is not read."""
-    return consts.j_hz if reads_j or consts.j_hz == 0 else None
+def _j_key(seq: PulseSequence, consts: PhysicalConstants) -> float | None:
+    """The J in the memo keys of `seq`; None where lowering it reads no J."""
+    return consts.j_hz if seq.reads_j or consts.j_hz == 0 else None
 
 
-@functools.lru_cache(maxsize=_LOWERED_RUNS)
-def _lower_run(run: tuple, j_hz: float | None) -> np.ndarray:
-    # With no J in the key, J != 0 and the run reads no J (see `_run_j`).
-    consts = DEFAULT_CONSTANTS if j_hz is None else PhysicalConstants(j_hz=j_hz)
+def _frame(j_hz: float | None) -> PhysicalConstants:
+    # With no J in the key, J != 0 and the program reads no J (see `_j_key`).
+    return DEFAULT_CONSTANTS if j_hz is None else PhysicalConstants(j_hz=j_hz)
+
+
+def _lower_run(run: tuple, consts: PhysicalConstants) -> np.ndarray:
     net = np.eye(4, dtype=complex)
     for e in run:
         net = element_unitary(e, consts) @ net
@@ -408,24 +388,23 @@ def _superoperator(u: np.ndarray) -> np.ndarray:
     return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(16, 16)
 
 
-@functools.lru_cache(maxsize=_LOWERED_RUNS)
-def _transfer(seq: PulseSequence, js: tuple) -> np.ndarray:
-    # js holds the `_run_j` of each of the program's runs, in order.
-    (run, _), *rest = seq.segments
-    t = _superoperator(_lower_run(run, js[0]))
+@functools.lru_cache(maxsize=_PROGRAMS)
+def _transfer(seq: PulseSequence, j_hz: float | None) -> np.ndarray:
+    first, *rest = seq.segments
+    t = _superoperator(_lower_run(first, _frame(j_hz)))
     if rest:
-        t = _after_crush(seq.after_first_crush, js[1:]) @ t[_POPULATIONS]
+        t = _after_crush(tuple(rest), j_hz) @ t[_POPULATIONS]
     return _frozen_array(t, (16, 16))
 
 
-@functools.lru_cache(maxsize=_LOWERED_RUNS)
-def _after_crush(seq: PulseSequence, js: tuple) -> np.ndarray:
-    # The 16x4 map from the populations a crush leaves to vec of the state
-    # after `seq`.  It is folded run by run rather than through `_transfer`,
-    # so the depth of the fold does not grow with the number of gradients.
+@functools.lru_cache(maxsize=_PROGRAMS)
+def _after_crush(runs: tuple, j_hz: float | None) -> np.ndarray:
+    # The 16x4 map from the populations a crush leaves to vec of the state after
+    # `runs` (crushed between each pair), folded in a loop, not by recursion.
+    consts = _frame(j_hz)
     t = np.eye(16)[:, _POPULATIONS]
-    for (run, _), j_hz in zip(seq.segments, js):
-        t = _superoperator(_lower_run(run, j_hz))[:, _POPULATIONS] @ t[_POPULATIONS]
+    for run in runs:
+        t = _superoperator(_lower_run(run, consts))[:, _POPULATIONS] @ t[_POPULATIONS]
     t.setflags(write=False)
     return t
 
@@ -447,12 +426,12 @@ def simulate_sequence(
     with net unitary U acts as kron(U, conj U).  A gradient between two
     runs is the crush mask diag(vec(I4)): it keeps the 4 populations,
     vec entries 0, 5, 10 and 15, and zeroes every coherence.  The
-    transfer is memoised on the program and its runs' keys (`_run_j`),
-    so a warm call lowers nothing; at J = 0 an n/dJ delay's key misses
-    and the delay raises.
+    transfer is memoised on the program and its `_j_key`, so a warm
+    call lowers nothing; at J = 0 an n/dJ delay's key misses and the
+    delay raises.
     """
-    js = tuple(_run_j(reads_j, consts) for _, reads_j in seq.segments)
-    return DeviationMatrix((_transfer(seq, js) @ rho0.entries.reshape(16)).reshape(4, 4))
+    t = _transfer(seq, _j_key(seq, consts))
+    return DeviationMatrix((t @ rho0.entries.reshape(16)).reshape(4, 4))
 
 
 def _rf(spin, axis, num, den=1) -> Rf:
@@ -472,7 +451,7 @@ def alpha_angle(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     return float(np.arccos(1.0 / (2.0 * consts.gamma_ratio)))
 
 
-# Built once, so the run memo matches the preps' shared runs by identity.
+# Built once, so the tail memo matches the preps' shared runs by identity.
 _PREP_AFTER_ALPHA = (Gradient(), _rf(1, "x", 1, 4), *_REFOCUSED_HALF_J, _rf(1, "y", -1, 4),
                      Gradient())
 
@@ -574,29 +553,28 @@ def verify_realization(
 ) -> GateCheck:
     """Compare a gate's net pulse unitary to its ideal, up to global phase.
 
-    The check is memoised on the gate's program and its run's J key
-    (`_run_j`), so a library gate is fitted once and then reused under
-    any constants that leave that key unchanged.  A miss lowers the
-    run, which raises for an n/dJ delay at J = 0.
+    The check is memoised on the gate's program and its `_j_key`, so a
+    library gate is fitted once and then reused under any constants that
+    leave that key unchanged.  A miss lowers the program, which raises
+    for an n/dJ delay at J = 0.
     """
     if not tol > 0:  # written so that NaN fails
         raise ValueError("tolerance must be positive")
     seq = gate_library(name, kind, consts)
     if len(seq.segments) > 1:
         raise ValueError(f"gate {name!r} contains gradients; no net unitary exists")
-    ((_, reads_j),) = seq.segments
-    return _gate_check(name, kind, tol, seq, _run_j(reads_j, consts))
+    return _gate_check(name, kind, tol, seq, _j_key(seq, consts))
 
 
-@functools.lru_cache(maxsize=_LOWERED_RUNS)
+@functools.lru_cache(maxsize=_PROGRAMS)
 def _gate_check(name: str, kind: str, tol: float, seq: PulseSequence,
                 j_hz: float | None) -> GateCheck:
-    ((run, _),) = seq.segments
-    phase, distance = phase_fit(_lower_run(run, j_hz), ideal_gate_unitary(name, kind).matrix)
+    (u,) = lower(seq, _frame(j_hz))
+    phase, distance = phase_fit(u, ideal_gate_unitary(name, kind).matrix)
     return GateCheck(distance < tol, distance, phase)
 
 
-@functools.lru_cache(maxsize=_LOWERED_RUNS)
+@functools.lru_cache(maxsize=_PROGRAMS)
 def equilibrium_state(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> DeviationMatrix:
     """Thermal deviation matrix gamma1*Iz1 + gamma2*Iz2 with gamma1 = 1.
 
@@ -633,25 +611,20 @@ class SpectrumLine:
     amplitude: complex
 
 
-# Single-quantum coherence entries read after the readout pulse:
-# (partner-up entry, partner-down entry) per observed spin.
-_COHERENCE_INDEX = {1: ((2, 0), (3, 1)), 2: ((1, 0), (3, 2))}
-
-
-_READOUT_GATES = {1: "readout-carbon", 2: "readout-proton"}
+# Per spin: its readout gate and the vec indices of the (partner-up, partner-down)
+# coherences read after it, rho[2, 0], rho[3, 1] (spin 1) or rho[1, 0], rho[3, 2].
+_READOUTS = {1: ("readout-carbon", [8, 13]), 2: ("readout-proton", [4, 14])}
+_LINES = ("partner_up", "partner_down")
 
 
 @functools.lru_cache(maxsize=2)
 def _readout(spin: int) -> np.ndarray:
-    # The readout is an rf pulse, so in the rotating frame it reads no
-    # constants.  The result is the readout superoperator's rows for the
-    # (partner-up, partner-down) entries, times the calibration: one over
-    # the uu reference's partner-up line.
-    (readout,) = lower(gate_library(_READOUT_GATES[spin]))
-    reference = readout @ basis_pseudo_pure(BasisLabel.UU).entries @ readout.conj().T
-    calibration = 1.0 / reference[_COHERENCE_INDEX[spin][0]]
-    rows = _superoperator(readout)[[4 * i + j for i, j in _COHERENCE_INDEX[spin]]]
-    return _frozen_array(calibration * rows, (2, 16))
+    # The two rows of the readout's transfer (an rf pulse reads no J, so
+    # its key is None), divided by the uu reference's partner-up line.
+    name, coherences = _READOUTS[spin]
+    rows = _transfer(gate_library(name), None)[coherences]
+    reference = rows[0] @ basis_pseudo_pure(BasisLabel.UU).entries.reshape(16)
+    return _frozen_array(rows / reference, (2, 16))
 
 
 def predict_spectrum(
@@ -671,8 +644,8 @@ def predict_spectrum(
     up, down = (_readout(spin) @ rho.entries.reshape(16)).tolist()
     half_j = consts.j_hz / 2.0
     return [
-        SpectrumLine(spin, "partner_up", +half_j, up),
-        SpectrumLine(spin, "partner_down", -half_j, down),
+        SpectrumLine(spin, _LINES[0], +half_j, up),
+        SpectrumLine(spin, _LINES[1], -half_j, down),
     ]
 
 
@@ -684,33 +657,30 @@ class Fingerprint:
     spin2: tuple
 
 
-def spectrum_fingerprint(
-    rho: DeviationMatrix,
-    consts: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> Fingerprint:
+def spectrum_fingerprint(rho: DeviationMatrix) -> Fingerprint:
     """Identify which basis pseudo-pure state produced the spectrum.
 
-    A basis state shows one line per spin, so a spin whose weaker line
-    exceeds 1e-9 times its dominant line is refused; the test is
-    relative, so the fingerprint does not depend on the state's scale.
+    A basis state shows one real line per spin, so a spin is refused if
+    its weaker line, or its dominant line's imaginary part, exceeds 1e-9
+    times the dominant line; the tests are relative, so the fingerprint
+    does not depend on the state's scale.
     """
-    signatures = {}
+    signatures = []
     for spin in (1, 2):
-        up, down = predict_spectrum(rho, spin, consts)
-        dominant, weaker = (up, down) if abs(up.amplitude) >= abs(down.amplitude) else (down, up)
-        if abs(dominant.amplitude) < 1e-9:
-            raise ValueError(
-                f"spin {spin} line amplitudes are all below 1e-9; "
-                "not a basis pseudo-pure state"
-            )
-        if abs(weaker.amplitude) > 1e-9 * abs(dominant.amplitude):
-            raise ValueError(
-                f"spin {spin} shows both doublet lines ({abs(dominant.amplitude):.3g} and "
-                f"{abs(weaker.amplitude):.3g}); not a basis pseudo-pure state"
-            )
-        sign = 1 if dominant.amplitude.real > 0 else -1
-        signatures[spin] = (dominant.line, sign)
-    return Fingerprint(signatures[1], signatures[2])
+        amplitudes = (_readout(spin) @ rho.entries.reshape(16)).tolist()
+        line = int(abs(amplitudes[1]) > abs(amplitudes[0]))
+        dominant, weaker = amplitudes[line], abs(amplitudes[1 - line])
+        problem = None
+        if abs(dominant) < 1e-9:
+            problem = "line amplitudes are all below 1e-9"
+        elif weaker > 1e-9 * abs(dominant):
+            problem = f"shows both doublet lines ({abs(dominant):.3g} and {weaker:.3g})"
+        elif abs(dominant.imag) > 1e-9 * abs(dominant):
+            problem = f"line {dominant:.3g} is 90 degrees out of phase"
+        if problem:
+            raise ValueError(f"spin {spin} {problem}; not a basis pseudo-pure state")
+        signatures.append((_LINES[line], 1 if dominant.real > 0 else -1))
+    return Fingerprint(*signatures)
 
 
 def _g_gates(j: int) -> list:

@@ -653,6 +653,27 @@ class TestSpectra:
             rho = DeviationMatrix(scale * (basis_pseudo_pure(BasisLabel.UD).entries + residue))
             assert spectrum_fingerprint(rho) == spectrum_fingerprint(basis_pseudo_pure(BasisLabel.UD))
 
+    def test_out_of_phase_lines_are_not_fingerprinted(self):
+        # The lines read -0.5j; the sign of their 1e-16 real residue named the state uu.
+        seq = parse_sequence("rf both x pi/4\nrf both y -pi/2\ndelay 1/4J\n")
+        rho = simulate_sequence(seq, basis_pseudo_pure(BasisLabel.UU))
+        for spin in (1, 2):
+            up, down = predict_spectrum(rho, spin)
+            assert abs(up.amplitude + 0.5j) < 1e-12 and abs(down.amplitude) < 1e-12
+        with pytest.raises(ValueError, match="not a basis pseudo-pure state"):
+            spectrum_fingerprint(rho)
+
+    def test_fingerprint_agrees_with_the_spectrum(self):
+        states = [basis_pseudo_pure(label) for label in BasisLabel]
+        states += [simulate_sequence(protocol_sequence(j, k), equilibrium_state())
+                   for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)]
+        for rho in states:
+            fingerprint = spectrum_fingerprint(rho)
+            for spin, signature in ((1, fingerprint.spin1), (2, fingerprint.spin2)):
+                up, down = predict_spectrum(rho, spin)
+                larger = up if abs(up.amplitude) >= abs(down.amplitude) else down
+                assert signature == (larger.line, 1 if larger.amplitude.real > 0 else -1)
+
     def test_spin_validated(self):
         with pytest.raises(ValueError):
             predict_spectrum(basis_pseudo_pure(BasisLabel.UU), 3)
@@ -772,11 +793,12 @@ class TestLowering:
                 u[0, 0] = 0.0
 
     def test_second_call_returns_the_cached_object(self):
+        # `lower` keeps no memo; the program's transfer is the cached object.
         seq = protocol_sequence(3, 4)
-        assert same_objects(lower(seq, DEFAULT_CONSTANTS), lower(seq, DEFAULT_CONSTANTS))
-        # An equal program built afresh hits the same cache entries.
-        fresh = lower(protocol_sequence(3, 4), DEFAULT_CONSTANTS)
-        assert same_objects(fresh, lower(seq, DEFAULT_CONSTANTS))
+        first, second = lower(seq), lower(seq)
+        assert not same_objects(first, second)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+        assert transfer_of(seq) is transfer_of(seq)
 
     def test_changing_j_changes_the_segments(self):
         # An absolute delay: a 1/nJ delay's phase is the same at every J.
@@ -788,15 +810,18 @@ class TestLowering:
         for consts in (a, b, a):
             self.assert_matches_fold(seq, rho, consts)
 
-    def test_j_is_keyed_per_run_inside_one_program(self):
-        seq = PulseSequence((Rf(1, "x", "pi/2"), Delay("0.001"), Gradient(),
-                             Delay("1/4J"), Rf(2, "y", "pi/3")))
-        assert [reads_j for _, reads_j in seq.segments] == [True, False]
+    def test_j_is_keyed_once_per_program(self):
+        # A delay in seconds anywhere puts J in the key of the whole program.
+        seconds = PulseSequence((Rf(1, "x", "pi/2"), Delay("0.001"), Gradient(),
+                                 Delay("1/4J"), Rf(2, "y", "pi/3")))
+        relative = PulseSequence(seconds.elements[3:])
+        assert seconds.reads_j and not relative.reads_j
         a, b = PhysicalConstants(j_hz=215.0), PhysicalConstants(j_hz=300.0)
-        first_a, second_a = lower(seq, a)
-        first_b, second_b = lower(seq, b)
-        assert np.abs(first_a - first_b).max() > 1e-3
-        assert second_a is second_b
+        uncoupled = PhysicalConstants(j_hz=0.0)
+        assert [nmr._j_key(seconds, c) for c in (a, b, uncoupled)] == [215.0, 300.0, 0.0]
+        assert [nmr._j_key(relative, c) for c in (a, b, uncoupled)] == [None, None, 0.0]
+        assert transfer_of(seconds, a) is not transfer_of(seconds, b)
+        assert transfer_of(relative, a) is transfer_of(relative, b)
 
     def test_cache_hit_builds_no_element_unitaries(self, monkeypatch):
         calls = []
@@ -827,13 +852,13 @@ class TestLowering:
             if name == "pseudo-pure-prep":
                 continue  # its first pulse turns by an angle that reads gamma_ratio
             seq = gate_library(name)
-            assert same_objects(lower(seq, other), lower(seq, DEFAULT_CONSTANTS))
+            assert transfer_of(seq, other) is transfer_of(seq, DEFAULT_CONSTANTS)
 
     @pytest.mark.parametrize("name", ["I_t", "pseudo-pure-prep"])
     def test_uncoupled_pair_raises_after_a_cache_hit(self, name):
         uncoupled = PhysicalConstants(j_hz=0.0)
         seq = gate_library(name, consts=uncoupled)
-        assert same_objects(lower(seq, DEFAULT_CONSTANTS), lower(seq, DEFAULT_CONSTANTS))
+        assert transfer_of(seq) is transfer_of(seq)
         with pytest.raises(ValueError, match="uncoupled pair"):
             lower(seq, uncoupled)
         with pytest.raises(ValueError, match="uncoupled pair"):
@@ -862,11 +887,14 @@ class TestLowering:
 
     def test_prep_programs_share_their_middle_segment_across_gamma_ratio(self):
         a, b = PhysicalConstants(gamma_ratio=0.75), PhysicalConstants(gamma_ratio=9.0)
-        first_a, middle_a, last_a = lower(gate_library("pseudo-pure-prep", consts=a), a)
-        first_b, middle_b, last_b = lower(gate_library("pseudo-pure-prep", consts=b), b)
-        assert middle_a is middle_b
-        assert last_a is last_b
-        assert np.abs(first_a - first_b).max() > 1e-3
+        prep_a = gate_library("pseudo-pure-prep", consts=a)
+        prep_b = gate_library("pseudo-pure-prep", consts=b)
+        first_a, *rest_a = prep_a.segments
+        first_b, *rest_b = prep_b.segments
+        assert first_a != first_b and rest_a == rest_b
+        tail_a = nmr._after_crush(tuple(rest_a), nmr._j_key(prep_a, a))
+        assert nmr._after_crush(tuple(rest_b), nmr._j_key(prep_b, b)) is tail_a
+        assert np.abs(transfer_of(prep_a, a) - transfer_of(prep_b, b)).max() > 1e-3
 
     def test_fresh_constants_build_only_the_prep_pulse(self, monkeypatch):
         calls = []
@@ -900,8 +928,9 @@ def superoperator_reference(seq, consts=DEFAULT_CONSTANTS):
     return t
 
 
-def run_keys(seq, consts=DEFAULT_CONSTANTS) -> tuple:
-    return tuple(nmr._run_j(reads_j, consts) for _, reads_j in seq.segments)
+def transfer_of(seq, consts=DEFAULT_CONSTANTS):
+    """The memoised transfer matrix of `seq` under `consts`."""
+    return nmr._transfer(seq, nmr._j_key(seq, consts))
 
 
 def recorded(monkeypatch, name) -> list:
@@ -916,12 +945,12 @@ class TestTransfer:
         programs = [protocol_sequence(j, k) for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)]
         programs += [PulseSequence(elements) for elements in EDGE_PROGRAMS.values()]
         for seq in programs:
-            t = nmr._transfer(seq, run_keys(seq))
+            t = transfer_of(seq)
             assert np.abs(t - superoperator_reference(seq)).max() < 1e-12
 
     def test_transfer_is_read_only(self):
         seq = protocol_sequence(1, 2)
-        t = nmr._transfer(seq, run_keys(seq))
+        t = transfer_of(seq)
         assert t.shape == (16, 16)
         assert not t.flags.writeable
         with pytest.raises(ValueError):
@@ -939,18 +968,19 @@ class TestTransfer:
 
     def test_fresh_constants_prep_lowers_only_its_alpha_pulse(self, monkeypatch):
         prepare_pseudo_pure(DEFAULT_CONSTANTS)
-        memos = (nmr._lower_run, nmr._transfer, nmr._after_crush)
+        memos = (nmr._transfer, nmr._after_crush)
         before = [memo.cache_info() for memo in memos]
         runs = recorded(monkeypatch, "_lower_run")
         fresh = PhysicalConstants(nu1_hz=61e6, nu2_hz=377e6, j_hz=97.5, gamma_ratio=4.125)
         prepare_pseudo_pure(fresh)
         alpha = gate_library("pseudo-pure-prep", consts=fresh).elements[0]
-        assert runs == [((alpha,), None)]
-        # The alpha run and the prep's transfer miss; the tail after the first crush hits.
+        assert [run for run, _ in runs] == [(alpha,)]
+        # The prep's transfer misses and lowers its alpha run; the tail after
+        # the first crush hits.
         misses, hits = zip(*((after.misses - b.misses, after.hits - b.hits)
                              for after, b in zip((m.cache_info() for m in memos), before)))
-        assert misses == (1, 1, 0)
-        assert hits == (0, 0, 1)
+        assert misses == (1, 0)
+        assert hits == (0, 1)
 
     def test_equal_programs_built_apart_hash_and_compare_equal(self):
         seq = protocol_sequence(2, 3)
@@ -960,7 +990,7 @@ class TestTransfer:
         assert {seq: 1}[rebuilt] == 1
         other = protocol_sequence(2, 4)
         assert other != seq
-        assert nmr._transfer(rebuilt, run_keys(rebuilt)) is nmr._transfer(seq, run_keys(seq))
+        assert transfer_of(rebuilt) is transfer_of(seq)
 
     def test_many_gradients_fold_without_deep_recursion(self):
         rng = np.random.default_rng(RNG_SEED + 31)
