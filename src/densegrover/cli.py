@@ -152,34 +152,20 @@ def cmd_tables(args, parser) -> int:
 
 
 def cmd_run(args, parser) -> int:
+    if (args.preset, args.kind, args.message).count(None) != (0 if args.ancilla is None else 3):
+        parser.error("expected: run PRESET KIND MESSAGE, or run --ancilla MESSAGE")
     if args.ancilla is not None:
-        if args.rest:
-            parser.error("--ancilla takes no positional arguments")
         message = coding.AncillaMessage.from_value(args.ancilla)
         result = coding.run_ancilla_protocol(message)
         trace, decoded = result.trace, result.recovered.value
         print(f"ancilla bit: {message.set_bit} ({trace.u_choice.axis} set)")
         print(f"encoder: V{message.v_index}")
     else:
-        if len(args.rest) != 3:
-            parser.error("expected: run PRESET KIND MESSAGE (or run --ancilla MESSAGE)")
-        raw_preset, kind, raw_message = args.rest
-        try:
-            preset_index = int(raw_preset)
-            message = int(raw_message)
-        except ValueError:
-            parser.error("PRESET and MESSAGE must be integers")
-        if preset_index not in (1, 2, 3, 4):
-            parser.error(f"preset must be 1..4, got {preset_index}")
-        if kind not in ("x", "y"):
-            parser.error(f"kind must be x or y, got {kind!r}")
-        if message not in range(4):
-            parser.error(f"message must be 0..3, got {message}")
-        c = grover.preset(kind, preset_index)
-        trace = coding.run_protocol(c, message + 1)
+        c = grover.preset(args.kind, args.preset)
+        trace = coding.run_protocol(c, args.message + 1)
         decoded = coding.decode(trace.output_label, c) - 1
-        print(f"preset: {preset_index} ({kind} kind)")
-        print(f"message: {message} (applies V{message + 1})")
+        print(f"preset: {args.preset} ({args.kind} kind)")
+        print(f"message: {args.message} (applies V{args.message + 1})")
     print(f"output: |{trace.output_label.arrows}>")
     print(f"decoded message: {decoded}")
     if args.trace:
@@ -203,19 +189,12 @@ def _check_prep(consts) -> tuple:
 
 def cmd_verify(args, parser) -> int:
     consts = _load_constants(parser, args.constants)
-    if args.all and args.gate:
-        parser.error("give either --all or a gate name, not both")
-    if not args.all and not args.gate:
-        parser.error("expected a gate name or --all")
     verifiable = [name for name, gate in nmr.GATES.items() if gate.ideal] + ["pseudo-pure-prep"]
-    if args.all:
-        names = verifiable
-    else:
-        if args.gate not in verifiable:
-            parser.error(
-                f"unknown or unverifiable gate {args.gate!r}; choose from {', '.join(verifiable)}"
-            )
-        names = [args.gate]
+    if not args.all and args.gate not in verifiable:
+        parser.error(
+            f"unknown or unverifiable gate {args.gate!r}; choose from {', '.join(verifiable)}"
+        )
+    names = verifiable if args.all else [args.gate]
     failures = 0
     unrealizable = []
     for name in names:
@@ -245,8 +224,6 @@ def cmd_verify(args, parser) -> int:
 
 def cmd_spectra(args, parser) -> int:
     consts = _load_constants(parser, args.constants)
-    if (args.state is None) == (args.protocol is None):
-        parser.error("expected either a basis state (uu|ud|du|dd) or --protocol PRESET MESSAGE")
     if args.protocol is not None:
         preset_index, message = args.protocol
         if preset_index not in (1, 2, 3, 4):
@@ -306,8 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "MESSAGE is 0-based: message m applies V_{m+1}. Ancilla "
                     "messages are 0..7 with the set bit high, m low.",
     )
-    p_run.add_argument("rest", nargs="*", metavar="PRESET KIND MESSAGE")
-    p_run.add_argument("--ancilla", type=int, metavar="MESSAGE",
+    p_run.add_argument("preset", nargs="?", type=int, choices=range(1, 5), metavar="PRESET",
+                       help="preset 1..4 of U")
+    p_run.add_argument("kind", nargs="?", choices=("x", "y"), metavar="KIND",
+                       help="rotation axis of U, x or y")
+    p_run.add_argument("message", nargs="?", type=int, choices=range(4), metavar="MESSAGE",
+                       help="message 0..3")
+    p_run.add_argument("--ancilla", type=int, choices=range(8), metavar="MESSAGE",
                        help="run the 3-bit ancilla scheme with message 0..7")
     p_run.add_argument("--trace", action="store_true",
                        help="also print Bell coordinates at each stage")
@@ -316,17 +298,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="check pulse realizations against ideal operators"
     )
-    p_verify.add_argument("gate", nargs="?", help="gate name, e.g. I_t or U2")
-    p_verify.add_argument("--all", action="store_true", help="verify every library gate")
+    target = p_verify.add_mutually_exclusive_group(required=True)
+    target.add_argument("gate", nargs="?", help="gate name, e.g. I_t or U2")
+    target.add_argument("--all", action="store_true", help="verify every library gate")
     p_verify.set_defaults(func=cmd_verify)
 
     p_spectra = sub.add_parser(
         "spectra", help="emit the two-spin spectrum as CSV"
     )
-    p_spectra.add_argument("state", nargs="?", choices=("uu", "ud", "du", "dd"),
-                           help="basis pseudo-pure state to read out")
-    p_spectra.add_argument("--protocol", nargs=2, type=int, metavar=("PRESET", "MESSAGE"),
-                           help="simulate the full pulse program first (y kind)")
+    source = p_spectra.add_mutually_exclusive_group(required=True)
+    source.add_argument("state", nargs="?", choices=("uu", "ud", "du", "dd"),
+                        help="basis pseudo-pure state to read out")
+    source.add_argument("--protocol", nargs=2, type=int, metavar=("PRESET", "MESSAGE"),
+                        help="simulate the full pulse program first (y kind)")
     p_spectra.add_argument("--output", metavar="FILE", help="write CSV here instead of stdout")
     p_spectra.set_defaults(func=cmd_spectra)
 

@@ -53,7 +53,6 @@ _IZIZ_DIAGONAL = np.diag(IZIZ)
 # fit at a few sets of constants; a sweep that draws fresh constants (and
 # with them a fresh prep angle) cycles through the caches instead.
 _PROGRAMS = 128
-_PROTOCOL_PROGRAMS = 64
 
 
 @dataclass(frozen=True)
@@ -388,13 +387,15 @@ def _superoperator(u: np.ndarray) -> np.ndarray:
     return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(16, 16)
 
 
-@functools.lru_cache(maxsize=_PROGRAMS)
-def _transfer(seq: PulseSequence, j_hz: float | None) -> np.ndarray:
+def _fold(seq: PulseSequence, j_hz: float | None) -> np.ndarray:
     first, *rest = seq.segments
     t = _superoperator(_lower_run(first, _frame(j_hz)))
     if rest:
         t = _after_crush(tuple(rest), j_hz) @ t[_POPULATIONS]
     return _frozen_array(t, (16, 16))
+
+
+_transfer = functools.lru_cache(maxsize=_PROGRAMS)(_fold)
 
 
 @functools.lru_cache(maxsize=_PROGRAMS)
@@ -410,9 +411,17 @@ def _after_crush(runs: tuple, j_hz: float | None) -> np.ndarray:
 
 
 def element_channel(e, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> Callable:
-    """The element's action on deviation matrices."""
+    """The element's action on deviation matrices.
+
+    The element is folded once, here, outside the program memo, so a
+    sweep of channels cannot evict the transfers of whole programs.
+    """
     seq = PulseSequence((e,))
-    return lambda rho: simulate_sequence(seq, rho, consts)
+    return functools.partial(_apply, _fold(seq, _j_key(seq, consts)))
+
+
+def _apply(t: np.ndarray, rho: DeviationMatrix) -> DeviationMatrix:
+    return DeviationMatrix((t @ rho.entries.reshape(16)).reshape(4, 4))
 
 
 def simulate_sequence(
@@ -430,8 +439,7 @@ def simulate_sequence(
     call lowers nothing; at J = 0 an n/dJ delay's key misses and the
     delay raises.
     """
-    t = _transfer(seq, _j_key(seq, consts))
-    return DeviationMatrix((t @ rho0.entries.reshape(16)).reshape(4, 4))
+    return _apply(_transfer(seq, _j_key(seq, consts)), rho0)
 
 
 def _rf(spin, axis, num, den=1) -> Rf:
@@ -707,7 +715,7 @@ def decoding_sequence(j: int, kind: str = "y") -> PulseSequence:
     return _program([swap.get(name, name) for name in reversed(_g_gates(j))], kind)
 
 
-@functools.lru_cache(maxsize=_PROTOCOL_PROGRAMS)
+@functools.lru_cache(maxsize=_PROGRAMS, typed=True)
 def protocol_sequence(
     j: int,
     k: int,
@@ -715,9 +723,11 @@ def protocol_sequence(
 ) -> PulseSequence:
     """Complete program: prep, G, encoder k (k=1 does nothing), G^-1.
 
-    Memoised per (j, k, consts); the program is immutable.
+    Memoised per (j, k, consts) with the argument types in the key, so a
+    cached (2, 1) does not answer for (2.0, 1) or (2, True).
     """
-    if k not in (1, 2, 3, 4):
+    # bool is an int subclass, so True would pass as encoder 1.
+    if isinstance(k, bool) or k not in (1, 2, 3, 4):
         raise ValueError(f"encoder index must be 1..4, got {k!r}")
     seq = gate_library("pseudo-pure-prep", consts=consts) + synthesis_sequence(j)
     if k > 1:

@@ -710,6 +710,16 @@ class TestPulseProtocol:
         with pytest.raises(ValueError):
             protocol_sequence(2, 5)
 
+    @pytest.mark.parametrize("j, k", [(2, True), (2.0, 1)])
+    def test_indices_equal_to_a_cached_key_are_not_that_key(self, j, k):
+        # 2.0 == 2 and True == 1, so an untyped memo would answer these with
+        # the cached (2, 1) program, or raise only on a cold cache.
+        protocol_sequence.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                protocol_sequence(j, k)
+            protocol_sequence(2, 1)
+
     def test_synthesis_and_decoding_compose_to_identity_channel(self):
         rng = np.random.default_rng(RNG_SEED + 5)
         seq = synthesis_sequence(2) + decoding_sequence(2)
@@ -1006,6 +1016,22 @@ class TestTransfer:
         for _ in range(2):
             with pytest.raises(ValueError, match="uncoupled pair"):
                 simulate_sequence(seq, equilibrium_state(uncoupled), uncoupled)
+
+    def test_element_channels_do_not_evict_program_transfers(self):
+        rho = equilibrium_state()
+        for j in (1, 2, 3, 4):
+            for k in (1, 2, 3, 4):
+                simulate_sequence(protocol_sequence(j, k), rho)
+        for n in range(130):
+            element_channel(Rf(1, "x", pi_fraction(n + 1, 131)))(rho)
+        before = nmr._transfer.cache_info()
+        simulate_sequence(protocol_sequence(2, 3), rho)
+        after = nmr._transfer.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+    def test_channel_of_a_j_relative_delay_raises_when_built_at_j_0(self):
+        with pytest.raises(ValueError, match="uncoupled pair"):
+            element_channel(Delay("1/2J"), PhysicalConstants(j_hz=0.0))
 
 
 def constants_cases() -> list:
