@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("table", type=int, choices=(1, 2),
                           help="1: Bell classification of G; 2: protocol outcomes")
     p_tables.add_argument("kind", choices=("x", "y"), help="rotation axis of U")
-    p_tables.set_defaults(func=cmd_tables)
+    p_tables.set_defaults(func=cmd_tables, parser=p_tables)
 
     p_run = sub.add_parser(
         "run",
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the 3-bit ancilla scheme with message 0..7")
     p_run.add_argument("--trace", action="store_true",
                        help="also print Bell coordinates at each stage")
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, parser=p_run)
 
     p_verify = sub.add_parser(
         "verify", help="check pulse realizations against ideal operators"
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     target = p_verify.add_mutually_exclusive_group(required=True)
     target.add_argument("gate", nargs="?", help="gate name, e.g. I_t or U2")
     target.add_argument("--all", action="store_true", help="verify every library gate")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, parser=p_verify)
 
     p_spectra = sub.add_parser(
         "spectra", help="emit the two-spin spectrum as CSV"
@@ -312,13 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--protocol", nargs=2, type=int, metavar=("PRESET", "MESSAGE"),
                         help="simulate the full pulse program first (y kind)")
     p_spectra.add_argument("--output", metavar="FILE", help="write CSV here instead of stdout")
-    p_spectra.set_defaults(func=cmd_spectra)
+    p_spectra.set_defaults(func=cmd_spectra, parser=p_spectra)
 
     p_compile = sub.add_parser(
         "compile", help="print the pulse text for a named gate"
     )
     p_compile.add_argument("gate", help="gate name, e.g. I_s or pseudo-pure-prep")
-    p_compile.set_defaults(func=cmd_compile)
+    p_compile.set_defaults(func=cmd_compile, parser=p_compile)
 
     for p in (p_verify, p_spectra, p_compile):
         p.add_argument("--constants", metavar="FILE",
@@ -327,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        # Each command reports usage errors through its own subparser.
+        return args.func(args, args.parser)
     except ValueError as exc:
         # A library ValueError names an input outside the model's domain.
-        parser.error(str(exc))
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

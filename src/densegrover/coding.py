@@ -19,7 +19,6 @@ from . import bell
 from .grover import (
     UChoice,
     build_G,
-    build_G_inverse,
     build_G_pair,
     is_preset,
     preset,
@@ -30,6 +29,7 @@ from .qstate import (
     BasisLabel,
     Ket4,
     Operator4,
+    checked_index,
     compose,
     identity,
     measure_basis,
@@ -75,10 +75,7 @@ def _encoder_stack(kind: str) -> np.ndarray:
 
 def encoder(kind: str, k: int) -> Operator4:
     """The k-th (1..4) manipulation of the set paired with axis `kind`."""
-    # bool is an int subclass, so True would pass as encoder 1.
-    if isinstance(k, bool) or k not in (1, 2, 3, 4):
-        raise ValueError(f"encoder index must be 1..4, got {k!r}")
-    return encoder_set(kind)[k - 1]
+    return encoder_set(kind)[checked_index(k, range(1, 5), "encoder index") - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,11 +177,8 @@ class AncillaMessage:
     v_index: int
 
     def __post_init__(self):
-        # bool is an int subclass, so True would pass as 1.
-        if isinstance(self.set_bit, bool) or self.set_bit not in (0, 1):
-            raise ValueError(f"set_bit must be 0 or 1, got {self.set_bit!r}")
-        if isinstance(self.v_index, bool) or self.v_index not in (1, 2, 3, 4):
-            raise ValueError(f"v_index must be 1..4, got {self.v_index!r}")
+        checked_index(self.set_bit, range(2), "set_bit")
+        checked_index(self.v_index, range(1, 5), "v_index")
 
     @property
     def value(self) -> int:
@@ -193,8 +187,7 @@ class AncillaMessage:
 
     @classmethod
     def from_value(cls, value: int) -> "AncillaMessage":
-        if isinstance(value, bool) or value not in range(8):
-            raise ValueError(f"ancilla message value must be 0..7, got {value!r}")
+        checked_index(value, range(8), "ancilla message value")
         return cls(value >> 2, (value & 3) + 1)
 
 
@@ -213,8 +206,8 @@ def run_ancilla_protocol(m: AncillaMessage) -> AncillaResult:
     """
     kind = "y" if m.set_bit == 0 else "x"
     c_dec = preset(kind, 1)
-    trace = _pipeline(
-        build_G(preset("y", 1)), encoder(kind, m.v_index), build_G_inverse(c_dec), c_dec, m.v_index
-    )
+    g, _ = build_G_pair(preset("y", 1))
+    _, g_inv = build_G_pair(c_dec)
+    trace = _pipeline(g, encoder(kind, m.v_index), g_inv, c_dec, m.v_index)
     recovered = AncillaMessage(m.set_bit, decode(trace.output_label, c_dec))
     return AncillaResult(trace, recovered)

@@ -9,15 +9,28 @@ produce exactly the four Bell states from the up-up input.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bell
-from .qstate import BasisLabel, Operator4, apply, ket_from_basis, kron2, rotation_2x2
+from .qstate import (
+    BasisLabel,
+    Operator4,
+    apply,
+    checked_index,
+    ket_from_basis,
+    kron2,
+    rotation_2x2,
+)
 
 _PI = np.pi
+
+# Bound of the (G, G^-1) memo.  The eight presets fit with room to spare;
+# generic angles cycle through the rest.
+_ANGLE_CHOICES = 16
 
 # Preset rotation angles (phi1, phi2), indexed 1..4 per axis.
 _PRESET_ANGLES = {
@@ -65,10 +78,7 @@ def preset(axis: str, j: int) -> UChoice:
     """Named angle choice j (1..4) for the given rotation axis."""
     if axis not in _PRESET_ANGLES:
         raise ValueError(f"axis must be x or y, got {axis!r}")
-    # bool is an int subclass, so True would pass as preset 1.
-    if isinstance(j, bool) or j not in (1, 2, 3, 4):
-        raise ValueError(f"preset index must be 1..4, got {j!r}")
-    phi1, phi2 = _PRESET_ANGLES[axis][j]
+    phi1, phi2 = _PRESET_ANGLES[axis][checked_index(j, range(1, 5), "preset index")]
     return UChoice(axis, phi1, phi2)
 
 
@@ -104,29 +114,27 @@ def phase_shift_s() -> Operator4:
     return _PHASE_SHIFT_S
 
 
-def _g_from_u(u: np.ndarray) -> Operator4:
-    return Operator4(-(u @ _PHASE_SHIFT_S.matrix @ u.conj().T @ _SIGN_FLIP_TARGET.matrix @ u))
-
-
-def _g_inverse_from_u(u: np.ndarray) -> Operator4:
-    u_inv = u.conj().T
-    return Operator4(-(u_inv @ _SIGN_FLIP_TARGET.matrix @ u @ _PHASE_SHIFT_S.matrix @ u_inv))
-
-
 def build_G(c: UChoice) -> Operator4:
-    """G = -U * I_s * U^-1 * I_t * U, checked unitary once as a whole."""
-    return _g_from_u(build_U(c).matrix)
+    """G = -U * I_s * U^-1 * I_t * U; the first of build_G_pair(c)."""
+    return build_G_pair(c)[0]
 
 
 def build_G_inverse(c: UChoice) -> Operator4:
-    """G^-1 = -U^-1 * I_t * U * I_s * U^-1 (I_t and I_s are involutions)."""
-    return _g_inverse_from_u(build_U(c).matrix)
+    """G^-1 = -U^-1 * I_t * U * I_s * U^-1; the second of build_G_pair(c)."""
+    return build_G_pair(c)[1]
 
 
+@functools.lru_cache(maxsize=_ANGLE_CHOICES)
 def build_G_pair(c: UChoice) -> tuple[Operator4, Operator4]:
-    """(G, G^-1) from one U; each equals build_G(c) and build_G_inverse(c) exactly."""
+    """(G, G^-1) from one U, each checked unitary once as a whole.
+
+    I_t and I_s are involutions, so G^-1 is G's factors in reverse with
+    U and U^-1 swapped.  Memoised per angle choice; both are immutable.
+    """
     u = build_U(c).matrix
-    return _g_from_u(u), _g_inverse_from_u(u)
+    u_inv = u.conj().T
+    i_s, i_t = _PHASE_SHIFT_S.matrix, _SIGN_FLIP_TARGET.matrix
+    return Operator4(-(u @ i_s @ u_inv @ i_t @ u)), Operator4(-(u_inv @ i_t @ u @ i_s @ u_inv))
 
 
 def _format_coefficient(value: complex, tol: float) -> str | None:

@@ -38,7 +38,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .grover import phase_shift_s, preset, sign_flip_target
-from .qstate import BasisLabel, Operator4, _frozen_array, kron2, phase_fit, rotation_2x2
+from .qstate import (
+    BasisLabel,
+    Operator4,
+    _frozen_array,
+    checked_index,
+    kron2,
+    phase_fit,
+    rotation_2x2,
+)
 from . import coding
 from . import grover
 
@@ -726,9 +734,8 @@ def protocol_sequence(
     Memoised per (j, k, consts) with the argument types in the key, so a
     cached (2, 1) does not answer for (2.0, 1) or (2, True).
     """
-    # bool is an int subclass, so True would pass as encoder 1.
-    if isinstance(k, bool) or k not in (1, 2, 3, 4):
-        raise ValueError(f"encoder index must be 1..4, got {k!r}")
+    checked_index(j, range(1, 5), "preset index")
+    checked_index(k, range(1, 5), "encoder index")
     seq = gate_library("pseudo-pure-prep", consts=consts) + synthesis_sequence(j)
     if k > 1:
         seq = seq + gate_library(f"V{k}")

@@ -77,6 +77,17 @@ def _frozen_array(data, shape) -> np.ndarray:
     return arr
 
 
+def checked_index(value, allowed: range, name: str) -> int:
+    """value if it is an integer in `allowed`, else a ValueError naming it.
+
+    `value in allowed` alone would pass True (bool is an int subclass)
+    and 2.0 (equal to 2), so the type is checked first.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value not in allowed:
+        raise ValueError(f"{name} must be {allowed[0]}..{allowed[-1]}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class Ket4:
     """State vector of the two-spin system in the product basis."""

@@ -243,7 +243,7 @@ class TestSpectra:
         err = expect_usage_error(capsys, "spectra", "uu").err
         assert "non-finite" in err
         assert "Traceback" not in err
-        assert err.strip().splitlines()[-1].startswith("densegrover: error:")
+        assert err.strip().splitlines()[-1].startswith("densegrover spectra: error:")
 
 
 class TestCompile:
@@ -352,7 +352,7 @@ class TestConstantsFile:
         path = self.write_override(tmp_path, change)
         err = expect_usage_error(capsys, *command, "--constants", path).err
         assert "Traceback" not in err
-        assert err.splitlines()[-1].startswith("densegrover: error: ")
+        assert err.splitlines()[-1].startswith(f"densegrover {command[0]}: error: ")
         assert change.split("=")[0] in err.splitlines()[-1]
 
     @pytest.mark.parametrize("change, unrealizable", [
@@ -374,8 +374,8 @@ class TestConstantsFile:
         reasons = {row[2] for row in rows if row[1] == "n/a"}
         assert all(reason.startswith("cannot be realized: ") for reason in reasons)
         error = captured.err.splitlines()[-1]
-        assert error.startswith("densegrover: error: ")
-        assert "cannot be realized: " + error.removeprefix("densegrover: error: ") in reasons
+        assert error.startswith("densegrover verify: error: ")
+        assert "cannot be realized: " + error.removeprefix("densegrover verify: error: ") in reasons
 
     @pytest.mark.parametrize("change", ["j_hz=0", "j_hz=inf"])
     def test_out_of_domain_constants_exit_2_in_a_process(self, tmp_path, change):
@@ -390,7 +390,26 @@ class TestConstantsFile:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
-        assert len(proc.stderr.splitlines()) == 2
+        # The subcommand's usage (wrapped to the terminal width), then one error line.
+        first, *wrapped, error = proc.stderr.splitlines()
+        assert first.startswith("usage: densegrover spectra ")
+        assert all(line.startswith(" ") for line in wrapped)
+        assert error.startswith("densegrover spectra: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "1", "y"),  # run's positionals
+    ("spectra", "--protocol", "5", "0"),  # a --protocol value out of range
+    ("verify", "bogus"),  # verify's gate name
+    ("compile", "U1", "--constants", "{missing}"),  # the constants file
+    ("compile", "bogus"),  # a library ValueError
+])
+def test_hand_written_errors_print_the_subcommand_usage(capsys, tmp_path, argv):
+    argv = [arg.format(missing=tmp_path / "nope.txt") for arg in argv]
+    captured = expect_usage_error(capsys, *argv)
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: densegrover {argv[0]} ")
+    assert captured.err.splitlines()[-1].startswith(f"densegrover {argv[0]}: error: ")
 
 
 def golden(stem: str) -> str:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,11 @@ class TestEncoderSets:
         with pytest.raises(ValueError, match="got True"):
             encoder("y", True)
 
+    @pytest.mark.parametrize("k", [True, 2.0, np.float64(2.0), "2", None, 0, 5])
+    def test_index_must_be_an_int_in_range(self, k):
+        with pytest.raises(ValueError, match=re.escape(f"encoder index must be 1..4, got {k!r}")):
+            encoder("y", k)
+
     def test_worked_example_on_second_bell_state(self):
         psi2 = bell_state(2)
         s = 1 / np.sqrt(2)
@@ -140,6 +147,7 @@ class TestRunProtocol:
             run_protocol(UChoice("y", 0.1, 0.2), 1)
 
     def test_builds_u_once(self, monkeypatch):
+        grover.build_G_pair.cache_clear()
         calls = []
         monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
         run_protocol(preset("y", 2), 3)
@@ -206,6 +214,7 @@ class TestTable2:
     @pytest.mark.parametrize("kind", ["x", "y"])
     def test_builds_g_and_its_inverse_once_per_preset(self, kind, monkeypatch):
         # G and G^-1 of a preset come from one U.
+        grover.build_G_pair.cache_clear()
         calls = []
         monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
         table2(kind)
@@ -220,6 +229,29 @@ class TestTable2:
             labels = {k: run_protocol(c, k).output_label for k in (1, 2, 3, 4)}
             assert all(grid[(column, k)] is label for k, label in labels.items())
             assert coding._decode_map(kind, j) == {label: k for k, label in labels.items()}
+
+
+class TestGMemo:
+    def test_ancilla_reads_g_from_y1_and_its_inverse_from_the_decoding_preset(self, monkeypatch):
+        grover.build_G_pair.cache_clear()
+        calls = []
+        monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
+        run_ancilla_protocol(AncillaMessage(1, 2))
+        assert calls == [preset("y", 1), preset("x", 1)]
+
+    @pytest.mark.parametrize("run", [
+        lambda: run_protocol(preset("y", 2), 3),
+        lambda: grover.table1(preset("x", 3)),
+        lambda: table2("x"),
+        lambda: run_ancilla_protocol(AncillaMessage(1, 2)),
+    ], ids=["run_protocol", "table1", "table2", "run_ancilla_protocol"])
+    def test_a_second_run_builds_no_u(self, run, monkeypatch):
+        first = run()
+        calls = []
+        monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
+        second = run()
+        assert calls == []
+        assert repr(second) == repr(first)
 
 
 class TestDecode:
@@ -272,6 +304,23 @@ class TestAncilla:
     def test_bool_rejected(self, make):
         with pytest.raises(ValueError, match="got True"):
             make()
+
+    @pytest.mark.parametrize("fields, message", [
+        ((2.0, 1), "set_bit must be 0..1, got 2.0"),
+        ((0.0, 1), "set_bit must be 0..1, got 0.0"),
+        ((0, 2.0), "v_index must be 1..4, got 2.0"),
+        ((0, np.float64(3.0)), f"v_index must be 1..4, got {np.float64(3.0)!r}"),
+        ((0, "2"), "v_index must be 1..4, got '2'"),
+    ])
+    def test_fields_must_be_ints_in_range(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AncillaMessage(*fields)
+
+    @pytest.mark.parametrize("value", [2.0, 7.0, np.float64(1.0), "3", None, -1, 8])
+    def test_value_must_be_an_int_in_range(self, value):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"ancilla message value must be 0..7, got {value!r}")):
+            AncillaMessage.from_value(value)
 
     def test_identity_message(self):
         result = run_ancilla_protocol(AncillaMessage(0, 1))

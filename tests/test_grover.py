@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,14 @@ class TestPresets:
             preset("y", True)
         with pytest.raises(ValueError):
             UChoice("q", 0.0, 0.0)
+
+    @pytest.mark.parametrize("j", [True, 2.0, np.float64(2.0), "2", None, 0, 5])
+    def test_index_must_be_an_int_in_range(self, j):
+        with pytest.raises(ValueError, match=re.escape(f"preset index must be 1..4, got {j!r}")):
+            preset("y", j)
+
+    def test_numpy_integer_index_is_accepted(self):
+        assert preset("y", np.int64(2)) == preset("y", 2)
 
     def test_non_finite_angles_rejected(self):
         with pytest.raises(ValueError, match="phi1"):
@@ -270,12 +280,46 @@ class TestOneCheckedProduct:
     @pytest.mark.parametrize("c", CHOICES, ids=lambda c: f"{c.axis}-{c.phi1:.3f}-{c.phi2:.3f}")
     def test_pair_builds_one_u_and_equals_the_reference_chain(self, c, monkeypatch):
         _, g, g_inv = reference_chain(c)
+        grover.build_G_pair.cache_clear()
         calls = []
         monkeypatch.setattr(grover, "build_U", lambda c, b=build_U: calls.append(c) or b(c))
         pair = grover.build_G_pair(c)
         assert calls == [c]
         assert np.array_equal(pair[0].matrix, g.matrix)
         assert np.array_equal(pair[1].matrix, g_inv.matrix)
+
+    @pytest.mark.parametrize("c", CHOICES, ids=lambda c: f"{c.axis}-{c.phi1:.3f}-{c.phi2:.3f}")
+    def test_g_and_its_inverse_are_the_read_only_pair(self, c):
+        g, g_inv = grover.build_G_pair(c)
+        assert build_G(c) is g
+        assert build_G_inverse(c) is g_inv
+        assert not g.matrix.flags.writeable and not g_inv.matrix.flags.writeable
+
+    def test_a_warm_pair_builds_no_u(self, monkeypatch):
+        c = preset("x", 2)
+        first = grover.build_G_pair(c)
+        calls = []
+        monkeypatch.setattr(grover, "build_U", lambda c, b=build_U: calls.append(c) or b(c))
+        assert grover.build_G_pair(c) is first
+        assert grover.build_G_pair(UChoice("x", c.phi1, c.phi2)) is first
+        assert calls == []
+
+    def test_evicted_presets_are_rebuilt_equal_to_the_reference_chain(self, monkeypatch):
+        presets = [preset(axis, j) for axis in ("x", "y") for j in (1, 2, 3, 4)]
+        for c in presets:
+            grover.build_G_pair(c)
+        rng = np.random.default_rng(RNG_SEED)
+        for _ in range(20):
+            phi1, phi2 = rng.uniform(-np.pi, np.pi, size=2)
+            grover.build_G_pair(UChoice(str(rng.choice(["x", "y"])), float(phi1), float(phi2)))
+        calls = []
+        monkeypatch.setattr(grover, "build_U", lambda c, b=build_U: calls.append(c) or b(c))
+        for c in presets:
+            _, g, g_inv = reference_chain(c)
+            pair = grover.build_G_pair(c)
+            assert np.array_equal(pair[0].matrix, g.matrix)
+            assert np.array_equal(pair[1].matrix, g_inv.matrix)
+        assert calls == presets  # every preset had been evicted and was built again
 
 
 class TestTable1:

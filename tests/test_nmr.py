@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -719,6 +720,18 @@ class TestPulseProtocol:
             with pytest.raises(ValueError):
                 protocol_sequence(j, k)
             protocol_sequence(2, 1)
+
+    @pytest.mark.parametrize("j, k, message", [
+        (2, 1.0, "encoder index must be 1..4, got 1.0"),
+        (2, 2.0, "encoder index must be 1..4, got 2.0"),
+        (2, "2", "encoder index must be 1..4, got '2'"),
+        (2.0, 2, "preset index must be 1..4, got 2.0"),
+        (True, 2, "preset index must be 1..4, got True"),
+        (5, 2, "preset index must be 1..4, got 5"),
+    ])
+    def test_indices_must_be_ints_in_range(self, j, k, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            protocol_sequence(j, k)
 
     def test_synthesis_and_decoding_compose_to_identity_channel(self):
         rng = np.random.default_rng(RNG_SEED + 5)
