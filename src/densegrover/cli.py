@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import bell, coding, grover, nmr
-from .qstate import BasisLabel, equal_up_to_phase
+from .qstate import BasisLabel, checked_index, equal_up_to_phase
 
 _S = 1.0 / np.sqrt(2.0)
 
@@ -226,10 +226,8 @@ def cmd_spectra(args, parser) -> int:
     consts = _load_constants(parser, args.constants)
     if args.protocol is not None:
         preset_index, message = args.protocol
-        if preset_index not in (1, 2, 3, 4):
-            parser.error(f"preset must be 1..4, got {preset_index}")
-        if message not in range(4):
-            parser.error(f"message must be 0..3, got {message}")
+        checked_index(preset_index, range(1, 5), "preset")
+        checked_index(message, range(4), "message")
         seq = nmr.protocol_sequence(preset_index, message + 1, consts)
         rho = nmr.simulate_sequence(seq, nmr.equilibrium_state(consts), consts)
     else:
