@@ -325,7 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        # parse_args would report these through the top-level parser.
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         # Each command reports usage errors through its own subparser.
         return args.func(args, args.parser)

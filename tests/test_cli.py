@@ -403,6 +403,8 @@ class TestConstantsFile:
     ("verify", "bogus"),  # verify's gate name
     ("compile", "U1", "--constants", "{missing}"),  # the constants file
     ("compile", "bogus"),  # a library ValueError
+    ("run", "2", "--trace", "y", "2"),  # arguments after an option
+    ("tables", "1", "y", "extra"),  # an argument the subcommand does not take
 ])
 def test_hand_written_errors_print_the_subcommand_usage(capsys, tmp_path, argv):
     argv = [arg.format(missing=tmp_path / "nope.txt") for arg in argv]

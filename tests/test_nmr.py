@@ -1,5 +1,11 @@
+import dataclasses
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1045,6 +1051,189 @@ class TestTransfer:
     def test_channel_of_a_j_relative_delay_raises_when_built_at_j_0(self):
         with pytest.raises(ValueError, match="uncoupled pair"):
             element_channel(Delay("1/2J"), PhysicalConstants(j_hz=0.0))
+
+
+def random_program(rng: random.Random, index: int) -> PulseSequence:
+    """A seeded program of rf pulses, delays and gradients.
+
+    Pulses act on spin 1, 2 or both, about x or y, by a pi_fraction or a
+    float angle; delays are n/dJ or seconds.  Every fourth program starts
+    with a gradient, the next ends with one, and the next holds two in a row.
+    """
+    elements = []
+    for _ in range(rng.randrange(8)):
+        roll = rng.random()
+        if roll < 0.5:
+            angle = (pi_fraction(rng.choice([-1, 1]) * rng.randrange(1, 9), rng.randrange(1, 9))
+                     if rng.random() < 0.5 else repr(rng.uniform(-2 * np.pi, 2 * np.pi)))
+            elements.append(Rf(rng.choice([1, 2, "both"]), rng.choice("xy"), angle))
+        elif roll < 0.8:
+            elements.append(Delay(f"{rng.randrange(1, 5)}/{rng.randrange(1, 9)}J"
+                                  if rng.random() < 0.5 else repr(rng.uniform(0.0, 0.01))))
+        else:
+            elements.append(Gradient())
+    cut = rng.randrange(len(elements) + 1)
+    shape = index % 4
+    if shape == 0:
+        elements.insert(0, Gradient())
+    elif shape == 1:
+        elements.append(Gradient())
+    elif shape == 2:
+        elements[cut:cut] = [Gradient(), Gradient()]
+    return PulseSequence(tuple(elements))
+
+
+def fresh_prep_constants(count: int, seed: int) -> list:
+    rng = random.Random(seed)
+    return [PhysicalConstants(nu1_hz=rng.uniform(20e6, 200e6), nu2_hz=rng.uniform(200e6, 900e6),
+                              j_hz=rng.uniform(1.0, 1000.0), gamma_ratio=rng.uniform(0.5, 12.0))
+            for _ in range(count)]
+
+
+class TestFold:
+    """The transfer built from the head run's population rows, on random programs."""
+
+    @pytest.mark.parametrize("j_hz", [215.0, 37.5])
+    def test_random_programs_match_the_kron_reference(self, j_hz):
+        rng = random.Random(RNG_SEED + 41)
+        consts = PhysicalConstants(j_hz=j_hz)
+        programs = [random_program(rng, index) for index in range(200)]
+        assert sum(len(seq.segments) > 1 for seq in programs) > 150
+        for seq in programs:
+            t = transfer_of(seq, consts)
+            assert not t.flags.writeable
+            assert np.abs(t - superoperator_reference(seq, consts)).max() < 1e-12, seq.to_text()
+
+    def test_fresh_constants_preps_match_the_fold(self):
+        for consts in fresh_prep_constants(50, RNG_SEED + 43):
+            seq = gate_library("pseudo-pure-prep", consts=consts)
+            rho = equilibrium_state(consts)
+            out = prepare_pseudo_pure(consts)
+            assert np.abs(out.entries - reference_fold(seq, rho, consts)).max() < 1e-12
+
+    @pytest.mark.parametrize("run", [(Rf(1, "x", "pi/2"),), (Rf(1, "x", "pi/2"), Delay("1/4J"))],
+                             ids=["one element", "two elements"])
+    def test_every_run_is_checked_unitary(self, monkeypatch, run):
+        monkeypatch.setattr(nmr, "element_unitary", lambda e, consts=DEFAULT_CONSTANTS: 2 * np.eye(4))
+        with pytest.raises(ValueError, match="unitarity"):
+            nmr._lower_run(run, DEFAULT_CONSTANTS)
+
+
+def old_j_fraction(duration: str):
+    m = re.fullmatch(r"(\d+)/(\d*)J", duration)
+    return None if m is None else (int(m.group(1)), int(m.group(2) or "1"))
+
+
+def old_segments(seq: PulseSequence) -> tuple:
+    runs, run = [], []
+    for e in seq.elements:
+        if isinstance(e, Gradient):
+            runs.append(tuple(run))
+            run = []
+        else:
+            run.append(e)
+    return tuple(runs + [tuple(run)])
+
+
+def library_and_protocol_programs() -> list:
+    programs = [gate_library(name) for name in GATES]
+    return programs + [protocol_sequence(j, k) for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)]
+
+
+class TestBuildOnce:
+    """Values derived at construction keep the semantics of the fields."""
+
+    def test_fields_and_repr_are_unchanged(self):
+        names = {cls: [f.name for f in dataclasses.fields(cls)]
+                 for cls in (Rf, Delay, Gradient, PulseSequence)}
+        assert names == {Rf: ["spin", "axis", "angle"], Delay: ["duration"],
+                         Gradient: ["axis"], PulseSequence: ["elements"]}
+        seq = PulseSequence((Rf(1, "x", "pi/2"), Delay("1/4J"), Gradient()))
+        assert repr(seq) == ("PulseSequence(elements=(Rf(spin=1, axis='x', angle='pi/2'), "
+                             "Delay(duration='1/4J'), Gradient(axis='z')))")
+
+    def test_derived_values_equal_their_old_derivations(self):
+        for seq in library_and_protocol_programs():
+            assert seq.segments == old_segments(seq)
+            assert seq.reads_j is any(isinstance(e, Delay) and old_j_fraction(e.duration) is None
+                                      for e in seq)
+            for e in seq:
+                if isinstance(e, Rf):
+                    assert e.angle_rad == parse_angle(e.angle)
+                elif isinstance(e, Delay):
+                    assert e.j_fraction == old_j_fraction(e.duration)
+        for text in ("0.001", "0", "3/8J", "2/J"):
+            assert Delay(text).j_fraction == old_j_fraction(text)
+
+    def test_copies_built_apart_compare_and_hash_equal(self):
+        for seq in library_and_protocol_programs():
+            rebuilt = parse_sequence(seq.to_text())
+            replaced = dataclasses.replace(seq, elements=list(seq.elements))
+            for other in (rebuilt, replaced):
+                assert other == seq and hash(other) == hash(seq) and other.to_text() == seq.to_text()
+            for e, r in zip(seq, rebuilt):
+                assert r == e and hash(r) == hash(e) and repr(r) == repr(e)
+                assert dataclasses.replace(e) == e and hash(dataclasses.replace(e)) == hash(e)
+
+    def test_replace_derives_and_validates_again(self):
+        rf = dataclasses.replace(Rf(1, "x", "pi/2"), angle="-3pi/4")
+        assert rf.angle_rad == parse_angle("-3pi/4") and rf == Rf(1, "x", "-3pi/4")
+        assert dataclasses.replace(Delay("1/4J"), duration="0.002").j_fraction is None
+        seq = dataclasses.replace(PulseSequence((Rf(1, "x", "pi"),)), elements=(Gradient(),))
+        assert seq.segments == ((), ()) and seq == PulseSequence((Gradient(),))
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(rf, angle="inf")
+        with pytest.raises(ValueError, match="nonnegative"):
+            dataclasses.replace(Delay("1/4J"), duration="-1")
+        with pytest.raises(TypeError, match="unsupported pulse element"):
+            dataclasses.replace(seq, elements=("grad z",))
+
+
+PICKLE_PROGRAM = """
+import pickle, sys
+from densegrover import nmr
+seq = nmr.protocol_sequence(2, 3)
+rf = nmr.Rf(1, "y", "-3pi/4")
+delay = nmr.Delay("0.0025")
+values = (seq, rf, delay, nmr.Gradient(), nmr.parse_sequence(seq.to_text()))
+"""
+
+
+class TestPickle:
+    """A pickle rebuilds from the fields, so a stored hash cannot go stale."""
+
+    def run_python(self, code: str, seed: str, data: bytes = b"") -> bytes:
+        src = Path(nmr.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-c", code], input=data, env=env,
+                              capture_output=True, check=True, timeout=60).stdout
+
+    def test_a_hashed_program_loads_under_another_hash_seed(self):
+        dumped = self.run_python(PICKLE_PROGRAM + """
+for v in values:
+    hash(v)
+sys.stdout.buffer.write(pickle.dumps(values))
+""", seed="1")
+        report = self.run_python(PICKLE_PROGRAM + """
+for loaded, fresh in zip(pickle.loads(sys.stdin.buffer.read()), values):
+    print(loaded == fresh, hash(loaded) == hash(fresh), loaded in {fresh}, fresh in {loaded})
+print(nmr.simulate_sequence(pickle.loads(pickle.dumps(seq)), nmr.equilibrium_state()).entries.tobytes()
+      == nmr.simulate_sequence(seq, nmr.equilibrium_state()).entries.tobytes())
+""", seed="2", data=dumped)
+        lines = report.decode().split("\n")
+        assert lines[:-2] == ["True True True True"] * 5 and lines[-2:] == ["True", ""]
+
+    def test_a_load_derives_and_validates_again(self):
+        seq = protocol_sequence(1, 2)
+        loaded = pickle.loads(pickle.dumps(seq))
+        assert loaded == seq and loaded.segments == seq.segments and loaded.reads_j == seq.reads_j
+        rf = pickle.loads(pickle.dumps(Rf(2, "x", "0.25")))
+        assert rf.angle_rad == 0.25
+        # A payload that names a bad field value fails where the constructor would.
+        bad = pickle.dumps(Rf(2, "x", "0.25")).replace(b"0.25", b"nan!")
+        with pytest.raises(ValueError, match="nan!"):
+            pickle.loads(bad)
 
 
 def constants_cases() -> list:
