@@ -71,6 +71,11 @@ def random_deviation(rng):
     return DeviationMatrix(herm)
 
 
+def library_and_protocol_programs() -> list:
+    programs = [gate_library(name) for name in GATES]
+    return programs + [protocol_sequence(j, k) for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)]
+
+
 class TestConstants:
     def test_defaults(self):
         c = PhysicalConstants()
@@ -165,9 +170,7 @@ class TestPulseText:
             Delay(" 0.001")
 
     def test_every_registry_and_protocol_program_round_trips(self):
-        programs = [gate_library(name) for name in GATES]
-        programs += [protocol_sequence(j, k) for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)]
-        for seq in programs:
+        for seq in library_and_protocol_programs():
             assert parse_sequence(seq.to_text()) == seq
 
     @pytest.mark.parametrize("text", ["delay nan", "delay inf", "delay 1e400",
@@ -1133,11 +1136,6 @@ def old_segments(seq: PulseSequence) -> tuple:
         else:
             run.append(e)
     return tuple(runs + [tuple(run)])
-
-
-def library_and_protocol_programs() -> list:
-    programs = [gate_library(name) for name in GATES]
-    return programs + [protocol_sequence(j, k) for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)]
 
 
 class TestBuildOnce:
