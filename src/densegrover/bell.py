@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import Ket4, _frozen_array
+from .qstate import Ket4, _frozen_array, checked_index
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -33,12 +33,6 @@ BELL_ADJOINT = _BELL_MATRIX.conj().T
 BELL_ADJOINT.setflags(write=False)
 
 
-def _check_index(i: int) -> int:
-    if i not in (1, 2, 3, 4):
-        raise ValueError(f"Bell index must be 1..4, got {i!r}")
-    return i
-
-
 @dataclass(frozen=True, eq=False)
 class BellVector:
     """Coordinates of a two-spin state in the (psi1..psi4) basis."""
@@ -55,8 +49,7 @@ class BellVector:
 
 def bell_state(i: int) -> Ket4:
     """Exact amplitude vector of psi_i in the product basis."""
-    _check_index(i)
-    return Ket4(_BELL_MATRIX[:, i - 1])
+    return Ket4(_BELL_MATRIX[:, checked_index(i, range(1, 5), "Bell index") - 1])
 
 
 def to_bell_coords(state: Ket4) -> BellVector:
@@ -74,7 +67,7 @@ def rotate_epr(i: int, axis: str, theta: float) -> BellVector:
     pair (psi2, psi3) closed; an x rotation couples psi1 with psi3
     and psi2 with psi4 through an extra factor of i.
     """
-    _check_index(i)
+    checked_index(i, range(1, 5), "Bell index")
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
     if axis == "y":

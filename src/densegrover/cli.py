@@ -325,10 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, extras = build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
     if extras:
-        # parse_args would report these through the top-level parser.
-        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        # densegrover takes no option but -h, so leftovers before the
+        # subcommand are the top-level parser's; the rest are the subcommand's.
+        owner = args.parser if argv[0] == args.command else parser
+        owner.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         # Each command reports usage errors through its own subparser.
         return args.func(args, args.parser)

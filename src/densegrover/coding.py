@@ -18,7 +18,6 @@ import numpy as np
 from . import bell
 from .grover import (
     UChoice,
-    build_G,
     build_G_pair,
     is_preset,
     preset,
@@ -120,13 +119,6 @@ def _bell_column(psi0: np.ndarray) -> int:
     if not abs(coords[idx]) >= 1.0 - 1e-9:
         raise ValueError("starting state is not a pure Bell state")
     return idx + 1
-
-
-def starting_bell_index(c: UChoice) -> int:
-    """Which Bell state G(c) synthesizes from up-up (presets only)."""
-    if not is_preset(c):
-        raise ValueError("protocol runs require one of the eight named presets")
-    return _bell_column(build_G(c).matrix[:, 0])
 
 
 def _preset_outcomes(c: UChoice) -> tuple:

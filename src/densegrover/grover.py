@@ -19,9 +19,7 @@ from . import bell
 from .qstate import (
     BasisLabel,
     Operator4,
-    apply,
     checked_index,
-    ket_from_basis,
     kron2,
     rotation_2x2,
 )
@@ -187,9 +185,10 @@ def table1(c: UChoice) -> list[Table1Entry]:
             "table classification requires one of the eight named presets; "
             "apply build_G directly for generic angles"
         )
-    g = build_G(c)
+    # G's column i is G applied to basis input i.
+    images = bell.BELL_ADJOINT @ build_G(c).matrix
     entries = []
     for label in BasisLabel:
-        out = bell.to_bell_coords(apply(g, ket_from_basis(label)))
+        out = bell.BellVector(images[:, label.index])
         entries.append(Table1Entry(label, out, bell_combination_str(out)))
     return entries

@@ -430,7 +430,8 @@ def _superoperator(u: np.ndarray) -> np.ndarray:
     return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(16, 16)
 
 
-def _fold(seq: PulseSequence, j_hz: float | None) -> np.ndarray:
+@functools.lru_cache(maxsize=_PROGRAMS)
+def _transfer(seq: PulseSequence, j_hz: float | None) -> np.ndarray:
     first, *rest = seq.segments
     u = _lower_run(first, _frame(j_hz))
     if rest:
@@ -444,9 +445,6 @@ def _fold(seq: PulseSequence, j_hz: float | None) -> np.ndarray:
     return t
 
 
-_transfer = functools.lru_cache(maxsize=_PROGRAMS)(_fold)
-
-
 @functools.lru_cache(maxsize=_PROGRAMS)
 def _after_crush(runs: tuple, j_hz: float | None) -> np.ndarray:
     # The 16x4 map from the populations a crush leaves to vec of the state after
@@ -457,20 +455,6 @@ def _after_crush(runs: tuple, j_hz: float | None) -> np.ndarray:
         t = _superoperator(_lower_run(run, consts))[:, _POPULATIONS] @ t[_POPULATIONS]
     t.setflags(write=False)
     return t
-
-
-def element_channel(e, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> Callable:
-    """The element's action on deviation matrices.
-
-    The element is folded once, here, outside the program memo, so a
-    sweep of channels cannot evict the transfers of whole programs.
-    """
-    seq = PulseSequence((e,))
-    return functools.partial(_apply, _fold(seq, _j_key(seq, consts)))
-
-
-def _apply(t: np.ndarray, rho: DeviationMatrix) -> DeviationMatrix:
-    return DeviationMatrix((t @ rho.entries.reshape(16)).reshape(4, 4))
 
 
 def simulate_sequence(
@@ -488,7 +472,8 @@ def simulate_sequence(
     call lowers nothing; at J = 0 an n/dJ delay's key misses and the
     delay raises.
     """
-    return _apply(_transfer(seq, _j_key(seq, consts)), rho0)
+    t = _transfer(seq, _j_key(seq, consts))
+    return DeviationMatrix((t @ rho0.entries.reshape(16)).reshape(4, 4))
 
 
 def _rf(spin, axis, num, den=1) -> Rf:

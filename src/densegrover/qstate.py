@@ -101,12 +101,6 @@ class Ket4:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "Ket4":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return Ket4(self.amplitudes / n)
-
 
 @dataclass(frozen=True, eq=False)
 class Operator4:

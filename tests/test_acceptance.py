@@ -21,6 +21,15 @@ from densegrover.qstate import (
 RNG_SEED = 20260819
 _S = 1.0 / np.sqrt(2.0)
 
+
+def starting_bell_column(c):
+    """1-based index of the Bell state G(c) makes from up-up, asserted pure."""
+    coords = coding.run_protocol(c, 1).starting_bell.coords
+    column = int(np.argmax(np.abs(coords)))
+    assert abs(coords[column]) >= 1.0 - 1e-9
+    return column + 1
+
+
 # Published composite-operator matrices for the four y presets.
 GOLDEN_G = {
     1: np.array(
@@ -101,7 +110,7 @@ def test_criterion_02_classification_table():
 def test_criterion_03_outcome_table_and_bijectivity():
     for j in (1, 2, 3, 4):
         c = grover.preset("y", j)
-        column = coding.starting_bell_index(c)
+        column = starting_bell_column(c)
         outputs = set()
         for k in (1, 2, 3, 4):
             trace = coding.run_protocol(c, k)
@@ -162,14 +171,14 @@ def test_criterion_07_pulse_compiler_verification():
         nmr.Delay("1/4J"), nmr.Rf("both", "x", "pi"),
         nmr.Delay("1/4J"), nmr.Rf("both", "x", "-pi"),
     ))
-    plain = nmr.element_channel(nmr.Delay("1/2J"))
+    plain = nmr.PulseSequence((nmr.Delay("1/2J"),))
     for _ in range(10):
         raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         herm = raw + raw.conj().T
         herm -= np.trace(herm) / 4.0 * np.eye(4)
         rho = nmr.DeviationMatrix(herm)
         a = nmr.simulate_sequence(refocused, rho)
-        b = plain(rho)
+        b = nmr.simulate_sequence(plain, rho)
         assert np.abs(a.entries - b.entries).max() < 1e-12
     print("ACCEPTANCE 7: PASS — all 13 unitary pulse realizations match "
           "their targets below 1e-9; refocusing pair equals the half-coupling "
@@ -198,7 +207,7 @@ def test_criterion_09_pulse_level_fingerprints():
     }
     assert len(set(fingerprints.values())) == 4
     for j in (1, 2, 3, 4):
-        column = coding.starting_bell_index(grover.preset("y", j))
+        column = starting_bell_column(grover.preset("y", j))
         for k in (1, 2, 3, 4):
             seq = nmr.protocol_sequence(j, k)
             rho = nmr.simulate_sequence(seq, nmr.equilibrium_state())

@@ -34,11 +34,18 @@ def test_bell_states_orthonormal():
             assert abs(inner - (1.0 if i == j else 0.0)) < 1e-12
 
 
-def test_index_validated():
-    with pytest.raises(ValueError):
-        bell_state(0)
-    with pytest.raises(ValueError):
-        rotate_epr(5, "y", 0.1)
+@pytest.mark.parametrize("call", [bell_state, lambda i: rotate_epr(i, "y", 0.3)],
+                         ids=["bell_state", "rotate_epr"])
+@pytest.mark.parametrize("index", [True, 2.0, 0, 5])
+def test_index_validated(call, index):
+    # True and 2.0 equal valid indices, so only a type check refuses them.
+    with pytest.raises(ValueError, match=r"Bell index must be 1\.\.4"):
+        call(index)
+
+
+def test_numpy_integer_index_accepted():
+    assert np.array_equal(bell_state(np.int64(2)).amplitudes, bell_state(2).amplitudes)
+    assert np.array_equal(rotate_epr(np.int64(2), "x", 0.3).coords, rotate_epr(2, "x", 0.3).coords)
 
 
 def test_up_up_expansion():

@@ -405,6 +405,7 @@ class TestConstantsFile:
     ("compile", "bogus"),  # a library ValueError
     ("run", "2", "--trace", "y", "2"),  # arguments after an option
     ("tables", "1", "y", "extra"),  # an argument the subcommand does not take
+    ("run", "--bogus", "2", "y", "2"),  # an option the subcommand does not take
 ])
 def test_hand_written_errors_print_the_subcommand_usage(capsys, tmp_path, argv):
     argv = [arg.format(missing=tmp_path / "nope.txt") for arg in argv]
@@ -412,6 +413,13 @@ def test_hand_written_errors_print_the_subcommand_usage(capsys, tmp_path, argv):
     assert captured.out == ""
     assert captured.err.startswith(f"usage: densegrover {argv[0]} ")
     assert captured.err.splitlines()[-1].startswith(f"densegrover {argv[0]}: error: ")
+
+
+def test_top_level_option_is_reported_by_the_top_level_parser(capsys):
+    captured = expect_usage_error(capsys, "--bogus", "run", "2", "y", "2")
+    assert captured.out == ""
+    assert captured.err.startswith("usage: densegrover [-h] ")
+    assert captured.err.splitlines()[-1] == "densegrover: error: unrecognized arguments: --bogus"
 
 
 def golden(stem: str) -> str:

@@ -12,7 +12,6 @@ from densegrover.coding import (
     encoder_set,
     run_ancilla_protocol,
     run_protocol,
-    starting_bell_index,
     table2,
 )
 from densegrover.grover import UChoice, build_G, build_G_inverse, preset
@@ -26,6 +25,14 @@ from densegrover.qstate import (
 )
 
 RNG_SEED = 424242
+
+
+def starting_bell_column(c):
+    """1-based index of the Bell state G(c) makes from up-up, asserted pure."""
+    coords = run_protocol(c, 1).starting_bell.coords
+    column = int(np.argmax(np.abs(coords)))
+    assert abs(coords[column]) >= 1.0 - 1e-9
+    return column + 1
 
 
 def _ry(theta):
@@ -203,7 +210,7 @@ class TestTable2:
 
     def test_starting_bell_indices_cover_all_four(self):
         for axis in ("x", "y"):
-            indices = {starting_bell_index(preset(axis, j)) for j in (1, 2, 3, 4)}
+            indices = {starting_bell_column(preset(axis, j)) for j in (1, 2, 3, 4)}
             assert indices == {1, 2, 3, 4}
 
     def test_x_kind_first_column(self):
@@ -225,7 +232,7 @@ class TestTable2:
         grid = table2(kind)
         for j in (1, 2, 3, 4):
             c = preset(kind, j)
-            column = starting_bell_index(c)
+            column = starting_bell_column(c)
             labels = {k: run_protocol(c, k).output_label for k in (1, 2, 3, 4)}
             assert all(grid[(column, k)] is label for k, label in labels.items())
             assert coding._decode_map(kind, j) == {label: k for k, label in labels.items()}

@@ -323,6 +323,17 @@ class TestOneCheckedProduct:
 
 
 class TestTable1:
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_entries_equal_g_applied_to_each_basis_ket(self, axis, j):
+        c = preset(axis, j)
+        entries = table1(c)
+        assert [entry.input for entry in entries] == list(BasisLabel)
+        for entry in entries:
+            reference = to_bell_coords(apply(build_G(c), ket_from_basis(entry.input)))
+            assert np.abs(entry.output.coords - reference.coords).max() <= 1e-15
+            assert entry.display == bell_combination_str(reference)
+
     def test_second_preset_row(self):
         entries = table1(preset("y", 2))
         s = 1 / np.sqrt(2)

@@ -28,7 +28,6 @@ from densegrover.nmr import (
     alpha_angle,
     basis_pseudo_pure,
     decoding_sequence,
-    element_channel,
     element_unitary,
     equilibrium_state,
     gate_library,
@@ -254,13 +253,13 @@ class TestChannels:
 
     def test_gradient_fixes_diagonal_states(self):
         rho = DeviationMatrix(np.diag([0.75, -0.25, -0.25, -0.25]).astype(complex))
-        out = element_channel(Gradient())(rho)
+        out = simulate_sequence(PulseSequence((Gradient(),)), rho)
         assert np.array_equal(out.entries, rho.entries)
 
     def test_gradient_crushes_coherences(self):
         rng = np.random.default_rng(RNG_SEED)
         rho = random_deviation(rng)
-        out = element_channel(Gradient())(rho)
+        out = simulate_sequence(PulseSequence((Gradient(),)), rho)
         off_diagonal = out.entries - np.diag(np.diag(out.entries))
         assert np.abs(off_diagonal).max() == 0.0
         assert np.array_equal(np.diag(out.entries), np.diag(rho.entries))
@@ -295,11 +294,11 @@ class TestChannels:
         refocused = PulseSequence(
             (Delay("1/4J"), Rf("both", "x", "pi"), Delay("1/4J"), Rf("both", "x", "-pi"))
         )
-        plain = element_channel(Delay("1/2J"))
+        plain = PulseSequence((Delay("1/2J"),))
         for _ in range(20):
             rho = random_deviation(rng)
             a = simulate_sequence(refocused, rho)
-            b = plain(rho)
+            b = simulate_sequence(plain, rho)
             assert np.abs(a.entries - b.entries).max() < 1e-12
 
     def test_sign_flip_sequence_matches_conjugation(self):
@@ -866,7 +865,6 @@ class TestLowering:
         rho = equilibrium_state()
         expected = simulate_sequence(seq, rho)
         monkeypatch.setattr(nmr, "element_unitary", counted)
-        monkeypatch.setattr(nmr, "element_channel", None)
         out = simulate_sequence(protocol_sequence(4, 2), rho)
         assert calls == []
         assert np.array_equal(out.entries, expected.entries)
@@ -1039,21 +1037,10 @@ class TestTransfer:
             with pytest.raises(ValueError, match="uncoupled pair"):
                 simulate_sequence(seq, equilibrium_state(uncoupled), uncoupled)
 
-    def test_element_channels_do_not_evict_program_transfers(self):
-        rho = equilibrium_state()
-        for j in (1, 2, 3, 4):
-            for k in (1, 2, 3, 4):
-                simulate_sequence(protocol_sequence(j, k), rho)
-        for n in range(130):
-            element_channel(Rf(1, "x", pi_fraction(n + 1, 131)))(rho)
-        before = nmr._transfer.cache_info()
-        simulate_sequence(protocol_sequence(2, 3), rho)
-        after = nmr._transfer.cache_info()
-        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
-
     def test_channel_of_a_j_relative_delay_raises_when_built_at_j_0(self):
+        uncoupled = PhysicalConstants(j_hz=0.0)
         with pytest.raises(ValueError, match="uncoupled pair"):
-            element_channel(Delay("1/2J"), PhysicalConstants(j_hz=0.0))
+            simulate_sequence(PulseSequence((Delay("1/2J"),)), equilibrium_state(uncoupled), uncoupled)
 
 
 def random_program(rng: random.Random, index: int) -> PulseSequence:
