@@ -179,14 +179,6 @@ def cmd_run(args, parser) -> int:
     return 0
 
 
-def _check_prep(consts) -> tuple:
-    rho = nmr.prepare_pseudo_pure(consts).entries
-    target = nmr.target_pseudo_pure()
-    scale = float(np.real(np.trace(rho @ target) / np.trace(target @ target)))
-    deviation = float(np.abs(rho - scale * target).max() / np.abs(scale * target).max())
-    return scale, deviation
-
-
 def cmd_verify(args, parser) -> int:
     consts = _load_constants(parser, args.constants)
     verifiable = [name for name, gate in nmr.GATES.items() if gate.ideal] + ["pseudo-pure-prep"]
@@ -200,7 +192,7 @@ def cmd_verify(args, parser) -> int:
     for name in names:
         try:
             if name == "pseudo-pure-prep":
-                scale, deviation = _check_prep(consts)
+                scale, deviation = nmr.pseudo_pure_fit(nmr.prepare_pseudo_pure(consts))
                 ok = scale > 0 and deviation < 1e-9
                 detail = f"relative deviation {deviation:.3e}  scale {scale:.6f}"
             else:

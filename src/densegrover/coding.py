@@ -37,6 +37,10 @@ from .qstate import (
 )
 
 
+# Bound of the outcomes memo: its callers key it on the eight presets only.
+_PRESETS = 8
+
+
 def _pauli_on_2(axis: str) -> Operator4:
     # sigma = -i R(pi); the scalar passes through the tensor embedding.
     return scaled(single_spin_rotation(2, axis, np.pi), -1j)
@@ -121,16 +125,18 @@ def _bell_column(psi0: np.ndarray) -> int:
     return idx + 1
 
 
-def _preset_outcomes(c: UChoice) -> tuple:
+@functools.lru_cache(maxsize=_PRESETS)
+def _preset_outcomes(c: UChoice) -> tuple[int, tuple[BasisLabel, ...]]:
     """Starting Bell index of preset c and the output labels of its runs k = 1..4.
 
     The four runs share one G(c) and one G^-1(c) and are one stacked
-    product: row k-1 of (V_k psi0) @ G^-1.T is G^-1 V_k psi0.
+    product: row k-1 of (V_k psi0) @ G^-1.T is G^-1 V_k psi0.  Memoised
+    per preset; table2 and the decoder both read it.
     """
     g, g_inv = build_G_pair(c)
     psi0 = g.matrix[:, 0]
     outputs = (_encoder_stack(c.axis) @ psi0) @ g_inv.matrix.T
-    return _bell_column(psi0), [_LABELS[i] for i in np.abs(outputs).argmax(axis=1).tolist()]
+    return _bell_column(psi0), tuple(_LABELS[i] for i in np.abs(outputs).argmax(axis=1).tolist())
 
 
 def table2(kind: str = "y") -> dict:

@@ -26,8 +26,8 @@ from .qstate import (
 
 _PI = np.pi
 
-# Bound of the (G, G^-1) memo.  The eight presets fit with room to spare;
-# generic angles cycle through the rest.
+# Bound of each memo keyed on a UChoice: the (G, G^-1) pairs and Table 1.
+# The eight presets fit with room to spare; other angles cycle through the rest.
 _ANGLE_CHOICES = 16
 
 # Preset rotation angles (phi1, phi2), indexed 1..4 per axis.
@@ -185,10 +185,20 @@ def table1(c: UChoice) -> list[Table1Entry]:
             "table classification requires one of the eight named presets; "
             "apply build_G directly for generic angles"
         )
+    return list(_table1_entries(c))
+
+
+@functools.lru_cache(maxsize=_ANGLE_CHOICES)
+def _table1_entries(c: UChoice) -> tuple[Table1Entry, ...]:
+    """table1's entries, memoised per angle choice; each entry is immutable.
+
+    Keyed on c itself, not its preset index, so a choice within the preset
+    tolerance gets the images of its own G.
+    """
     # G's column i is G applied to basis input i.
     images = bell.BELL_ADJOINT @ build_G(c).matrix
     entries = []
     for label in BasisLabel:
         out = bell.BellVector(images[:, label.index])
         entries.append(Table1Entry(label, out, bell_combination_str(out)))
-    return entries
+    return tuple(entries)

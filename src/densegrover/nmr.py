@@ -630,6 +630,19 @@ def target_pseudo_pure() -> np.ndarray:
     return IZ1 / 2 + IZ2 / 2 + IZIZ
 
 
+def pseudo_pure_fit(rho: DeviationMatrix) -> tuple[float, float]:
+    """(scale, deviation) of rho against the pseudo-pure target.
+
+    scale is the projection of rho on the target; deviation is the largest
+    entry of rho - scale * target relative to the largest of scale * target.
+    """
+    entries = rho.entries
+    target = target_pseudo_pure()
+    scale = float(np.real(np.trace(entries @ target) / np.trace(target @ target)))
+    deviation = float(np.abs(entries - scale * target).max() / np.abs(scale * target).max())
+    return scale, deviation
+
+
 def basis_pseudo_pure(label: BasisLabel) -> DeviationMatrix:
     """|label><label| - I/4."""
     proj = np.zeros((4, 4), dtype=complex)

@@ -180,11 +180,9 @@ def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def single_spin_rotation(spin: int, axis: str, angle: float) -> Operator4:
     """Rotation of one spin embedded in the two-spin space."""
     r = rotation_2x2(axis, angle)
-    if spin == 1:
+    if checked_index(spin, range(1, 3), "spin") == 1:
         return Operator4(kron2(r, _EYE2))
-    if spin == 2:
-        return Operator4(kron2(_EYE2, r))
-    raise ValueError(f"spin must be 1 or 2, got {spin!r}")
+    return Operator4(kron2(_EYE2, r))
 
 
 def identity() -> Operator4:
@@ -256,12 +254,10 @@ def equal_up_to_phase(a, b, tol: float = EXACT_TOL) -> PhaseMatch:
 def partial_trace(state: Ket4, keep: int) -> ReducedState:
     """Reduced density matrix of one spin, tracing out the other."""
     psi = state.amplitudes.reshape(2, 2)
-    if keep == 1:
+    if checked_index(keep, range(1, 3), "keep") == 1:
         rho = np.einsum("ab,cb->ac", psi, psi.conj())
-    elif keep == 2:
-        rho = np.einsum("ab,ac->bc", psi, psi.conj())
     else:
-        raise ValueError(f"keep must be 1 or 2, got {keep!r}")
+        rho = np.einsum("ab,ac->bc", psi, psi.conj())
     return ReducedState(rho)
 
 

@@ -222,6 +222,7 @@ class TestTable2:
     def test_builds_g_and_its_inverse_once_per_preset(self, kind, monkeypatch):
         # G and G^-1 of a preset come from one U.
         grover.build_G_pair.cache_clear()
+        coding._preset_outcomes.cache_clear()
         calls = []
         monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
         table2(kind)
@@ -236,6 +237,44 @@ class TestTable2:
             labels = {k: run_protocol(c, k).output_label for k in (1, 2, 3, 4)}
             assert all(grid[(column, k)] is label for k, label in labels.items())
             assert coding._decode_map(kind, j) == {label: k for k, label in labels.items()}
+
+
+class TestOutcomesMemo:
+    @pytest.mark.parametrize("kind", ["x", "y"])
+    def test_a_second_table_builds_no_u_and_classifies_nothing(self, kind, monkeypatch):
+        first = table2(kind)
+        built, classified = [], []
+        monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: built.append(c) or b(c))
+        monkeypatch.setattr(coding, "_bell_column",
+                            lambda psi0, b=coding._bell_column: classified.append(psi0) or b(psi0))
+        assert table2(kind) == first
+        assert built == [] and classified == []
+
+    @pytest.mark.parametrize("kind", ["x", "y"])
+    def test_mutating_a_returned_grid_changes_no_later_result(self, kind):
+        expected = {cell: label for cell, label in table2(kind).items()}
+        grid = table2(kind)
+        grid[(1, 1)] = BasisLabel.DD
+        del grid[(2, 2)]
+        assert table2(kind) is not grid
+        assert table2(kind) == expected
+        for j in (1, 2, 3, 4):
+            c = preset(kind, j)
+            assert all(decode(run_protocol(c, k).output_label, c) == k for k in (1, 2, 3, 4))
+
+    def test_decoder_and_table_read_one_memo(self):
+        coding._preset_outcomes.cache_clear()
+        coding._decode_map.cache_clear()
+        table2("x")
+        decode(BasisLabel.UU, preset("x", 3))
+        info = coding._preset_outcomes.cache_info()
+        assert (info.misses, info.hits) == (4, 1)
+
+    def test_outcomes_are_an_immutable_tuple(self):
+        column, labels = coding._preset_outcomes(preset("y", 2))
+        assert column == starting_bell_column(preset("y", 2))
+        assert isinstance(labels, tuple)
+        assert labels == tuple(run_protocol(preset("y", 2), k).output_label for k in (1, 2, 3, 4))
 
 
 class TestGMemo:

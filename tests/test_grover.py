@@ -368,6 +368,95 @@ class TestTable1:
             table1(UChoice("y", 0.2, 0.9))
 
 
+def reference_entries(c):
+    """Bell coordinates of the reference chain's G on each basis ket, in canonical order."""
+    _, g, _ = reference_chain(c)
+    return [to_bell_coords(apply(g, ket_from_basis(label))) for label in BasisLabel]
+
+
+def assert_entries_equal_reference(entries, c):
+    assert [entry.input for entry in entries] == list(BasisLabel)
+    for entry, reference in zip(entries, reference_entries(c)):
+        assert np.array_equal(entry.output.coords, reference.coords)
+        assert entry.display == bell_combination_str(reference)
+
+
+def counted(monkeypatch, name) -> list:
+    """Record each call of grover.<name> while still running it."""
+    calls = []
+    original = getattr(grover, name)
+    monkeypatch.setattr(grover, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+# Within table1's preset tolerance of y1.  A one-ulp step of phi1 leaves
+# G's bits as they are; one of phi2 changes them.
+NEAR_Y1 = [
+    UChoice("y", float(np.nextafter(np.pi / 4, 1)), 3 * np.pi / 4),
+    UChoice("y", np.pi / 4, float(np.nextafter(3 * np.pi / 4, 4))),
+]
+
+
+class TestTable1Memo:
+    @pytest.mark.parametrize("c", [preset("x", 3), preset("y", 1)] + NEAR_Y1,
+                             ids=["x3", "y1", "near-y1-phi1", "near-y1-phi2"])
+    def test_a_second_call_builds_no_u_and_formats_nothing(self, c, monkeypatch):
+        first = table1(c)
+        built, formatted = counted(monkeypatch, "build_U"), counted(monkeypatch, "bell_combination_str")
+        second = table1(c)
+        assert built == [] and formatted == []
+        assert second is not first
+        assert all(a is b for a, b in zip(second, first)) and len(second) == 4
+
+    def test_mutating_a_returned_list_changes_no_later_result(self):
+        c = preset("y", 2)
+        entries = table1(c)
+        entries.reverse()
+        entries.pop()
+        entries[0] = None
+        assert_entries_equal_reference(table1(c), c)
+
+    def test_entries_are_immutable(self):
+        entry = table1(preset("x", 1))[0]
+        with pytest.raises(AttributeError):
+            entry.display = "|ψ4>"
+        with pytest.raises(ValueError):
+            entry.output.coords[0] = 0.0
+
+    @pytest.mark.parametrize("c", NEAR_Y1, ids=["phi1", "phi2"])
+    def test_a_near_preset_choice_gets_its_own_g_bit_for_bit(self, c):
+        assert is_preset(c)
+        assert_entries_equal_reference(table1(c), c)
+
+    def test_the_near_preset_key_is_the_choice_not_its_index(self):
+        # The phi2 neighbour's G differs from y1's in its last bits, so a
+        # memo keyed on the preset index would hand it y1's entries.
+        near, y1 = table1(NEAR_Y1[1]), table1(preset("y", 1))
+        assert any(not np.array_equal(a.output.coords, b.output.coords) for a, b in zip(near, y1))
+
+    def test_near_preset_choices_evict_the_presets_which_rebuild_equal(self, monkeypatch):
+        presets = [preset(axis, j) for axis in ("x", "y") for j in (1, 2, 3, 4)]
+        for c in presets:
+            table1(c)
+        # 20 distinct choices, each up to 3 ulps (3.3e-16) of phi1 off a preset.
+        near = []
+        for steps in (1, 2, 3):
+            for c in presets:
+                phi1 = c.phi1
+                for _ in range(steps):
+                    phi1 = float(np.nextafter(phi1, 1))
+                near.append(UChoice(c.axis, phi1, c.phi2))
+        near = near[:20]
+        assert len(set(near)) == 20 and all(is_preset(c) for c in near)
+        for c in near:
+            table1(c)
+        built, formatted = counted(monkeypatch, "build_U"), counted(monkeypatch, "bell_combination_str")
+        for c in presets:
+            assert_entries_equal_reference(table1(c), c)
+        assert built == [(c,) for c in presets]  # every preset had been evicted
+        assert len(formatted) == 4 * len(presets)
+
+
 class TestDisplayStrings:
     def test_single_state(self):
         assert bell_combination_str(bell_coords(0, -1, 0, 0)) == "|ψ2>"

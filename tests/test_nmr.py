@@ -39,6 +39,7 @@ from densegrover.nmr import (
     predict_spectrum,
     prepare_pseudo_pure,
     protocol_sequence,
+    pseudo_pure_fit,
     simulate_sequence,
     spectrum_fingerprint,
     synthesis_sequence,
@@ -580,6 +581,17 @@ class TestPseudoPure:
         scale = np.real(np.trace(rho @ target) / np.trace(target @ target))
         assert scale > 0
         assert np.abs(rho - scale * target).max() < 1e-9
+
+    @pytest.mark.parametrize("gamma_ratio", [0.6, 3.97])
+    def test_fit_equals_the_projection_on_the_target(self, gamma_ratio):
+        rho = prepare_pseudo_pure(PhysicalConstants(gamma_ratio=gamma_ratio))
+        target = target_pseudo_pure()
+        scale = np.real(np.trace(rho.entries @ target) / np.trace(target @ target))
+        deviation = np.abs(rho.entries - scale * target).max() / np.abs(scale * target).max()
+        assert pseudo_pure_fit(rho) == (scale, deviation)
+        assert pseudo_pure_fit(basis_pseudo_pure(BasisLabel.UU)) == (1.0, 0.0)
+        scale_dd, deviation_dd = pseudo_pure_fit(basis_pseudo_pure(BasisLabel.DD))
+        assert scale_dd < 0 and deviation_dd > 1
 
     def test_basis_pseudo_pure_diagonals(self):
         rho = basis_pseudo_pure(BasisLabel.DU)

@@ -111,6 +111,15 @@ class TestRotations:
         with pytest.raises(ValueError):
             single_spin_rotation(1, "x", np.inf)
 
+    @pytest.mark.parametrize("spin", [True, 1.0, 2.0, 0, 3], ids=repr)
+    def test_spin_must_be_the_integer_1_or_2(self, spin):
+        with pytest.raises(ValueError, match=r"spin must be 1\.\.2"):
+            single_spin_rotation(spin, "y", 0.3)
+
+    def test_numpy_integer_spin_is_accepted(self):
+        op = single_spin_rotation(np.int64(2), "y", 0.3)
+        assert np.array_equal(op.matrix, single_spin_rotation(2, "y", 0.3).matrix)
+
 
 class TestKron2:
     def test_equals_np_kron_on_rotations_and_the_identity(self):
@@ -244,6 +253,16 @@ class TestPartialTrace:
     def test_keep_validated(self):
         with pytest.raises(ValueError):
             partial_trace(ket_from_basis(BasisLabel.UU), keep=3)
+
+    @pytest.mark.parametrize("keep", [True, 1.0, 2.0, 0, 3], ids=repr)
+    def test_keep_must_be_the_integer_1_or_2(self, keep):
+        with pytest.raises(ValueError, match=r"keep must be 1\.\.2"):
+            partial_trace(ket_from_basis(BasisLabel.UD), keep)
+
+    def test_numpy_integer_keep_is_accepted(self):
+        psi = Ket4(np.array([1, 2j, 0, 1]) / np.sqrt(6))
+        reduced = partial_trace(psi, np.int64(2))
+        assert np.array_equal(reduced.entries, partial_trace(psi, 2).entries)
 
     def test_reduced_state_validation(self):
         with pytest.raises(ValueError):
