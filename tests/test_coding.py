@@ -252,7 +252,7 @@ class TestOutcomesMemo:
 
     @pytest.mark.parametrize("kind", ["x", "y"])
     def test_mutating_a_returned_grid_changes_no_later_result(self, kind):
-        expected = {cell: label for cell, label in table2(kind).items()}
+        expected = dict(table2(kind))
         grid = table2(kind)
         grid[(1, 1)] = BasisLabel.DD
         del grid[(2, 2)]
