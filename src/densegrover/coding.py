@@ -37,10 +37,6 @@ from .qstate import (
 )
 
 
-# Bound of the outcomes memo: its callers key it on the eight presets only.
-_PRESETS = 8
-
-
 def _pauli_on_2(axis: str) -> Operator4:
     # sigma = -i R(pi); the scalar passes through the tensor embedding.
     return scaled(single_spin_rotation(2, axis, np.pi), -1j)
@@ -66,14 +62,6 @@ def encoder_set(kind: str) -> tuple:
     else:
         raise ValueError(f"encoder-set kind must be x or y, got {kind!r}")
     return ops
-
-
-@functools.lru_cache(maxsize=None)
-def _encoder_stack(kind: str) -> np.ndarray:
-    """The matrices of encoder_set(kind) as one read-only (4, 4, 4) array."""
-    stack = np.stack([v.matrix for v in encoder_set(kind)])
-    stack.setflags(write=False)
-    return stack
 
 
 def encoder(kind: str, k: int) -> Operator4:
@@ -125,38 +113,33 @@ def _bell_column(psi0: np.ndarray) -> int:
     return idx + 1
 
 
-@functools.lru_cache(maxsize=_PRESETS)
-def _preset_outcomes(c: UChoice) -> tuple[int, tuple[BasisLabel, ...]]:
-    """Starting Bell index of preset c and the output labels of its runs k = 1..4.
+@functools.lru_cache(maxsize=None)
+def _preset_outcomes(kind: str, j: int) -> tuple[int, tuple[BasisLabel, ...]]:
+    """Starting Bell index of preset (kind, j) and the output labels of its runs k = 1..4.
 
-    The four runs share one G(c) and one G^-1(c) and are one stacked
-    product: row k-1 of (V_k psi0) @ G^-1.T is G^-1 V_k psi0.  Memoised
-    per preset; table2 and the decoder both read it.
+    The four runs share one G and one G^-1 and are one stacked product:
+    row k-1 of (V_k psi0) @ G^-1.T is G^-1 V_k psi0.  A bad kind or j
+    raises in preset() before anything is stored, so the memo holds at
+    most the eight presets; table2 and decode both read it.
     """
-    g, g_inv = build_G_pair(c)
+    g, g_inv = build_G_pair(preset(kind, j))
     psi0 = g.matrix[:, 0]
-    outputs = (_encoder_stack(c.axis) @ psi0) @ g_inv.matrix.T
-    return _bell_column(psi0), tuple(_LABELS[i] for i in np.abs(outputs).argmax(axis=1).tolist())
+    outputs = (np.stack([v.matrix for v in encoder_set(kind)]) @ psi0) @ g_inv.matrix.T
+    labels = tuple(_LABELS[i] for i in np.abs(outputs).argmax(axis=1).tolist())
+    # Injectivity of k -> label is what makes two-bit transmission work.
+    if len(set(labels)) != 4:
+        raise AssertionError(f"outcome map for preset {j} ({kind}) is not a bijection")
+    return _bell_column(psi0), labels
 
 
 def table2(kind: str = "y") -> dict:
     """Outcome grid keyed by (starting Bell index, k) over all 16 runs."""
     grid = {}
     for j in (1, 2, 3, 4):
-        column, labels = _preset_outcomes(preset(kind, j))
+        column, labels = _preset_outcomes(kind, j)
         for k, label in enumerate(labels, start=1):
             grid[(column, k)] = label
     return grid
-
-
-@functools.lru_cache(maxsize=None)
-def _decode_map(axis: str, j: int) -> dict:
-    _, labels = _preset_outcomes(preset(axis, j))
-    mapping = {label: k for k, label in enumerate(labels, start=1)}
-    # Injectivity of k -> label is what makes two-bit transmission work.
-    if len(mapping) != 4:
-        raise AssertionError(f"outcome map for preset {j} ({axis}) is not a bijection")
-    return mapping
 
 
 def decode(output: BasisLabel, c: UChoice) -> int:
@@ -164,7 +147,7 @@ def decode(output: BasisLabel, c: UChoice) -> int:
     j = preset_index(c)
     if j is None:
         raise ValueError("decoding requires one of the eight named presets")
-    return _decode_map(c.axis, j)[output]
+    return _preset_outcomes(c.axis, j)[1].index(output) + 1
 
 
 @dataclass(frozen=True)

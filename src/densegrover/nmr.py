@@ -48,6 +48,7 @@ from .qstate import (
     BasisLabel,
     Operator4,
     _frozen_array,
+    check_hermitian,
     checked_index,
     kron2,
     phase_fit,
@@ -374,11 +375,7 @@ class DeviationMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen_array(self.entries, (4, 4)))
-        m = self.entries
-        if not np.abs(m - m.conj().T).max() < 1e-12:  # written so that NaN fails
-            raise ValueError("deviation matrix must be Hermitian")
-        if not abs(m.trace()) < 1e-12:
-            raise ValueError("deviation matrix must be traceless")
+        check_hermitian(self.entries, 0, "deviation matrix")
 
 
 def element_unitary(e, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:

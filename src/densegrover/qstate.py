@@ -77,6 +77,15 @@ def _frozen_array(data, shape) -> np.ndarray:
     return arr
 
 
+def check_hermitian(m: np.ndarray, trace: int, name: str) -> None:
+    """Raise a ValueError naming `name` unless m is Hermitian with the given
+    trace, each within EXACT_TOL.  Written so that a NaN entry fails."""
+    if not np.abs(m - m.conj().T).max() < EXACT_TOL:
+        raise ValueError(f"{name} must be Hermitian")
+    if not abs(m.trace() - trace) < EXACT_TOL:
+        raise ValueError(f"{name} must have trace {trace}")
+
+
 def checked_index(value, allowed: range, name: str) -> int:
     """value if it is an integer in `allowed`, else a ValueError naming it.
 
@@ -127,10 +136,7 @@ class ReducedState:
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen_array(self.entries, (2, 2)))
         m = self.entries
-        if not np.abs(m - m.conj().T).max() < EXACT_TOL:
-            raise ValueError("reduced state must be Hermitian")
-        if not abs(m.trace() - 1.0) < EXACT_TOL:
-            raise ValueError("reduced state must have trace 1")
+        check_hermitian(m, 1, "reduced state")
         eigs = np.linalg.eigvalsh(m)
         if not (eigs.min() >= -EXACT_TOL and eigs.max() <= 1.0 + EXACT_TOL):
             raise ValueError("reduced-state eigenvalues must lie in [0, 1]")

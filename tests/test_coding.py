@@ -236,7 +236,7 @@ class TestTable2:
             column = starting_bell_column(c)
             labels = {k: run_protocol(c, k).output_label for k in (1, 2, 3, 4)}
             assert all(grid[(column, k)] is label for k, label in labels.items())
-            assert coding._decode_map(kind, j) == {label: k for k, label in labels.items()}
+            assert all(decode(label, c) == k for k, label in labels.items())
 
 
 class TestOutcomesMemo:
@@ -264,17 +264,68 @@ class TestOutcomesMemo:
 
     def test_decoder_and_table_read_one_memo(self):
         coding._preset_outcomes.cache_clear()
-        coding._decode_map.cache_clear()
         table2("x")
         decode(BasisLabel.UU, preset("x", 3))
         info = coding._preset_outcomes.cache_info()
         assert (info.misses, info.hits) == (4, 1)
 
     def test_outcomes_are_an_immutable_tuple(self):
-        column, labels = coding._preset_outcomes(preset("y", 2))
+        column, labels = coding._preset_outcomes("y", 2)
         assert column == starting_bell_column(preset("y", 2))
         assert isinstance(labels, tuple)
         assert labels == tuple(run_protocol(preset("y", 2), k).output_label for k in (1, 2, 3, 4))
+
+    @pytest.mark.parametrize("kind", ["x", "y"])
+    def test_warm_table_and_decode_build_no_u_choice(self, kind, monkeypatch):
+        c = preset(kind, 3)
+        table2(kind)
+        decode(BasisLabel.DU, c)
+        built = []
+        monkeypatch.setattr(grover.UChoice, "__post_init__",
+                            lambda self, p=grover.UChoice.__post_init__: built.append(self) or p(self))
+        table2(kind)
+        decode(BasisLabel.DU, c)
+        assert built == []
+
+    def test_bad_kind_raises_cold_and_warm(self):
+        coding._preset_outcomes.cache_clear()
+        with pytest.raises(ValueError, match="axis must be x or y"):
+            table2("q")
+        table2("y")
+        with pytest.raises(ValueError, match="axis must be x or y"):
+            table2("q")
+
+    def test_memo_holds_at_most_the_eight_presets(self):
+        for kind in ("x", "y"):
+            table2(kind)
+            for j in (1, 2, 3, 4):
+                decode(BasisLabel.UU, preset(kind, j))
+        assert coding._preset_outcomes("y", np.int64(2)) == coding._preset_outcomes("y", 2)
+        for kind, j in [("q", 1), ("", 2), ("Y", 1), ("y", 0), ("y", 5), ("x", -1)]:
+            with pytest.raises(ValueError):
+                coding._preset_outcomes(kind, j)
+        with pytest.raises(ValueError):
+            table2("z")
+        assert coding._preset_outcomes.cache_info().currsize <= 8
+
+    def test_decode_rejects_a_string_label(self):
+        with pytest.raises(ValueError):
+            decode("uu", preset("y", 1))
+
+    def test_table_and_decoder_both_check_the_bijection(self, monkeypatch):
+        def repeated_first(kind, real=coding.encoder_set):
+            ops = real(kind)
+            return (ops[0], ops[0], ops[2], ops[3])
+
+        monkeypatch.setattr(coding, "encoder_set", repeated_first)
+        coding._preset_outcomes.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="is not a bijection"):
+                table2("y")
+            with pytest.raises(AssertionError, match="is not a bijection"):
+                decode(BasisLabel.UU, preset("x", 2))
+        finally:
+            coding._preset_outcomes.cache_clear()
 
 
 class TestGMemo:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from densegrover.nmr import DeviationMatrix
 from densegrover.qstate import (
     BasisLabel,
     Ket4,
@@ -273,6 +274,89 @@ class TestPartialTrace:
     def test_reduced_state_rejects_nan(self):
         with pytest.raises(ValueError):
             ReducedState(np.full((2, 2), np.nan))
+
+
+def _old_reduced_state_ok(m):
+    """The check ReducedState made on its own, kept here as the reference."""
+    m = np.array(m, dtype=complex)
+    if not np.abs(m - m.conj().T).max() < 1e-12:
+        return False
+    if not abs(m.trace() - 1.0) < 1e-12:
+        return False
+    eigs = np.linalg.eigvalsh(m)
+    return bool(eigs.min() >= -1e-12 and eigs.max() <= 1.0 + 1e-12)
+
+
+def _old_deviation_matrix_ok(m):
+    """The check DeviationMatrix made on its own, kept here as the reference."""
+    m = np.array(m, dtype=complex)
+    return bool(np.abs(m - m.conj().T).max() < 1e-12 and abs(m.trace()) < 1e-12)
+
+
+def _random_density_2x2(rng):
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = a @ a.conj().T
+    return rho / rho.trace().real
+
+
+def _random_traceless_4x4(rng):
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = (a + a.conj().T) / 2
+    return h - np.eye(4) * h.trace().real / 4
+
+
+def _perturbed(rng, base):
+    """The base, its off-diagonal skews and trace offsets, and a NaN and an inf entry."""
+    n = base.shape[0]
+    cases = [base]
+    for delta in (0.5e-12, 2e-12):
+        for phase in (1, 1j, -1):
+            i, k = rng.choice(n, size=2, replace=False)
+            skewed = base.copy()
+            skewed[i, k] += phase * delta
+            cases.append(skewed)
+        for sign in (1, -1):
+            shifted = base.copy()
+            i = rng.integers(n)
+            shifted[i, i] += sign * delta
+            cases.append(shifted)
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf)):
+        m = base.copy()
+        m[rng.integers(n), rng.integers(n)] = bad
+        cases.append(m)
+    return cases
+
+
+class TestHermitianCheck:
+    @pytest.mark.parametrize("make, reference, draw", [
+        (ReducedState, _old_reduced_state_ok, _random_density_2x2),
+        (DeviationMatrix, _old_deviation_matrix_ok, _random_traceless_4x4),
+    ], ids=["ReducedState", "DeviationMatrix"])
+    def test_accepts_exactly_what_the_old_predicate_accepts(self, make, reference, draw):
+        rng = np.random.default_rng(RNG_SEED)
+        verdicts = []
+        for _ in range(200):
+            for m in _perturbed(rng, draw(rng)):
+                # An inf on the diagonal makes inf - inf in both checks.
+                with np.errstate(invalid="ignore"):
+                    try:
+                        make(m)
+                        accepted = True
+                    except ValueError:
+                        accepted = False
+                    assert accepted == reference(m), m
+                verdicts.append(accepted)
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("make, entries, message", [
+        (ReducedState, [[0.5, 0.2], [0.3, 0.5]], "reduced state must be Hermitian"),
+        (ReducedState, [[0.5, 0.0], [0.0, 0.6]], "reduced state must have trace 1"),
+        (DeviationMatrix, np.diag([1.0, 0.0, 0.0, 0.0]), "deviation matrix must have trace 0"),
+        (DeviationMatrix, np.triu(np.ones((4, 4))), "deviation matrix must be Hermitian"),
+    ])
+    def test_names_the_failed_property(self, make, entries, message):
+        with pytest.raises(ValueError, match=message):
+            make(np.array(entries))
 
 
 class TestMeasurement:
