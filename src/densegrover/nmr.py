@@ -18,11 +18,14 @@ vec(rho)[4*i + j] = rho[i, j].  A gradient-free run with net unitary U
 is kron(U, conj U) there, and a full crush keeps only the 4 population
 entries vec(rho)[0, 5, 10, 15] and zeroes the other 12.
 
-Every memo here is keyed on a program and one J (`_j_key`).  The frame
+Every memo here is keyed on a program and one J (`_j_key`), plus, for
+the simulated state, the starting state by identity.  The frame
 reads no constant but J, and an n/dJ delay turns the coupling by
 2*pi*n/d at every J != 0, so the key is J where the program holds a
 delay given in seconds or where J = 0, and None otherwise: at J = 0 an
-n/dJ delay misses and raises.  The transfer is the first run followed
+n/dJ delay misses and raises.  A memoised state is shared and
+immutable, and both spins' spectrum amplitudes are read off it once,
+on the first spectrum asked of it.  The transfer is the first run followed
 by the memoised map of the runs after the first crush (`_after_crush`),
 which programs that differ only before that crush share.  A cold call,
 the prep under fresh constants (its alpha pulse reads gamma_ratio),
@@ -369,9 +372,15 @@ def parse_sequence(text: str) -> PulseSequence:
 
 @dataclass(frozen=True, eq=False)
 class DeviationMatrix:
-    """Traceless Hermitian 4x4 matrix carrying the observable signal."""
+    """Traceless Hermitian 4x4 matrix carrying the observable signal.
+
+    It pickles by its entries, so a load checks and freezes them again
+    and carries no stored spectrum amplitudes (`_amplitudes`).
+    """
 
     entries: np.ndarray
+
+    __reduce__ = _by_fields
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen_array(self.entries, (4, 4)))
@@ -468,9 +477,20 @@ def simulate_sequence(
     transfer is memoised on the program and its `_j_key`, so a warm
     call lowers nothing; at J = 0 an n/dJ delay's key misses and the
     delay raises.
+
+    The result is memoised too, on (program, `_j_key`, rho0), with rho0
+    keyed by identity (`DeviationMatrix` compares by identity; the memo
+    holds rho0, so its id is not reused while the entry lives).  A warm
+    call returns the same state, built and checked once, which is
+    immutable and shared, as `equilibrium_state`'s is; an equal rho0
+    built apart is a new key.
     """
-    t = _transfer(seq, _j_key(seq, consts))
-    return DeviationMatrix((t @ rho0.entries.reshape(16)).reshape(4, 4))
+    return _simulate(seq, _j_key(seq, consts), rho0)
+
+
+@functools.lru_cache(maxsize=_PROGRAMS)
+def _simulate(seq: PulseSequence, j_hz: float | None, rho0: DeviationMatrix) -> DeviationMatrix:
+    return DeviationMatrix((_transfer(seq, j_hz) @ rho0.entries.reshape(16)).reshape(4, 4))
 
 
 def _rf(spin, axis, num, den=1) -> Rf:
@@ -679,6 +699,17 @@ def _readout(spin: int) -> np.ndarray:
     return _frozen_array(rows / reference, (2, 16))
 
 
+def _amplitudes(rho: DeviationMatrix) -> tuple:
+    # Each spin's (partner-up, partner-down) amplitudes, read on the first call
+    # and stored on the immutable state, so they live exactly as long as it does.
+    pairs = getattr(rho, "_pairs", None)
+    if pairs is None:
+        v = rho.entries.reshape(16)
+        pairs = (tuple((_readout(1) @ v).tolist()), tuple((_readout(2) @ v).tolist()))
+        _store(rho, _pairs=pairs)
+    return pairs
+
+
 def predict_spectrum(
     rho: DeviationMatrix,
     spin: int,
@@ -689,11 +720,13 @@ def predict_spectrum(
     The calibration constant is fixed so the uu pseudo-pure state shows
     +1 on its nonzero (partner-up) line; which signed frequency offset
     carries the partner-up label is a convention, set here to +J/2.
+    Both spins' amplitudes are read off a state once and kept on it
+    (`_amplitudes`); each call returns a fresh list of fresh lines.
     """
     # type() rejects True and 1.0, as Rf does.
     if not (type(spin) is int and spin in (1, 2)):
         raise ValueError(f"spin must be 1 or 2, got {spin!r}")
-    up, down = (_readout(spin) @ rho.entries.reshape(16)).tolist()
+    up, down = _amplitudes(rho)[spin - 1]
     half_j = consts.j_hz / 2.0
     return [
         SpectrumLine(spin, _LINES[0], +half_j, up),
@@ -718,8 +751,7 @@ def spectrum_fingerprint(rho: DeviationMatrix) -> Fingerprint:
     does not depend on the state's scale.
     """
     signatures = []
-    for spin in (1, 2):
-        amplitudes = (_readout(spin) @ rho.entries.reshape(16)).tolist()
+    for spin, amplitudes in zip((1, 2), _amplitudes(rho)):
         line = int(abs(amplitudes[1]) > abs(amplitudes[0]))
         dominant, weaker = amplitudes[line], abs(amplitudes[1 - line])
         problem = None

@@ -9,6 +9,7 @@ so R_y(theta) has rows [cos(t/2), sin(t/2); -sin(t/2), cos(t/2)].
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -77,12 +78,33 @@ def _frozen_array(data, shape) -> np.ndarray:
     return arr
 
 
+# Per matrix size n, the row-major indices of the entries on and above the
+# diagonal, (i, j) for i <= j, and of their mirrors (j, i).
+_UPPER = {n: operator.itemgetter(*(n * i + j for i in range(n) for j in range(i, n))) for n in (2, 4)}
+_MIRROR = {n: operator.itemgetter(*(n * j + i for i in range(n) for j in range(i, n))) for n in (2, 4)}
+
+
 def check_hermitian(m: np.ndarray, trace: int, name: str) -> None:
     """Raise a ValueError naming `name` unless m is Hermitian with the given
-    trace, each within EXACT_TOL.  Written so that a NaN entry fails."""
-    if not np.abs(m - m.conj().T).max() < EXACT_TOL:
+    trace, each within EXACT_TOL.  Written so that a NaN entry fails.
+
+    m is a complex 2x2 or 4x4 array.  The test runs on Python complex
+    numbers, where an inf entry gives inf - inf = NaN without numpy's
+    RuntimeWarning, and sums a 4x4 trace as (d0 + d1) + (d2 + d3), the
+    order numpy's pairwise sum uses."""
+    a = m.ravel().tolist()
+    n = len(m)
+    # abs(m[i, j] - conj(m[j, i])) < EXACT_TOL for every i <= j, iterated by map()
+    # in C; EXACT_TOL > NaN is false, so a NaN fails.
+    skews = map(abs, map(operator.sub, _UPPER[n](a), map(complex.conjugate, _MIRROR[n](a))))
+    try:
+        hermitian = all(map(EXACT_TOL.__gt__, skews))
+    except OverflowError:  # abs() of a skew whose finite parts overflow a float
+        hermitian = False
+    if not hermitian:
         raise ValueError(f"{name} must be Hermitian")
-    if not abs(m.trace() - trace) < EXACT_TOL:
+    total = (a[0] + a[5]) + (a[10] + a[15]) if n == 4 else a[0] + a[3]
+    if not abs(total - trace) < EXACT_TOL:
         raise ValueError(f"{name} must have trace {trace}")
 
 

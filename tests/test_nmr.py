@@ -714,6 +714,40 @@ class TestSpectra:
         assert calls == []
 
 
+    def test_one_state_is_read_out_once(self, monkeypatch):
+        rho = basis_pseudo_pure(BasisLabel.DU)
+        reads = recorded(monkeypatch, "_readout")
+        predict_spectrum(rho, 1)
+        predict_spectrum(rho, 2)
+        spectrum_fingerprint(rho)
+        assert reads == [(1,), (2,)]
+
+    def test_stored_amplitudes_are_bitwise_each_spins_readout(self):
+        states = [basis_pseudo_pure(label) for label in BasisLabel]
+        states += [simulate_sequence(protocol_sequence(j, k), equilibrium_state())
+                   for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)]
+        for rho in states:
+            for spin in (1, 2):
+                expected = (nmr._readout(spin) @ rho.entries.reshape(16)).tolist()
+                assert [line.amplitude for line in predict_spectrum(rho, spin)] == expected
+
+    def test_each_call_returns_a_fresh_list(self):
+        rho = simulate_sequence(protocol_sequence(2, 3), equilibrium_state())
+        first = predict_spectrum(rho, 1)
+        expected = list(first)
+        # Corrupt the returned list as the benchmark's self-test does.
+        first[0] = dataclasses.replace(first[0], amplitude=first[0].amplitude + 1e-6)
+        first.append(first[1])
+        again = predict_spectrum(rho, 1)
+        assert again is not first and again == expected
+
+    def test_spectrum_line_is_a_dataclass(self):
+        line = predict_spectrum(basis_pseudo_pure(BasisLabel.UU), 1)[0]
+        assert dataclasses.is_dataclass(line)
+        moved = dataclasses.replace(line, amplitude=0.5)
+        assert moved.amplitude == 0.5 and moved.line == line.line
+
+
 class TestPulseProtocol:
     def test_basis_transport_pulses(self):
         start = basis_pseudo_pure(BasisLabel.UU)
@@ -1055,6 +1089,43 @@ class TestTransfer:
             simulate_sequence(PulseSequence((Delay("1/2J"),)), equilibrium_state(uncoupled), uncoupled)
 
 
+class TestStateMemo:
+    def test_warm_call_returns_the_same_state_and_builds_none(self, monkeypatch):
+        seq, rho0 = protocol_sequence(3, 2), equilibrium_state()
+        first = simulate_sequence(seq, rho0)
+        checks = recorded(monkeypatch, "check_hermitian")
+        assert simulate_sequence(seq, rho0) is first
+        assert checks == []
+        assert not first.entries.flags.writeable
+
+    def test_equal_start_built_apart_is_built_and_checked_on_its_own(self, monkeypatch):
+        seq, rho0 = protocol_sequence(3, 2), equilibrium_state()
+        first = simulate_sequence(seq, rho0)
+        twin = DeviationMatrix(np.array(rho0.entries))
+        checks = recorded(monkeypatch, "check_hermitian")
+        second = simulate_sequence(seq, twin)
+        assert second is not first
+        assert second.entries.tobytes() == first.entries.tobytes()
+        assert len(checks) == 1
+        assert simulate_sequence(seq, twin) is second and len(checks) == 1
+
+    def test_memo_is_bounded(self):
+        rng = np.random.default_rng(RNG_SEED + 47)
+        seq = protocol_sequence(1, 4)
+        for _ in range(2 * nmr._PROGRAMS):
+            simulate_sequence(seq, random_deviation(rng))
+        assert nmr._simulate.cache_info().currsize <= nmr._PROGRAMS
+
+    def test_uncoupled_pair_raises_on_every_call_after_a_warm_coupled_call(self):
+        seq, rho0 = protocol_sequence(2, 3), equilibrium_state()
+        warm = simulate_sequence(seq, rho0)
+        uncoupled = PhysicalConstants(j_hz=0.0)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="uncoupled pair"):
+                simulate_sequence(seq, rho0, uncoupled)
+        assert simulate_sequence(seq, rho0) is warm
+
+
 def random_program(rng: random.Random, index: int) -> PulseSequence:
     """A seeded program of rf pulses, delays and gradients.
 
@@ -1231,6 +1302,23 @@ print(nmr.simulate_sequence(pickle.loads(pickle.dumps(seq)), nmr.equilibrium_sta
         bad = pickle.dumps(Rf(2, "x", "0.25")).replace(b"0.25", b"nan!")
         with pytest.raises(ValueError, match="nan!"):
             pickle.loads(bad)
+
+    def test_a_loaded_state_is_checked_frozen_and_read_out_again(self, monkeypatch):
+        rho = simulate_sequence(protocol_sequence(2, 3), equilibrium_state())
+        spectrum = predict_spectrum(rho, 1)
+        loaded = pickle.loads(pickle.dumps(rho))
+        assert loaded.entries.tobytes() == rho.entries.tobytes()
+        assert not loaded.entries.flags.writeable
+        reads = recorded(monkeypatch, "_readout")
+        assert predict_spectrum(loaded, 1) == spectrum
+        assert reads == [(1,), (2,)]
+
+        class Forged:
+            def __reduce__(self):
+                return DeviationMatrix, (np.eye(4),)
+
+        with pytest.raises(ValueError, match="deviation matrix must have trace 0"):
+            pickle.loads(pickle.dumps(Forged()))
 
 
 def constants_cases() -> list:

@@ -348,6 +348,24 @@ class TestHermitianCheck:
                 verdicts.append(accepted)
         assert any(verdicts) and not all(verdicts)
 
+    @pytest.mark.parametrize("make, n", [(ReducedState, 2), (DeviationMatrix, 4)],
+                             ids=["ReducedState", "DeviationMatrix"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf], ids=["inf", "-inf"])
+    def test_inf_on_the_diagonal_raises_value_error_without_a_warning(self, make, n, bad):
+        # No np.errstate here: the suite turns warnings into errors, so a
+        # RuntimeWarning from inf - inf would be raised in place of the ValueError.
+        m = np.eye(n, dtype=complex) / n
+        m[n - 1, n - 1] = bad
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            make(m)
+
+    def test_skew_too_large_for_abs_is_not_hermitian(self):
+        # abs() of a Python complex whose finite parts overflow raises OverflowError.
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 1] = complex(1.5e308, 1.5e308)
+        with pytest.raises(ValueError, match="deviation matrix must be Hermitian"):
+            DeviationMatrix(m)
+
     @pytest.mark.parametrize("make, entries, message", [
         (ReducedState, [[0.5, 0.2], [0.3, 0.5]], "reduced state must be Hermitian"),
         (ReducedState, [[0.5, 0.0], [0.0, 0.6]], "reduced state must have trace 1"),
