@@ -18,14 +18,11 @@ vec(rho)[4*i + j] = rho[i, j].  A gradient-free run with net unitary U
 is kron(U, conj U) there, and a full crush keeps only the 4 population
 entries vec(rho)[0, 5, 10, 15] and zeroes the other 12.
 
-Every memo here is keyed on a program and one J (`_j_key`), plus, for
-the simulated state, the starting state by identity.  The frame
+Every memo here is keyed on a program and one J (`_j_key`).  The frame
 reads no constant but J, and an n/dJ delay turns the coupling by
 2*pi*n/d at every J != 0, so the key is J where the program holds a
 delay given in seconds or where J = 0, and None otherwise: at J = 0 an
-n/dJ delay misses and raises.  A memoised state is shared and
-immutable, and both spins' spectrum amplitudes are read off it once,
-on the first spectrum asked of it.  The transfer is the first run followed
+n/dJ delay misses and raises.  The transfer is the first run followed
 by the memoised map of the runs after the first crush (`_after_crush`),
 which programs that differ only before that crush share.  A cold call,
 the prep under fresh constants (its alpha pulse reads gamma_ratio),
@@ -34,6 +31,11 @@ pulse, builds only the 4 population rows of that pulse's superoperator
 and reuses the memoised tail: with the equilibrium and result
 `DeviationMatrix` checks, about 80-90 us by `timeit` on a 2-vCPU Xeon
 (Python 3.11, numpy 2.4).
+
+The simulated state is memoised on the same key plus the starting
+state, by identity.  A memoised state is shared and immutable, and
+both spins' spectrum amplitudes are read off it once, on the first
+spectrum asked of it.
 """
 
 from __future__ import annotations
