@@ -24,13 +24,11 @@ reads no constant but J, and an n/dJ delay turns the coupling by
 delay given in seconds or where J = 0, and None otherwise: at J = 0 an
 n/dJ delay misses and raises.  The transfer is the first run followed
 by the memoised map of the runs after the first crush (`_after_crush`),
-which programs that differ only before that crush share.  A cold call,
-the prep under fresh constants (its alpha pulse reads gamma_ratio),
-builds and validates its 9-element program once, lowers only the alpha
-pulse, builds only the 4 population rows of that pulse's superoperator
-and reuses the memoised tail: with the equilibrium and result
-`DeviationMatrix` checks, about 80-90 us by `timeit` on a 2-vCPU Xeon
-(Python 3.11, numpy 2.4).
+which programs that differ only before that crush share.  The prep
+under fresh constants (its alpha pulse reads gamma_ratio) builds no
+program: it lowers its alpha pulse and meets its memoised tail through
+the same fold (`_crushed`), about 40-60 us with the equilibrium and
+result checks, by a timed loop on a 2-vCPU Xeon (Python 3.11, numpy 2.4).
 
 The simulated state is memoised on the same key plus the starting
 state, by identity.  A memoised state is shared and immutable, and
@@ -442,15 +440,16 @@ def _superoperator(u: np.ndarray) -> np.ndarray:
 def _transfer(seq: PulseSequence, j_hz: float | None) -> np.ndarray:
     first, *rest = seq.segments
     u = _lower_run(first, _frame(j_hz))
-    if rest:
-        # A crush reads only the population rows 5i of kron(u, conj u),
-        # which are u[i, :] (x) conj u[i, :].
-        rows = (u[:, :, None] * u.conj()[:, None, :]).reshape(4, 16)
-        t = _after_crush(tuple(rest), j_hz) @ rows
-    else:
-        t = _superoperator(u)
+    t = _crushed(u, tuple(rest), j_hz) if rest else _superoperator(u)
     t.setflags(write=False)
     return t
+
+
+def _crushed(u: np.ndarray, runs: tuple, j_hz: float | None) -> np.ndarray:
+    # The transfer of a run with net unitary u, a crush, then `runs`.  A crush
+    # reads only the population rows 5i of kron(u, conj u), u[i, :] (x) conj u[i, :].
+    rows = (u[:, :, None] * u.conj()[:, None, :]).reshape(4, 16)
+    return _after_crush(runs, j_hz) @ rows
 
 
 @functools.lru_cache(maxsize=_PROGRAMS)
@@ -512,13 +511,17 @@ def alpha_angle(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     return float(np.arccos(1.0 / (2.0 * consts.gamma_ratio)))
 
 
-# Built once, so the tail memo matches the preps' shared runs by identity.
-_PREP_AFTER_ALPHA = (Gradient(), _rf(1, "x", 1, 4), *_REFOCUSED_HALF_J, _rf(1, "y", -1, 4),
-                     Gradient())
+# Built once; its runs after the first crush key the prep's `_after_crush` tail.
+_PREP_AFTER_ALPHA = PulseSequence((Gradient(), _rf(1, "x", 1, 4), *_REFOCUSED_HALF_J,
+                                   _rf(1, "y", -1, 4), Gradient()))
+
+
+def _alpha_pulse(consts: PhysicalConstants) -> Rf:
+    return Rf(2, "x", repr(alpha_angle(consts)))
 
 
 def _pseudo_pure_prep(consts: PhysicalConstants) -> PulseSequence:
-    return PulseSequence((Rf(2, "x", repr(alpha_angle(consts))), *_PREP_AFTER_ALPHA))
+    return PulseSequence((_alpha_pulse(consts), *_PREP_AFTER_ALPHA))
 
 
 class Gate(NamedTuple):
@@ -670,9 +673,16 @@ def basis_pseudo_pure(label: BasisLabel) -> DeviationMatrix:
 
 
 def prepare_pseudo_pure(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> DeviationMatrix:
-    """Run the spatial-averaging prep sequence on the equilibrium state."""
-    seq = gate_library("pseudo-pure-prep", consts=consts)
-    return simulate_sequence(seq, equilibrium_state(consts), consts)
+    """Run the spatial-averaging prep sequence on the equilibrium state.
+
+    Applied as blocks, byte for byte `simulate_sequence` of the program:
+    the alpha pulse is lowered (checked unitary) and meets the memoised
+    tail through `_transfer`'s fold.  It builds no program, transfer or
+    state memo entry, so each call returns a new, checked state.
+    """
+    u = _lower_run((_alpha_pulse(consts),), consts)
+    t = _crushed(u, _PREP_AFTER_ALPHA.segments[1:], _j_key(_PREP_AFTER_ALPHA, consts))
+    return DeviationMatrix((t @ equilibrium_state(consts).entries.reshape(16)).reshape(4, 4))
 
 
 @dataclass(frozen=True)

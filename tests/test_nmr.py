@@ -1044,19 +1044,20 @@ class TestTransfer:
 
     def test_fresh_constants_prep_lowers_only_its_alpha_pulse(self, monkeypatch):
         prepare_pseudo_pure(DEFAULT_CONSTANTS)
-        memos = (nmr._transfer, nmr._after_crush)
+        memos = (nmr._transfer, nmr._simulate, nmr._after_crush)
         before = [memo.cache_info() for memo in memos]
         runs = recorded(monkeypatch, "_lower_run")
         fresh = PhysicalConstants(nu1_hz=61e6, nu2_hz=377e6, j_hz=97.5, gamma_ratio=4.125)
         prepare_pseudo_pure(fresh)
+        after = [memo.cache_info() for memo in memos]
         alpha = gate_library("pseudo-pure-prep", consts=fresh).elements[0]
         assert [run for run, _ in runs] == [(alpha,)]
-        # The prep's transfer misses and lowers its alpha run; the tail after
-        # the first crush hits.
-        misses, hits = zip(*((after.misses - b.misses, after.hits - b.hits)
-                             for after, b in zip((m.cache_info() for m in memos), before)))
-        assert misses == (1, 0)
-        assert hits == (0, 1)
+        # The prep lowers its alpha run and builds no program transfer or
+        # state; the tail after the first crush hits.
+        misses, hits = zip(*((a.misses - b.misses, a.hits - b.hits) for a, b in zip(after, before)))
+        assert misses == (0, 0, 0)
+        assert hits == (0, 0, 1)
+        assert [a.currsize for a in after[:2]] == [b.currsize for b in before[:2]]
 
     def test_equal_programs_built_apart_hash_and_compare_equal(self):
         seq = protocol_sequence(2, 3)
@@ -1190,6 +1191,48 @@ class TestFold:
         monkeypatch.setattr(nmr, "element_unitary", lambda e, consts=DEFAULT_CONSTANTS: 2 * np.eye(4))
         with pytest.raises(ValueError, match="unitarity"):
             nmr._lower_run(run, DEFAULT_CONSTANTS)
+
+
+class TestPrepBlock:
+    """`prepare_pseudo_pure` against the program path it stands for."""
+
+    def test_block_is_byte_identical_to_the_program(self):
+        edges = [PhysicalConstants(gamma_ratio=g) for g in (0.5, 12.0)]
+        for consts in fresh_prep_constants(500, RNG_SEED + 53) + edges:
+            program = gate_library("pseudo-pure-prep", consts=consts)
+            expected = simulate_sequence(program, equilibrium_state(consts), consts)
+            assert prepare_pseudo_pure(consts).entries.tobytes() == expected.entries.tobytes()
+
+    def test_uncoupled_pair_raises_as_the_program_does(self):
+        consts = PhysicalConstants(j_hz=0.0, gamma_ratio=3.97)
+        program = gate_library("pseudo-pure-prep", consts=consts)
+        with pytest.raises(ValueError, match="uncoupled pair") as by_program:
+            simulate_sequence(program, equilibrium_state(consts), consts)
+        with pytest.raises(ValueError) as by_block:
+            prepare_pseudo_pure(consts)
+        assert str(by_block.value) == str(by_program.value)
+
+    def test_gamma_ratio_below_half_raises(self):
+        with pytest.raises(ValueError, match="gamma_ratio >= 0.5"):
+            prepare_pseudo_pure(PhysicalConstants(gamma_ratio=0.45))
+
+    def test_alpha_run_is_checked_unitary(self, monkeypatch):
+        monkeypatch.setattr(nmr, "element_unitary", lambda e, consts=DEFAULT_CONSTANTS: 2 * np.eye(4))
+        with pytest.raises(ValueError, match="unitarity"):
+            prepare_pseudo_pure(PhysicalConstants(gamma_ratio=2.0))
+
+    def test_result_is_checked_hermitian(self, monkeypatch):
+        tail = nmr._after_crush
+
+        def skewed(runs, j_hz):
+            # Feeds the first population into rho[0, 1] alone: trace kept, Hermiticity lost.
+            t = np.array(tail(runs, j_hz))
+            t[1, 0] += 1.0
+            return t
+
+        monkeypatch.setattr(nmr, "_after_crush", skewed)
+        with pytest.raises(ValueError, match="deviation matrix must be Hermitian"):
+            prepare_pseudo_pure(PhysicalConstants(gamma_ratio=2.0))
 
 
 def old_j_fraction(duration: str):
