@@ -16,24 +16,31 @@ A program acts on deviation matrices as one linear map, its 16x16
 transfer matrix (`_transfer`), which acts on the row-major vec of rho:
 vec(rho)[4*i + j] = rho[i, j].  A gradient-free run with net unitary U
 is kron(U, conj U) there, and a full crush keeps only the 4 population
-entries vec(rho)[0, 5, 10, 15] and zeroes the other 12.
+entries vec(rho)[0, 5, 10, 15] and zeroes the other 12.  The transfer
+is one fold with no memo: the first run, then the map of the runs
+after the first crush.
 
-Every memo here is keyed on a program and one J (`_j_key`).  The frame
-reads no constant but J, and an n/dJ delay turns the coupling by
-2*pi*n/d at every J != 0, so the key is J where the program holds a
-delay given in seconds or where J = 0, and None otherwise: at J = 0 an
-n/dJ delay misses and raises.  The transfer is the first run followed
-by the memoised map of the runs after the first crush (`_after_crush`),
-which programs that differ only before that crush share.  The prep
-under fresh constants (its alpha pulse reads gamma_ratio) builds no
-program: it lowers its alpha pulse and meets its memoised tail through
-the same fold (`_crushed`), about 40-60 us with the equilibrium and
-result checks, by a timed loop on a 2-vCPU Xeon (Python 3.11, numpy 2.4).
+The six memos, each for a result that repeats, are below.  The three
+keyed on a program or its runs hold J in the key only where the result
+reads it (`_j_key`).  The frame reads no constant but J, and an n/dJ
+delay turns the coupling by 2*pi*n/d at every J != 0, so the key is J
+where the program holds a delay given in seconds or where J = 0, and
+None otherwise: at J = 0 an n/dJ delay misses and raises.
 
-The simulated state is memoised on the same key plus the starting
-state, by identity.  A memoised state is shared and immutable, and
-both spins' spectrum amplitudes are read off it once, on the first
-spectrum asked of it.
+- `_after_crush`: the map of the runs after the first crush, shared by
+  programs that differ only before it.  The prep under fresh constants
+  (its alpha pulse reads gamma_ratio) builds no program: it lowers its
+  alpha pulse and meets this memoised tail in the fold.
+- `_simulate`: the simulated state, keyed on the program plus the
+  starting state, by identity.  A memoised state is shared and
+  immutable, and both spins' spectrum amplitudes are read off it once,
+  on the first spectrum asked of it.
+- `_gate_check`: a library gate's phase fit, which any tolerance reads.
+- `protocol_sequence`: the assembled protocol program, whose building
+  costs more than the rest of a warm protocol run.
+- `equilibrium_state`: the thermal state per set of constants, so a
+  warm protocol run starts from the same `_simulate` key.
+- `_readout`: each spin's calibrated readout rows.
 """
 
 from __future__ import annotations
@@ -67,9 +74,9 @@ IZ2 = kron2(_I2, _IZ)
 IZIZ = kron2(_IZ, _IZ)
 _IZIZ_DIAGONAL = np.diag(IZIZ)
 
-# Bounds of the memo caches.  The 16 protocol programs and the gate library
-# fit at a few sets of constants; a sweep that draws fresh constants (and
-# with them a fresh prep angle) cycles through the caches instead.
+# Bound of every memo but `_readout`'s.  The 16 protocol programs, their
+# states and the gate checks fit at a few sets of constants; a sweep that
+# draws fresh constants cycles through `equilibrium_state` instead.
 _PROGRAMS = 128
 
 
@@ -436,20 +443,14 @@ def _superoperator(u: np.ndarray) -> np.ndarray:
     return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(16, 16)
 
 
-@functools.lru_cache(maxsize=_PROGRAMS)
-def _transfer(seq: PulseSequence, j_hz: float | None) -> np.ndarray:
-    first, *rest = seq.segments
-    u = _lower_run(first, _frame(j_hz))
-    t = _crushed(u, tuple(rest), j_hz) if rest else _superoperator(u)
-    t.setflags(write=False)
-    return t
-
-
-def _crushed(u: np.ndarray, runs: tuple, j_hz: float | None) -> np.ndarray:
-    # The transfer of a run with net unitary u, a crush, then `runs`.  A crush
-    # reads only the population rows 5i of kron(u, conj u), u[i, :] (x) conj u[i, :].
+def _transfer(first_run: tuple, later_runs: tuple, j_hz: float | None) -> np.ndarray:
+    # The transfer of `first_run`, then of each of `later_runs` after a crush.
+    u = _lower_run(first_run, _frame(j_hz))
+    if not later_runs:
+        return _superoperator(u)
+    # A crush reads only the population rows 5i of kron(u, conj u), u[i, :] (x) conj u[i, :].
     rows = (u[:, :, None] * u.conj()[:, None, :]).reshape(4, 16)
-    return _after_crush(runs, j_hz) @ rows
+    return _after_crush(later_runs, j_hz) @ rows
 
 
 @functools.lru_cache(maxsize=_PROGRAMS)
@@ -474,24 +475,24 @@ def simulate_sequence(
     vec is row-major, vec(rho)[4*i + j] = rho[i, j], so a lowered run
     with net unitary U acts as kron(U, conj U).  A gradient between two
     runs is the crush mask diag(vec(I4)): it keeps the 4 populations,
-    vec entries 0, 5, 10 and 15, and zeroes every coherence.  The
-    transfer is memoised on the program and its `_j_key`, so a warm
-    call lowers nothing; at J = 0 an n/dJ delay's key misses and the
-    delay raises.
+    vec entries 0, 5, 10 and 15, and zeroes every coherence.
 
-    The result is memoised too, on (program, `_j_key`, rho0), with rho0
-    keyed by identity (`DeviationMatrix` compares by identity; the memo
-    holds rho0, so its id is not reused while the entry lives).  A warm
-    call returns the same state, built and checked once, which is
-    immutable and shared, as `equilibrium_state`'s is; an equal rho0
-    built apart is a new key.
+    The result is memoised on (program, `_j_key`, rho0), with rho0 keyed
+    by identity (`DeviationMatrix` compares by identity; the memo holds
+    rho0, so its id is not reused while the entry lives).  A warm call
+    lowers nothing and returns the same state, built and checked once,
+    which is immutable and shared, as `equilibrium_state`'s is; an equal
+    rho0 built apart is a new key.  A miss lowers the first run and meets
+    the memoised map of the runs after the first crush (`_after_crush`);
+    at J = 0 an n/dJ delay's key misses and the delay raises.
     """
     return _simulate(seq, _j_key(seq, consts), rho0)
 
 
 @functools.lru_cache(maxsize=_PROGRAMS)
 def _simulate(seq: PulseSequence, j_hz: float | None, rho0: DeviationMatrix) -> DeviationMatrix:
-    return DeviationMatrix((_transfer(seq, j_hz) @ rho0.entries.reshape(16)).reshape(4, 4))
+    t = _transfer(seq.segments[0], seq.segments[1:], j_hz)
+    return DeviationMatrix((t @ rho0.entries.reshape(16)).reshape(4, 4))
 
 
 def _rf(spin, axis, num, den=1) -> Rf:
@@ -520,20 +521,15 @@ def _alpha_pulse(consts: PhysicalConstants) -> Rf:
     return Rf(2, "x", repr(alpha_angle(consts)))
 
 
-def _pseudo_pure_prep(consts: PhysicalConstants) -> PulseSequence:
-    return PulseSequence((_alpha_pulse(consts), *_PREP_AFTER_ALPHA))
-
-
 class Gate(NamedTuple):
-    """A library gate: its pulse builder and, if it has one, its ideal unitary per kind."""
+    """A library gate: its program and, if it has one, its ideal unitary per kind.
 
-    pulses: Callable[[PhysicalConstants], PulseSequence]
+    The prep's program reads the constants, so it is built per call
+    (`pulses` is None); every other gate's is built once.
+    """
+
+    pulses: PulseSequence | None
     ideal: Callable[[str], Operator4] | None = None
-
-
-def _fixed(*elements) -> Callable[[PhysicalConstants], PulseSequence]:
-    seq = PulseSequence(elements)
-    return lambda consts: seq
 
 
 def _u_gate(j: int) -> Gate:
@@ -541,13 +537,11 @@ def _u_gate(j: int) -> Gate:
     c = preset("y", j)
     q1, q2 = (round(4 * phi / np.pi) for phi in (c.phi1, c.phi2))
     pulses = (_rf("both", "y", q1, 4),) if q1 == q2 else (_rf(1, "y", q1, 4), _rf(2, "y", q2, 4))
-    return Gate(_fixed(*pulses), lambda kind: grover.build_U(preset(kind, j)))
+    return Gate(PulseSequence(pulses), lambda kind: grover.build_U(preset(kind, j)))
 
 
 def _inverse(gate: Gate) -> Gate:
-    # Only fixed (rf-only) programs have an inverse, so it is built once.
-    return Gate(_fixed(*gate.pulses(DEFAULT_CONSTANTS).inverse()),
-                lambda kind: gate.ideal(kind).adjoint())
+    return Gate(gate.pulses.inverse(), lambda kind: gate.ideal(kind).adjoint())
 
 
 # The gate library, in the order `verify --all` checks it.
@@ -561,20 +555,22 @@ GATES = {
     "U3-inv": _inverse(_u_gate(3)),
     "U4-inv": _inverse(_u_gate(4)),
     "I_t": Gate(
-        _fixed(Delay("1/2J"), _rf("both", "x", 1), Delay("1/2J"), _rf("both", "x", -1)),
+        PulseSequence((Delay("1/2J"), _rf("both", "x", 1), Delay("1/2J"), _rf("both", "x", -1))),
         lambda kind: sign_flip_target(),
     ),
     "I_s": Gate(
-        _fixed(*_REFOCUSED_HALF_J,
-               _rf("both", "y", -1, 2), _rf("both", "x", -1, 2), _rf("both", "y", 1, 2)),
+        PulseSequence((*_REFOCUSED_HALF_J,
+                       _rf("both", "y", -1, 2), _rf("both", "x", -1, 2), _rf("both", "y", 1, 2))),
         lambda kind: phase_shift_s(),
     ),
-    "V2": Gate(_fixed(_rf(2, "x", 1), _rf(2, "y", -1, 2)), lambda kind: coding.encoder(kind, 2)),
-    "V3": Gate(_fixed(_rf(2, "x", 1), _rf(2, "y", 1, 2)), lambda kind: coding.encoder(kind, 3)),
-    "V4": Gate(_fixed(_rf(2, "y", 1)), lambda kind: coding.encoder(kind, 4)),
-    "pseudo-pure-prep": Gate(_pseudo_pure_prep),
-    "readout-carbon": Gate(_fixed(_rf(1, "y", 1, 2))),
-    "readout-proton": Gate(_fixed(_rf(2, "y", 1, 2))),
+    "V2": Gate(PulseSequence((_rf(2, "x", 1), _rf(2, "y", -1, 2))),
+               lambda kind: coding.encoder(kind, 2)),
+    "V3": Gate(PulseSequence((_rf(2, "x", 1), _rf(2, "y", 1, 2))),
+               lambda kind: coding.encoder(kind, 3)),
+    "V4": Gate(PulseSequence((_rf(2, "y", 1),)), lambda kind: coding.encoder(kind, 4)),
+    "pseudo-pure-prep": Gate(None),
+    "readout-carbon": Gate(PulseSequence((_rf(1, "y", 1, 2),))),
+    "readout-proton": Gate(PulseSequence((_rf(2, "y", 1, 2),))),
 }
 
 
@@ -592,7 +588,8 @@ def gate_library(
     """Pulse realization of a named gate (y-kind presets only)."""
     if kind != "y":
         raise ValueError("the pulse library covers only the y-kind presets")
-    return _gate(name).pulses(consts)
+    seq = _gate(name).pulses
+    return PulseSequence((_alpha_pulse(consts), *_PREP_AFTER_ALPHA)) if seq is None else seq
 
 
 def ideal_gate_unitary(name: str, kind: str = "y") -> Operator4:
@@ -617,25 +614,25 @@ def verify_realization(
 ) -> GateCheck:
     """Compare a gate's net pulse unitary to its ideal, up to global phase.
 
-    The check is memoised on the gate's program and its `_j_key`, so a
-    library gate is fitted once and then reused under any constants that
-    leave that key unchanged.  A miss lowers the program, which raises
-    for an n/dJ delay at J = 0.
+    The fit is memoised on the gate's program and its `_j_key`, not on
+    `tol`, so a library gate is fitted once and then reused under any
+    tolerance and any constants that leave that key unchanged.  A miss
+    lowers the program, which raises for an n/dJ delay at J = 0.
     """
     if not tol > 0:  # written so that NaN fails
         raise ValueError("tolerance must be positive")
     seq = gate_library(name, kind, consts)
     if len(seq.segments) > 1:
         raise ValueError(f"gate {name!r} contains gradients; no net unitary exists")
-    return _gate_check(name, kind, tol, seq, _j_key(seq, consts))
+    phase, distance = _gate_check(name, kind, seq, _j_key(seq, consts))
+    return GateCheck(distance < tol, distance, phase)
 
 
 @functools.lru_cache(maxsize=_PROGRAMS)
-def _gate_check(name: str, kind: str, tol: float, seq: PulseSequence,
-                j_hz: float | None) -> GateCheck:
+def _gate_check(name: str, kind: str, seq: PulseSequence, j_hz: float | None) -> tuple:
+    # (phase, distance) of the gate's one run against its ideal unitary.
     (u,) = lower(seq, _frame(j_hz))
-    phase, distance = phase_fit(u, ideal_gate_unitary(name, kind).matrix)
-    return GateCheck(distance < tol, distance, phase)
+    return phase_fit(u, ideal_gate_unitary(name, kind).matrix)
 
 
 @functools.lru_cache(maxsize=_PROGRAMS)
@@ -676,12 +673,12 @@ def prepare_pseudo_pure(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> Deviat
     """Run the spatial-averaging prep sequence on the equilibrium state.
 
     Applied as blocks, byte for byte `simulate_sequence` of the program:
-    the alpha pulse is lowered (checked unitary) and meets the memoised
-    tail through `_transfer`'s fold.  It builds no program, transfer or
+    the alpha pulse is the first run of `_transfer`'s fold, and the
+    memoised tail (`_after_crush`) the rest.  It builds no program or
     state memo entry, so each call returns a new, checked state.
     """
-    u = _lower_run((_alpha_pulse(consts),), consts)
-    t = _crushed(u, _PREP_AFTER_ALPHA.segments[1:], _j_key(_PREP_AFTER_ALPHA, consts))
+    t = _transfer((_alpha_pulse(consts),), _PREP_AFTER_ALPHA.segments[1:],
+                  _j_key(_PREP_AFTER_ALPHA, consts))
     return DeviationMatrix((t @ equilibrium_state(consts).entries.reshape(16)).reshape(4, 4))
 
 
@@ -703,10 +700,11 @@ _LINES = ("partner_up", "partner_down")
 
 @functools.lru_cache(maxsize=2)
 def _readout(spin: int) -> np.ndarray:
-    # The two rows of the readout's transfer (an rf pulse reads no J, so
-    # its key is None), divided by the uu reference's partner-up line.
+    # The two rows of the readout's transfer (one rf pulse: no gradient, and
+    # it reads no J, so its key is None), divided by the uu reference's
+    # partner-up line.
     name, coherences = _READOUTS[spin]
-    rows = _transfer(gate_library(name), None)[coherences]
+    rows = _transfer(gate_library(name).elements, (), None)[coherences]
     reference = rows[0] @ basis_pseudo_pure(BasisLabel.UU).entries.reshape(16)
     return _frozen_array(rows / reference, (2, 16))
 

@@ -97,6 +97,14 @@ def test_axis_validated():
         rotate_epr(1, "z", 0.1)
 
 
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_non_finite_angle_rejected(axis, theta):
+    # pyproject.toml turns warnings into errors, so numpy's RuntimeWarning would fail this too.
+    with pytest.raises(ValueError, match="rotation angle must be finite"):
+        rotate_epr(1, axis, theta)
+
+
 def _matrix_path(i, axis, theta):
     rotated = apply(single_spin_rotation(2, axis, theta), bell_state(i))
     return to_bell_coords(rotated)

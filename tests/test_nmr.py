@@ -505,12 +505,20 @@ class TestVerifierMemo:
                     assert same_bits(check, phase, distance), (name, consts)
                     assert check.ok is (distance < 1e-9)
 
-    def test_tolerance_is_part_of_the_key(self):
-        distance = verify_realization("I_t").distance
-        assert distance > 0
-        assert not verify_realization("I_t", tol=distance).ok
-        assert verify_realization("I_t", tol=np.nextafter(distance, 1.0)).ok
-        assert verify_realization("I_t").ok
+    def test_second_tolerance_refits_nothing_and_ok_flips_at_the_distance(self, monkeypatch):
+        warm = {name: verify_realization(name) for name in UNITARY_GATES}
+        lowered, fitted = recorded(monkeypatch, "lower"), recorded(monkeypatch, "phase_fit")
+        misses = nmr._gate_check.cache_info().misses
+        for name, check in warm.items():
+            # tol = distance is refused where the distance is exactly 0.
+            tols = [t for t in (check.distance, np.nextafter(check.distance, 1.0), 0.5) if t > 0]
+            for tol in tols:
+                again = verify_realization(name, tol=tol)
+                assert same_bits(again, check.phase, check.distance)
+                assert again.ok is (check.distance < tol)
+        assert warm["I_t"].distance > 0  # so the loop checks tol = distance at least once
+        assert lowered == [] and fitted == []
+        assert nmr._gate_check.cache_info().misses == misses
 
     def test_fresh_constants_make_no_phase_fits(self, monkeypatch):
         calls = []
@@ -870,12 +878,12 @@ class TestLowering:
                 u[0, 0] = 0.0
 
     def test_second_call_returns_the_cached_object(self):
-        # `lower` keeps no memo; the program's transfer is the cached object.
-        seq = protocol_sequence(3, 4)
+        # `lower` keeps no memo; the program's simulated state is the cached object.
+        seq, rho = protocol_sequence(3, 4), equilibrium_state()
         first, second = lower(seq), lower(seq)
         assert not same_objects(first, second)
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
-        assert transfer_of(seq) is transfer_of(seq)
+        assert simulate_sequence(seq, rho) is simulate_sequence(seq, rho)
 
     def test_changing_j_changes_the_segments(self):
         # An absolute delay: a 1/nJ delay's phase is the same at every J.
@@ -897,8 +905,9 @@ class TestLowering:
         uncoupled = PhysicalConstants(j_hz=0.0)
         assert [nmr._j_key(seconds, c) for c in (a, b, uncoupled)] == [215.0, 300.0, 0.0]
         assert [nmr._j_key(relative, c) for c in (a, b, uncoupled)] == [None, None, 0.0]
-        assert transfer_of(seconds, a) is not transfer_of(seconds, b)
-        assert transfer_of(relative, a) is transfer_of(relative, b)
+        rho = equilibrium_state()
+        assert simulate_sequence(seconds, rho, a) is not simulate_sequence(seconds, rho, b)
+        assert simulate_sequence(relative, rho, a) is simulate_sequence(relative, rho, b)
 
     def test_cache_hit_builds_no_element_unitaries(self, monkeypatch):
         calls = []
@@ -924,17 +933,18 @@ class TestLowering:
 
     def test_frame_independent_programs_share_segments_across_constants(self):
         other = PhysicalConstants(nu1_hz=90e6, nu2_hz=700e6, j_hz=37.5, gamma_ratio=0.6)
+        rho = equilibrium_state()
         for name in GATES:
             if name == "pseudo-pure-prep":
                 continue  # its first pulse turns by an angle that reads gamma_ratio
             seq = gate_library(name)
-            assert transfer_of(seq, other) is transfer_of(seq, DEFAULT_CONSTANTS)
+            assert simulate_sequence(seq, rho, other) is simulate_sequence(seq, rho)
 
     @pytest.mark.parametrize("name", ["I_t", "pseudo-pure-prep"])
     def test_uncoupled_pair_raises_after_a_cache_hit(self, name):
         uncoupled = PhysicalConstants(j_hz=0.0)
-        seq = gate_library(name, consts=uncoupled)
-        assert transfer_of(seq) is transfer_of(seq)
+        seq, rho = gate_library(name, consts=uncoupled), equilibrium_state()
+        assert simulate_sequence(seq, rho) is simulate_sequence(seq, rho)
         with pytest.raises(ValueError, match="uncoupled pair"):
             lower(seq, uncoupled)
         with pytest.raises(ValueError, match="uncoupled pair"):
@@ -1005,8 +1015,8 @@ def superoperator_reference(seq, consts=DEFAULT_CONSTANTS):
 
 
 def transfer_of(seq, consts=DEFAULT_CONSTANTS):
-    """The memoised transfer matrix of `seq` under `consts`."""
-    return nmr._transfer(seq, nmr._j_key(seq, consts))
+    """The transfer matrix of `seq` under `consts`, by the fold the simulator uses."""
+    return nmr._transfer(seq.segments[0], seq.segments[1:], nmr._j_key(seq, consts))
 
 
 def recorded(monkeypatch, name) -> list:
@@ -1024,13 +1034,16 @@ class TestTransfer:
             t = transfer_of(seq)
             assert np.abs(t - superoperator_reference(seq)).max() < 1e-12
 
-    def test_transfer_is_read_only(self):
+    def test_memoised_tail_and_state_are_read_only(self):
         seq = protocol_sequence(1, 2)
-        t = transfer_of(seq)
-        assert t.shape == (16, 16)
-        assert not t.flags.writeable
-        with pytest.raises(ValueError):
-            t[0, 0] = 0.0
+        assert transfer_of(seq).shape == (16, 16)
+        tail = nmr._after_crush(seq.segments[1:], nmr._j_key(seq, DEFAULT_CONSTANTS))
+        state = simulate_sequence(seq, equilibrium_state()).entries
+        assert tail.shape == (16, 4)
+        for shared in (tail, state):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared[0, 0] = 0.0
 
     def test_warm_simulation_lowers_nothing(self, monkeypatch):
         rho = equilibrium_state()
@@ -1044,7 +1057,7 @@ class TestTransfer:
 
     def test_fresh_constants_prep_lowers_only_its_alpha_pulse(self, monkeypatch):
         prepare_pseudo_pure(DEFAULT_CONSTANTS)
-        memos = (nmr._transfer, nmr._simulate, nmr._after_crush)
+        memos = (nmr._simulate, nmr._after_crush)
         before = [memo.cache_info() for memo in memos]
         runs = recorded(monkeypatch, "_lower_run")
         fresh = PhysicalConstants(nu1_hz=61e6, nu2_hz=377e6, j_hz=97.5, gamma_ratio=4.125)
@@ -1052,12 +1065,12 @@ class TestTransfer:
         after = [memo.cache_info() for memo in memos]
         alpha = gate_library("pseudo-pure-prep", consts=fresh).elements[0]
         assert [run for run, _ in runs] == [(alpha,)]
-        # The prep lowers its alpha run and builds no program transfer or
-        # state; the tail after the first crush hits.
+        # The prep lowers its alpha run and builds no state; the tail after
+        # the first crush hits.
         misses, hits = zip(*((a.misses - b.misses, a.hits - b.hits) for a, b in zip(after, before)))
-        assert misses == (0, 0, 0)
-        assert hits == (0, 0, 1)
-        assert [a.currsize for a in after[:2]] == [b.currsize for b in before[:2]]
+        assert misses == (0, 0)
+        assert hits == (0, 1)
+        assert after[0].currsize == before[0].currsize
 
     def test_equal_programs_built_apart_hash_and_compare_equal(self):
         seq = protocol_sequence(2, 3)
@@ -1067,7 +1080,8 @@ class TestTransfer:
         assert {seq: 1}[rebuilt] == 1
         other = protocol_sequence(2, 4)
         assert other != seq
-        assert transfer_of(rebuilt) is transfer_of(seq)
+        rho = equilibrium_state()
+        assert simulate_sequence(rebuilt, rho) is simulate_sequence(seq, rho)
 
     def test_many_gradients_fold_without_deep_recursion(self):
         rng = np.random.default_rng(RNG_SEED + 31)
@@ -1175,7 +1189,6 @@ class TestFold:
         assert sum(len(seq.segments) > 1 for seq in programs) > 150
         for seq in programs:
             t = transfer_of(seq, consts)
-            assert not t.flags.writeable
             assert np.abs(t - superoperator_reference(seq, consts)).max() < 1e-12, seq.to_text()
 
     def test_fresh_constants_preps_match_the_fold(self):
