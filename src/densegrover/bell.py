@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import Ket4, _frozen_array, checked_index
+from .qstate import Ket4, _by_fields, _frozen_array, checked_index
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -38,6 +38,8 @@ class BellVector:
     """Coordinates of a two-spin state in the (psi1..psi4) basis."""
 
     coords: np.ndarray
+
+    __reduce__ = _by_fields
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _frozen_array(self.coords, (4,)))

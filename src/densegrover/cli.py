@@ -16,6 +16,7 @@ the high bit and m as the low two bits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -24,6 +25,9 @@ from . import bell, coding, grover, nmr
 from .qstate import BasisLabel, checked_index, equal_up_to_phase
 
 _S = 1.0 / np.sqrt(2.0)
+
+# The keys of a --constants file, all required, in the order messages list them.
+_CONSTANT_KEYS = tuple(field.name for field in dataclasses.fields(nmr.PhysicalConstants))
 
 # Reference copies of the published classification results, as Bell
 # coordinates (psi1..psi4); comparisons ignore the overall phase.
@@ -78,7 +82,6 @@ def _print_grid(rows: list) -> None:
 def _load_constants(parser: argparse.ArgumentParser, path: str | None):
     if path is None:
         return nmr.DEFAULT_CONSTANTS
-    required = ("nu1_hz", "nu2_hz", "j_hz", "gamma_ratio")
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -88,9 +91,9 @@ def _load_constants(parser: argparse.ArgumentParser, path: str | None):
                     continue
                 key, sep, value = line.partition("=")
                 key = key.strip()
-                if not sep or key not in required:
+                if not sep or key not in _CONSTANT_KEYS:
                     parser.error(f"{path}: line {lineno}: expected <key>=<value> "
-                                 f"with key in {', '.join(required)}")
+                                 f"with key in {', '.join(_CONSTANT_KEYS)}")
                 if key in values:
                     parser.error(f"{path}: line {lineno}: duplicate key {key}")
                 try:
@@ -99,7 +102,7 @@ def _load_constants(parser: argparse.ArgumentParser, path: str | None):
                     parser.error(f"{path}: line {lineno}: bad number {value.strip()!r}")
     except OSError as exc:
         parser.error(f"cannot read constants file {path}: {exc}")
-    missing = [key for key in required if key not in values]
+    missing = [key for key in _CONSTANT_KEYS if key not in values]
     if missing:
         parser.error(f"{path}: missing constants: {', '.join(missing)}")
     try:
@@ -181,7 +184,7 @@ def cmd_run(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     consts = _load_constants(parser, args.constants)
-    verifiable = [name for name, gate in nmr.GATES.items() if gate.ideal] + ["pseudo-pure-prep"]
+    verifiable = [name for name, g in nmr.GATES.items() if g.ideal is not None] + ["pseudo-pure-prep"]
     if not args.all and args.gate not in verifiable:
         parser.error(
             f"unknown or unverifiable gate {args.gate!r}; choose from {', '.join(verifiable)}"
@@ -312,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p_verify, p_spectra, p_compile):
         p.add_argument("--constants", metavar="FILE",
-                       help="key=value file overriding nu1_hz, nu2_hz, j_hz, gamma_ratio")
+                       help=f"key=value file overriding {', '.join(_CONSTANT_KEYS)}")
     return parser
 
 

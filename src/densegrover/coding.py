@@ -24,7 +24,6 @@ from .grover import (
     preset_index,
 )
 from .qstate import (
-    _LABELS,
     BasisLabel,
     Ket4,
     Operator4,
@@ -117,19 +116,18 @@ def _bell_column(psi0: np.ndarray) -> int:
 def _preset_outcomes(kind: str, j: int) -> tuple[int, tuple[BasisLabel, ...]]:
     """Starting Bell index of preset (kind, j) and the output labels of its runs k = 1..4.
 
-    The four runs share one G and one G^-1 and are one stacked product:
-    row k-1 of (V_k psi0) @ G^-1.T is G^-1 V_k psi0.  A bad kind or j
-    raises in preset() before anything is stored, so the memo holds at
-    most the eight presets; table2 and decode both read it.
+    Each run is `_pipeline` with the preset's one G and one G^-1.  A bad
+    kind or j raises in preset() before anything is stored, so the memo
+    holds at most the eight presets; table2 and decode both read it.
     """
-    g, g_inv = build_G_pair(preset(kind, j))
-    psi0 = g.matrix[:, 0]
-    outputs = (np.stack([v.matrix for v in encoder_set(kind)]) @ psi0) @ g_inv.matrix.T
-    labels = tuple(_LABELS[i] for i in np.abs(outputs).argmax(axis=1).tolist())
+    c = preset(kind, j)
+    g, g_inv = build_G_pair(c)
+    labels = tuple(_pipeline(g, v, g_inv, c, k).output_label
+                   for k, v in enumerate(encoder_set(kind), start=1))
     # Injectivity of k -> label is what makes two-bit transmission work.
     if len(set(labels)) != 4:
         raise AssertionError(f"outcome map for preset {j} ({kind}) is not a bijection")
-    return _bell_column(psi0), labels
+    return _bell_column(g.matrix[:, 0]), labels
 
 
 def table2(kind: str = "y") -> dict:

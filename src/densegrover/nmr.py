@@ -48,15 +48,17 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .grover import phase_shift_s, preset, sign_flip_target
 from .qstate import (
+    _EYE2,
     BasisLabel,
     Operator4,
+    _by_fields,
     _frozen_array,
     check_hermitian,
     checked_index,
@@ -68,9 +70,8 @@ from . import coding
 from . import grover
 
 _IZ = np.diag([0.5, -0.5]).astype(complex)
-_I2 = np.eye(2, dtype=complex)
-IZ1 = kron2(_IZ, _I2)
-IZ2 = kron2(_I2, _IZ)
+IZ1 = kron2(_IZ, _EYE2)
+IZ2 = kron2(_EYE2, _IZ)
 IZIZ = kron2(_IZ, _IZ)
 _IZIZ_DIAGONAL = np.diag(IZIZ)
 
@@ -176,10 +177,6 @@ def _store(obj, **values) -> None:
 
 def _stored_hash(obj) -> int:
     return obj._hash
-
-
-def _by_fields(obj) -> tuple:
-    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
 
 
 def _j_fraction(duration: str) -> tuple | None:
@@ -399,7 +396,7 @@ def element_unitary(e, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndar
     if isinstance(e, Rf):
         # The rotating frame makes an rf pulse independent of the constants.
         r = rotation_2x2(e.axis, e.angle_rad)
-        return kron2(_I2 if e.spin == 2 else r, _I2 if e.spin == 1 else r)
+        return kron2(_EYE2 if e.spin == 2 else r, _EYE2 if e.spin == 1 else r)
     if isinstance(e, Delay):
         # exp(-i tau H) with H = 2*pi*J*Iz1*Iz2 diagonal: entrywise in the coupling phase.
         return np.diag(np.exp(-1j * e.coupling_phase(consts) * _IZIZ_DIAGONAL))
@@ -522,14 +519,16 @@ def _alpha_pulse(consts: PhysicalConstants) -> Rf:
 
 
 class Gate(NamedTuple):
-    """A library gate: its program and, if it has one, its ideal unitary per kind.
+    """A library gate: its program and, if it has one, its y-kind ideal unitary.
 
-    The prep's program reads the constants, so it is built per call
-    (`pulses` is None); every other gate's is built once.
+    Both are built once, at import, and shared; the library holds only
+    the y-kind presets.  The prep's program reads the constants, so it
+    is built per call (`pulses` is None), and the prep and the readouts
+    have no unitary target (`ideal` is None).
     """
 
     pulses: PulseSequence | None
-    ideal: Callable[[str], Operator4] | None = None
+    ideal: Operator4 | None = None
 
 
 def _u_gate(j: int) -> Gate:
@@ -537,11 +536,11 @@ def _u_gate(j: int) -> Gate:
     c = preset("y", j)
     q1, q2 = (round(4 * phi / np.pi) for phi in (c.phi1, c.phi2))
     pulses = (_rf("both", "y", q1, 4),) if q1 == q2 else (_rf(1, "y", q1, 4), _rf(2, "y", q2, 4))
-    return Gate(PulseSequence(pulses), lambda kind: grover.build_U(preset(kind, j)))
+    return Gate(PulseSequence(pulses), grover.build_U(c))
 
 
 def _inverse(gate: Gate) -> Gate:
-    return Gate(gate.pulses.inverse(), lambda kind: gate.ideal(kind).adjoint())
+    return Gate(gate.pulses.inverse(), gate.ideal.adjoint())
 
 
 # The gate library, in the order `verify --all` checks it.
@@ -556,25 +555,25 @@ GATES = {
     "U4-inv": _inverse(_u_gate(4)),
     "I_t": Gate(
         PulseSequence((Delay("1/2J"), _rf("both", "x", 1), Delay("1/2J"), _rf("both", "x", -1))),
-        lambda kind: sign_flip_target(),
+        sign_flip_target(),
     ),
     "I_s": Gate(
         PulseSequence((*_REFOCUSED_HALF_J,
                        _rf("both", "y", -1, 2), _rf("both", "x", -1, 2), _rf("both", "y", 1, 2))),
-        lambda kind: phase_shift_s(),
+        phase_shift_s(),
     ),
-    "V2": Gate(PulseSequence((_rf(2, "x", 1), _rf(2, "y", -1, 2))),
-               lambda kind: coding.encoder(kind, 2)),
-    "V3": Gate(PulseSequence((_rf(2, "x", 1), _rf(2, "y", 1, 2))),
-               lambda kind: coding.encoder(kind, 3)),
-    "V4": Gate(PulseSequence((_rf(2, "y", 1),)), lambda kind: coding.encoder(kind, 4)),
+    "V2": Gate(PulseSequence((_rf(2, "x", 1), _rf(2, "y", -1, 2))), coding.encoder("y", 2)),
+    "V3": Gate(PulseSequence((_rf(2, "x", 1), _rf(2, "y", 1, 2))), coding.encoder("y", 3)),
+    "V4": Gate(PulseSequence((_rf(2, "y", 1),)), coding.encoder("y", 4)),
     "pseudo-pure-prep": Gate(None),
     "readout-carbon": Gate(PulseSequence((_rf(1, "y", 1, 2),))),
     "readout-proton": Gate(PulseSequence((_rf(2, "y", 1, 2),))),
 }
 
 
-def _gate(name: str) -> Gate:
+def _gate(name: str, kind: str) -> Gate:
+    if kind != "y":
+        raise ValueError("the pulse library covers only the y-kind presets")
     if name not in GATES:
         raise ValueError(f"unknown gate {name!r}; known gates: {', '.join(GATES)}")
     return GATES[name]
@@ -586,18 +585,16 @@ def gate_library(
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> PulseSequence:
     """Pulse realization of a named gate (y-kind presets only)."""
-    if kind != "y":
-        raise ValueError("the pulse library covers only the y-kind presets")
-    seq = _gate(name).pulses
+    seq = _gate(name, kind).pulses
     return PulseSequence((_alpha_pulse(consts), *_PREP_AFTER_ALPHA)) if seq is None else seq
 
 
 def ideal_gate_unitary(name: str, kind: str = "y") -> Operator4:
-    """The exact operator a library gate is meant to realize."""
-    ideal = _gate(name).ideal
+    """The exact operator a library gate is meant to realize (y-kind presets only)."""
+    ideal = _gate(name, kind).ideal
     if ideal is None:
         raise ValueError(f"gate {name!r} has no unitary target")
-    return ideal(kind)
+    return ideal
 
 
 class GateCheck(NamedTuple):
@@ -624,15 +621,15 @@ def verify_realization(
     seq = gate_library(name, kind, consts)
     if len(seq.segments) > 1:
         raise ValueError(f"gate {name!r} contains gradients; no net unitary exists")
-    phase, distance = _gate_check(name, kind, seq, _j_key(seq, consts))
+    phase, distance = _gate_check(name, seq, _j_key(seq, consts))
     return GateCheck(distance < tol, distance, phase)
 
 
 @functools.lru_cache(maxsize=_PROGRAMS)
-def _gate_check(name: str, kind: str, seq: PulseSequence, j_hz: float | None) -> tuple:
+def _gate_check(name: str, seq: PulseSequence, j_hz: float | None) -> tuple:
     # (phase, distance) of the gate's one run against its ideal unitary.
     (u,) = lower(seq, _frame(j_hz))
-    return phase_fit(u, ideal_gate_unitary(name, kind).matrix)
+    return phase_fit(u, ideal_gate_unitary(name).matrix)
 
 
 @functools.lru_cache(maxsize=_PROGRAMS)
@@ -645,8 +642,8 @@ def equilibrium_state(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> Deviatio
 
 
 def target_pseudo_pure() -> np.ndarray:
-    """Iz1/2 + Iz2/2 + Iz1*Iz2, identical to |uu><uu| - I/4."""
-    return IZ1 / 2 + IZ2 / 2 + IZIZ
+    """|uu><uu| - I/4, identical to Iz1/2 + Iz2/2 + Iz1*Iz2; read-only."""
+    return basis_pseudo_pure(BasisLabel.UU).entries
 
 
 def pseudo_pure_fit(rho: DeviationMatrix) -> tuple[float, float]:
@@ -782,23 +779,23 @@ def _g_gates(j: int) -> list:
     return [f"U{j}", "I_t", f"U{j}-inv", "I_s", f"U{j}"]
 
 
-def _program(names, kind: str) -> PulseSequence:
-    return PulseSequence(tuple(e for name in names for e in gate_library(name, kind)))
+def _g_inverse_gates(j: int) -> list:
+    # G^-1 = -U^-1 I_t U I_s U^-1 in time order, as grover.build_G_pair builds it.
+    return [f"U{j}-inv", "I_s", f"U{j}", "I_t", f"U{j}-inv"]
 
 
-def synthesis_sequence(j: int, kind: str = "y") -> PulseSequence:
+def _program(names, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> PulseSequence:
+    return PulseSequence(tuple(e for name in names for e in gate_library(name, consts=consts)))
+
+
+def synthesis_sequence(j: int) -> PulseSequence:
     """Pulse program for G (preset j): U, I_t, U^-1, I_s, U, left to right."""
-    return _program(_g_gates(j), kind)
+    return _program(_g_gates(j))
 
 
-def decoding_sequence(j: int, kind: str = "y") -> PulseSequence:
-    """Pulse program for G^-1 (preset j): U^-1, I_s, U, I_t, U^-1.
-
-    These are G's gates in reverse with U and U^-1 swapped; I_s and I_t
-    are involutions, so their pulse blocks are reused as they are.
-    """
-    swap = {f"U{j}": f"U{j}-inv", f"U{j}-inv": f"U{j}"}
-    return _program([swap.get(name, name) for name in reversed(_g_gates(j))], kind)
+def decoding_sequence(j: int) -> PulseSequence:
+    """Pulse program for G^-1 (preset j): U^-1, I_s, U, I_t, U^-1, left to right."""
+    return _program(_g_inverse_gates(j))
 
 
 @functools.lru_cache(maxsize=_PROGRAMS, typed=True)
@@ -814,7 +811,5 @@ def protocol_sequence(
     """
     checked_index(j, range(1, 5), "preset index")
     checked_index(k, range(1, 5), "encoder index")
-    seq = gate_library("pseudo-pure-prep", consts=consts) + synthesis_sequence(j)
-    if k > 1:
-        seq = seq + gate_library(f"V{k}")
-    return seq + decoding_sequence(j)
+    encode = [f"V{k}"] if k > 1 else []
+    return _program(["pseudo-pure-prep", *_g_gates(j), *encode, *_g_inverse_gates(j)], consts)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -78,6 +78,16 @@ def _frozen_array(data, shape) -> np.ndarray:
     return arr
 
 
+def _by_fields(obj) -> tuple:
+    """A dataclass's pickle reduction: its constructor and field values.
+
+    A load then runs __post_init__, so it checks and freezes the values
+    again, where the default reduction would restore the instance dict
+    unchecked and its arrays writeable.
+    """
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
+
+
 # Per matrix size n, the row-major indices of the entries on and above the
 # diagonal, (i, j) for i <= j, and of their mirrors (j, i).
 _UPPER = {n: operator.itemgetter(*(n * i + j for i in range(n) for j in range(i, n))) for n in (2, 4)}
@@ -125,6 +135,8 @@ class Ket4:
 
     amplitudes: np.ndarray
 
+    __reduce__ = _by_fields
+
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", _frozen_array(self.amplitudes, (4,)))
 
@@ -138,6 +150,8 @@ class Operator4:
     """4x4 unitary operator; unitarity is checked at construction."""
 
     matrix: np.ndarray
+
+    __reduce__ = _by_fields
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_array(self.matrix, (4, 4)))
@@ -154,6 +168,8 @@ class ReducedState:
     """Single-spin density matrix obtained by a partial trace."""
 
     entries: np.ndarray
+
+    __reduce__ = _by_fields
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen_array(self.entries, (2, 2)))

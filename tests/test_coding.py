@@ -262,6 +262,16 @@ class TestOutcomesMemo:
             c = preset(kind, j)
             assert all(decode(run_protocol(c, k).output_label, c) == k for k in (1, 2, 3, 4))
 
+    @pytest.mark.parametrize("kind", ["x", "y"])
+    def test_outcomes_equal_the_stacked_product(self, kind):
+        # Row k-1 of (V_k psi0) @ G^-1.T is G^-1 V_k psi0, for all four k at once.
+        for j in (1, 2, 3, 4):
+            g, g_inv = grover.build_G_pair(preset(kind, j))
+            psi0 = g.matrix[:, 0]
+            outputs = (np.stack([v.matrix for v in encoder_set(kind)]) @ psi0) @ g_inv.matrix.T
+            labels = tuple(BasisLabel(i) for i in np.abs(outputs).argmax(axis=1).tolist())
+            assert coding._preset_outcomes(kind, j) == (starting_bell_column(preset(kind, j)), labels)
+
     def test_decoder_and_table_read_one_memo(self):
         coding._preset_outcomes.cache_clear()
         table2("x")

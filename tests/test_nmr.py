@@ -813,6 +813,59 @@ class TestPulseProtocol:
                 assert spectrum_fingerprint(rho) == expected
 
 
+COUPLED = PhysicalConstants(nu1_hz=90e6, nu2_hz=700e6, j_hz=37.5, gamma_ratio=0.6)
+
+
+def concatenated_protocol(j, k, consts):
+    """The protocol program joined from its parts, with G^-1 read off G's gates:
+    reversed, with U and U^-1 swapped (I_s and I_t are involutions)."""
+    g = [f"U{j}", "I_t", f"U{j}-inv", "I_s", f"U{j}"]
+    swap = {f"U{j}": f"U{j}-inv", f"U{j}-inv": f"U{j}"}
+    g_inverse = [swap.get(name, name) for name in reversed(g)]
+    seq = gate_library("pseudo-pure-prep", consts=consts) + synthesis_sequence(j)
+    if k > 1:
+        seq = seq + gate_library(f"V{k}")
+    return seq + decoding_sequence(j), g, g_inverse
+
+
+def built_target(name):
+    """A library gate's target, built again from grover and coding."""
+    builders = {"I_t": grover.sign_flip_target, "I_s": grover.phase_shift_s}
+    for j in (1, 2, 3, 4):
+        builders[f"U{j}"] = lambda j=j: grover.build_U(grover.preset("y", j))
+        builders[f"U{j}-inv"] = lambda j=j: grover.build_U(grover.preset("y", j)).adjoint()
+    for k in (2, 3, 4):
+        builders[f"V{k}"] = lambda k=k: coding.encoder("y", k)
+    return builders[name]()
+
+
+class TestOneDefinition:
+    @pytest.mark.parametrize("consts", [DEFAULT_CONSTANTS, COUPLED], ids=["default", "coupled"])
+    def test_protocol_is_prep_synthesis_encoder_decoding(self, consts):
+        for j in (1, 2, 3, 4):
+            for k in (1, 2, 3, 4):
+                expected, g, g_inverse = concatenated_protocol(j, k, consts)
+                seq = protocol_sequence(j, k, consts)
+                assert seq == expected and seq.to_text() == expected.to_text(), (j, k)
+            flat = [e for name in g for e in gate_library(name)]
+            assert synthesis_sequence(j).elements == tuple(flat)
+            flat = [e for name in g_inverse for e in gate_library(name)]
+            assert decoding_sequence(j).elements == tuple(flat)
+
+    def test_each_target_is_stored_once_and_equals_its_builder(self):
+        for name in UNITARY_GATES:
+            target = ideal_gate_unitary(name)
+            assert target is GATES[name].ideal and isinstance(target, nmr.Operator4)
+            assert target.matrix.tobytes() == built_target(name).matrix.tobytes(), name
+        assert [name for name, gate in GATES.items() if gate.ideal is not None] == list(UNITARY_GATES)
+
+    @pytest.mark.parametrize("name", ["U1", "readout-carbon", "Q7"])
+    def test_target_and_program_refuse_the_x_kind_alike(self, name):
+        for lookup in (ideal_gate_unitary, gate_library, verify_realization):
+            with pytest.raises(ValueError, match="^the pulse library covers only the y-kind presets$"):
+                lookup(name, "x")
+
+
 def reference_fold(seq, rho, consts=DEFAULT_CONSTANTS):
     """Element by element: conjugate by each unitary, crush at each gradient."""
     m = rho.entries

@@ -1,6 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 
+from densegrover.bell import BellVector, bell_state, to_bell_coords
+from densegrover.coding import run_protocol
+from densegrover.grover import build_G, preset, table1
 from densegrover.nmr import DeviationMatrix
 from densegrover.qstate import (
     BasisLabel,
@@ -399,3 +404,46 @@ class TestMeasurement:
             values = np.array(list(result.probabilities.values()))
             assert values.min() >= 0.0
             assert abs(values.sum() - 1.0) < 1e-12
+
+
+def frozen_copy(array, loaded) -> bool:
+    """loaded holds array's exact bits in a read-only array of its own."""
+    return (loaded.tobytes() == array.tobytes() and loaded.dtype == array.dtype
+            and not loaded.flags.writeable and not np.shares_memory(loaded, array))
+
+
+class TestPickle:
+    """A value pickles by its fields, so a load checks and freezes them again."""
+
+    @pytest.mark.parametrize("value, field", [
+        (ket_from_basis(BasisLabel.DU), "amplitudes"),
+        (build_G(preset("y", 1)), "matrix"),
+        (to_bell_coords(bell_state(3)), "coords"),
+        (partial_trace(apply(build_G(preset("x", 2)), ket_from_basis(BasisLabel.UD)), 1), "entries"),
+    ], ids=lambda v: type(v).__name__ if not isinstance(v, str) else v)
+    def test_round_trip_is_bit_equal_and_read_only(self, value, field):
+        loaded = pickle.loads(pickle.dumps(value))
+        assert type(loaded) is type(value)
+        assert frozen_copy(getattr(value, field), getattr(loaded, field))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(loaded, field)[0] = 7
+
+    def test_records_round_trip_their_values(self):
+        trace = run_protocol(preset("x", 3), 2)
+        loaded = pickle.loads(pickle.dumps(trace))
+        assert frozen_copy(trace.starting_bell.coords, loaded.starting_bell.coords)
+        assert frozen_copy(trace.encoded.coords, loaded.encoded.coords)
+        assert (loaded.u_choice, loaded.message, loaded.output_label, loaded.probabilities) == (
+            trace.u_choice, trace.message, trace.output_label, trace.probabilities)
+        for entry in table1(preset("y", 2)):
+            again = pickle.loads(pickle.dumps(entry))
+            assert frozen_copy(entry.output.coords, again.output.coords)
+            assert (again.input, again.display) == (entry.input, entry.display)
+
+    def test_a_tampered_operator_pickle_is_checked_on_load(self):
+        # Every 1.0 of the identity's bytes becomes 2.0: the payload is 2 * I.
+        one, two = np.float64(1.0).tobytes(), np.float64(2.0).tobytes()
+        dumped = pickle.dumps(identity())
+        assert dumped.count(one) == 4
+        with pytest.raises(ValueError, match="operator deviates from unitarity"):
+            pickle.loads(dumped.replace(one, two))
