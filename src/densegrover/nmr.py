@@ -20,27 +20,24 @@ entries vec(rho)[0, 5, 10, 15] and zeroes the other 12.  The transfer
 is one fold with no memo: the first run, then the map of the runs
 after the first crush.
 
-The six memos, each for a result that repeats, are below.  The three
-keyed on a program or its runs hold J in the key only where the result
-reads it (`_j_key`).  The frame reads no constant but J, and an n/dJ
-delay turns the coupling by 2*pi*n/d at every J != 0, so the key is J
-where the program holds a delay given in seconds or where J = 0, and
-None otherwise: at J = 0 an n/dJ delay misses and raises.
+The frame reads no constant but J, and an n/dJ delay turns the coupling
+by 2*pi*n/d at every J != 0, so a program with no delay in seconds
+(`reads_j` False) lowers alike at every J != 0.  `_j_key` is the one
+J = 0 check: there it raises the error of the program's first n/dJ
+delay (`j_delay`); otherwise it is J where the program reads J, else None.
 
-- `_after_crush`: the map of the runs after the first crush, shared by
-  programs that differ only before it.  The prep under fresh constants
-  (its alpha pulse reads gamma_ratio) builds no program: it lowers its
-  alpha pulse and meets this memoised tail in the fold.
-- `_simulate`: the simulated state, keyed on the program plus the
-  starting state, by identity.  A memoised state is shared and
-  immutable, and both spins' spectrum amplitudes are read off it once,
-  on the first spectrum asked of it.
-- `_gate_check`: a library gate's phase fit, which any tolerance reads.
+Every library program reads no J, so three library results are values
+built at import: each gate's phase fit (`Gate.fit`), the readout rows
+(`_READOUT_ROWS`) and the prep's map after its first crush (`_PREP_TAIL`).
+The three memos, each for a result that repeats across protocol runs:
+
+- `_simulate`: the simulated state, keyed on the program, its `_j_key`
+  and the starting state, by identity.  A memoised state is shared and
+  immutable; both spins' spectrum amplitudes are read off it once.
 - `protocol_sequence`: the assembled protocol program, whose building
   costs more than the rest of a warm protocol run.
 - `equilibrium_state`: the thermal state per set of constants, so a
   warm protocol run starts from the same `_simulate` key.
-- `_readout`: each spin's calibrated readout rows.
 """
 
 from __future__ import annotations
@@ -75,9 +72,9 @@ IZ2 = kron2(_EYE2, _IZ)
 IZIZ = kron2(_IZ, _IZ)
 _IZIZ_DIAGONAL = np.diag(IZIZ)
 
-# Bound of every memo but `_readout`'s.  The 16 protocol programs, their
-# states and the gate checks fit at a few sets of constants; a sweep that
-# draws fresh constants cycles through `equilibrium_state` instead.
+# Bound of each memo.  The 16 protocol programs and their states fit at a
+# few sets of constants; a sweep that draws fresh constants cycles through
+# `equilibrium_state` instead.
 _PROGRAMS = 128
 
 
@@ -294,8 +291,9 @@ class PulseSequence:
 
     Validated in one pass at construction, which also derives:
     `segments`, the gradient-free runs, n + 1 for n gradients, each a
-    tuple of elements; and `reads_j`, whether the program holds a delay
-    given in seconds, so lowering it reads J.
+    tuple of elements; `reads_j`, whether the program holds a delay
+    given in seconds, so lowering it reads J; and `j_delay`, its first
+    n/dJ delay (None without one), which lowering it at J = 0 raises for.
     """
 
     elements: tuple
@@ -305,16 +303,18 @@ class PulseSequence:
 
     def __post_init__(self):
         elements = tuple(self.elements)
-        cuts, reads_j = [], False
+        cuts, reads_j, j_delay = [], False, None
         for i, e in enumerate(elements):
             if isinstance(e, Gradient):
                 cuts.append(i)
             elif isinstance(e, Delay):
                 reads_j = reads_j or e.j_fraction is None
+                if j_delay is None and e.j_fraction is not None:
+                    j_delay = e
             elif not isinstance(e, Rf):
                 raise TypeError(f"unsupported pulse element {e!r}")
         bounds = zip([-1, *cuts], [*cuts, len(elements)])
-        _store(self, elements=elements, reads_j=reads_j, _hash=hash(elements),
+        _store(self, elements=elements, reads_j=reads_j, j_delay=j_delay, _hash=hash(elements),
                segments=tuple(elements[start + 1:stop] for start, stop in bounds))
 
     def __iter__(self):
@@ -409,19 +409,16 @@ def lower(seq: PulseSequence, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> 
     A full crush separates each pair, so a program with n gradients has
     n + 1 segments; a leading, trailing or doubled gradient gives an
     identity segment.  Each array is read-only and checked unitary.  It
-    keeps no memo; its callers' memos are keyed on the program and `_j_key`.
+    keeps no memo: `_simulate` is keyed on `_j_key`, and the library lowers once, at import.
     """
     return tuple(_lower_run(run, consts) for run in seq.segments)
 
 
 def _j_key(seq: PulseSequence, consts: PhysicalConstants) -> float | None:
-    """The J in the memo keys of `seq`; None where lowering it reads no J."""
-    return consts.j_hz if seq.reads_j or consts.j_hz == 0 else None
-
-
-def _frame(j_hz: float | None) -> PhysicalConstants:
-    # With no J in the key, J != 0 and the program reads no J (see `_j_key`).
-    return DEFAULT_CONSTANTS if j_hz is None else PhysicalConstants(j_hz=j_hz)
+    """The J that lowering `seq` reads, or None; at J = 0 its first n/dJ delay raises."""
+    if consts.j_hz == 0 and seq.j_delay is not None:
+        seq.j_delay._check_coupled(consts)
+    return consts.j_hz if seq.reads_j else None
 
 
 def _lower_run(run: tuple, consts: PhysicalConstants) -> np.ndarray:
@@ -440,25 +437,22 @@ def _superoperator(u: np.ndarray) -> np.ndarray:
     return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(16, 16)
 
 
-def _transfer(first_run: tuple, later_runs: tuple, j_hz: float | None) -> np.ndarray:
-    # The transfer of `first_run`, then of each of `later_runs` after a crush.
-    u = _lower_run(first_run, _frame(j_hz))
-    if not later_runs:
+def _transfer(u: np.ndarray, tail: np.ndarray | None) -> np.ndarray:
+    # The transfer of a first run with net unitary `u`, then `tail`, the map
+    # of the runs after a crush (`_after_crush`); None where no crush follows.
+    if tail is None:
         return _superoperator(u)
     # A crush reads only the population rows 5i of kron(u, conj u), u[i, :] (x) conj u[i, :].
     rows = (u[:, :, None] * u.conj()[:, None, :]).reshape(4, 16)
-    return _after_crush(later_runs, j_hz) @ rows
+    return tail @ rows
 
 
-@functools.lru_cache(maxsize=_PROGRAMS)
-def _after_crush(runs: tuple, j_hz: float | None) -> np.ndarray:
+def _after_crush(runs, consts: PhysicalConstants) -> np.ndarray:
     # The 16x4 map from the populations a crush leaves to vec of the state after
     # `runs` (crushed between each pair), folded in a loop, not by recursion.
-    consts = _frame(j_hz)
     t = np.eye(16)[:, _POPULATIONS]
     for run in runs:
         t = _superoperator(_lower_run(run, consts))[:, _POPULATIONS] @ t[_POPULATIONS]
-    t.setflags(write=False)
     return t
 
 
@@ -479,16 +473,18 @@ def simulate_sequence(
     rho0, so its id is not reused while the entry lives).  A warm call
     lowers nothing and returns the same state, built and checked once,
     which is immutable and shared, as `equilibrium_state`'s is; an equal
-    rho0 built apart is a new key.  A miss lowers the first run and meets
-    the memoised map of the runs after the first crush (`_after_crush`);
-    at J = 0 an n/dJ delay's key misses and the delay raises.
+    rho0 built apart is a new key.  At J = 0 an n/dJ delay raises
+    before the memo is read (`_j_key`).
     """
     return _simulate(seq, _j_key(seq, consts), rho0)
 
 
 @functools.lru_cache(maxsize=_PROGRAMS)
 def _simulate(seq: PulseSequence, j_hz: float | None, rho0: DeviationMatrix) -> DeviationMatrix:
-    t = _transfer(seq.segments[0], seq.segments[1:], j_hz)
+    # With no J in the key, the program reads no J (see `_j_key`).
+    consts = DEFAULT_CONSTANTS if j_hz is None else PhysicalConstants(j_hz=j_hz)
+    first, *later = seq.segments
+    t = _transfer(_lower_run(first, consts), _after_crush(later, consts) if later else None)
     return DeviationMatrix((t @ rho0.entries.reshape(16)).reshape(4, 4))
 
 
@@ -509,26 +505,36 @@ def alpha_angle(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     return float(np.arccos(1.0 / (2.0 * consts.gamma_ratio)))
 
 
-# Built once; its runs after the first crush key the prep's `_after_crush` tail.
+# The prep after its alpha pulse; it reads no J, so one `_PREP_TAIL` serves every J != 0.
 _PREP_AFTER_ALPHA = PulseSequence((Gradient(), _rf(1, "x", 1, 4), *_REFOCUSED_HALF_J,
                                    _rf(1, "y", -1, 4), Gradient()))
+_PREP_TAIL = _frozen_array(_after_crush(_PREP_AFTER_ALPHA.segments[1:], DEFAULT_CONSTANTS), (16, 4))
 
 
 def _alpha_pulse(consts: PhysicalConstants) -> Rf:
     return Rf(2, "x", repr(alpha_angle(consts)))
 
 
-class Gate(NamedTuple):
+@dataclass(frozen=True)
+class Gate:
     """A library gate: its program and, if it has one, its y-kind ideal unitary.
 
     Both are built once, at import, and shared; the library holds only
     the y-kind presets.  The prep's program reads the constants, so it
     is built per call (`pulses` is None), and the prep and the readouts
-    have no unitary target (`ideal` is None).
+    have no unitary target (`ideal` is None).  `fit`, derived at
+    construction, is the program's (phase, distance) against the target,
+    or None; every library program reads no J, so it holds at every J != 0.
     """
 
     pulses: PulseSequence | None
     ideal: Operator4 | None = None
+
+    __reduce__ = _by_fields
+
+    def __post_init__(self):
+        fit = None if self.ideal is None else phase_fit(*lower(self.pulses), self.ideal.matrix)
+        _store(self, fit=fit)
 
 
 def _u_gate(j: int) -> Gate:
@@ -611,25 +617,20 @@ def verify_realization(
 ) -> GateCheck:
     """Compare a gate's net pulse unitary to its ideal, up to global phase.
 
-    The fit is memoised on the gate's program and its `_j_key`, not on
-    `tol`, so a library gate is fitted once and then reused under any
-    tolerance and any constants that leave that key unchanged.  A miss
-    lowers the program, which raises for an n/dJ delay at J = 0.
+    It reads the gate's `fit`, made once at import, under any tolerance
+    and any constants; at J = 0 an n/dJ delay raises (`_j_key`).
     """
     if not tol > 0:  # written so that NaN fails
         raise ValueError("tolerance must be positive")
-    seq = gate_library(name, kind, consts)
+    gate = _gate(name, kind)
+    seq = gate_library(name, kind, consts) if gate.pulses is None else gate.pulses
     if len(seq.segments) > 1:
         raise ValueError(f"gate {name!r} contains gradients; no net unitary exists")
-    phase, distance = _gate_check(name, seq, _j_key(seq, consts))
+    _j_key(seq, consts)
+    if gate.fit is None:
+        ideal_gate_unitary(name, kind)  # raises: a gate without a fit has no target
+    phase, distance = gate.fit
     return GateCheck(distance < tol, distance, phase)
-
-
-@functools.lru_cache(maxsize=_PROGRAMS)
-def _gate_check(name: str, seq: PulseSequence, j_hz: float | None) -> tuple:
-    # (phase, distance) of the gate's one run against its ideal unitary.
-    (u,) = lower(seq, _frame(j_hz))
-    return phase_fit(u, ideal_gate_unitary(name).matrix)
 
 
 @functools.lru_cache(maxsize=_PROGRAMS)
@@ -670,12 +671,13 @@ def prepare_pseudo_pure(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> Deviat
     """Run the spatial-averaging prep sequence on the equilibrium state.
 
     Applied as blocks, byte for byte `simulate_sequence` of the program:
-    the alpha pulse is the first run of `_transfer`'s fold, and the
-    memoised tail (`_after_crush`) the rest.  It builds no program or
-    state memo entry, so each call returns a new, checked state.
+    the alpha pulse is the first run of `_transfer`'s fold, and
+    `_PREP_TAIL` the rest.  It builds no program or state memo entry, so
+    each call returns a new, checked state.
     """
-    t = _transfer((_alpha_pulse(consts),), _PREP_AFTER_ALPHA.segments[1:],
-                  _j_key(_PREP_AFTER_ALPHA, consts))
+    alpha = _lower_run((_alpha_pulse(consts),), consts)
+    _j_key(_PREP_AFTER_ALPHA, consts)
+    t = _transfer(alpha, _PREP_TAIL)
     return DeviationMatrix((t @ equilibrium_state(consts).entries.reshape(16)).reshape(4, 4))
 
 
@@ -689,21 +691,20 @@ class SpectrumLine:
     amplitude: complex
 
 
-# Per spin: its readout gate and the vec indices of the (partner-up, partner-down)
-# coherences read after it, rho[2, 0], rho[3, 1] (spin 1) or rho[1, 0], rho[3, 2].
-_READOUTS = {1: ("readout-carbon", [8, 13]), 2: ("readout-proton", [4, 14])}
 _LINES = ("partner_up", "partner_down")
 
 
-@functools.lru_cache(maxsize=2)
-def _readout(spin: int) -> np.ndarray:
-    # The two rows of the readout's transfer (one rf pulse: no gradient, and
-    # it reads no J, so its key is None), divided by the uu reference's
-    # partner-up line.
-    name, coherences = _READOUTS[spin]
-    rows = _transfer(gate_library(name).elements, (), None)[coherences]
+def _readout_rows(name: str, coherences: list) -> np.ndarray:
+    # The two rows of the readout's transfer (one rf pulse, which reads no
+    # constant), divided by the uu reference's partner-up line.
+    rows = _transfer(*lower(GATES[name].pulses), None)[coherences]
     reference = rows[0] @ basis_pseudo_pure(BasisLabel.UU).entries.reshape(16)
     return _frozen_array(rows / reference, (2, 16))
+
+
+# Per spin, the rows of the (partner-up, partner-down) coherences read after its
+# readout gate: rho[2, 0], rho[3, 1] (spin 1) or rho[1, 0], rho[3, 2] (spin 2).
+_READOUT_ROWS = (_readout_rows("readout-carbon", [8, 13]), _readout_rows("readout-proton", [4, 14]))
 
 
 def _amplitudes(rho: DeviationMatrix) -> tuple:
@@ -712,7 +713,7 @@ def _amplitudes(rho: DeviationMatrix) -> tuple:
     pairs = getattr(rho, "_pairs", None)
     if pairs is None:
         v = rho.entries.reshape(16)
-        pairs = (tuple((_readout(1) @ v).tolist()), tuple((_readout(2) @ v).tolist()))
+        pairs = tuple(tuple((rows @ v).tolist()) for rows in _READOUT_ROWS)
         _store(rho, _pairs=pairs)
     return pairs
 
@@ -730,9 +731,7 @@ def predict_spectrum(
     Both spins' amplitudes are read off a state once and kept on it
     (`_amplitudes`); each call returns a fresh list of fresh lines.
     """
-    # type() rejects True and 1.0, as Rf does.
-    if not (type(spin) is int and spin in (1, 2)):
-        raise ValueError(f"spin must be 1 or 2, got {spin!r}")
+    checked_index(spin, range(1, 3), "spin")
     up, down = _amplitudes(rho)[spin - 1]
     half_j = consts.j_hz / 2.0
     return [

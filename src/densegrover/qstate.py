@@ -122,9 +122,10 @@ def checked_index(value, allowed: range, name: str) -> int:
     """value if it is an integer in `allowed`, else a ValueError naming it.
 
     `value in allowed` alone would pass True (bool is an int subclass)
-    and 2.0 (equal to 2), so the type is checked first.
+    and 2.0 (equal to 2), so the type is checked first, an int's by type().
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value not in allowed:
+    is_int = type(value) is int or isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not is_int or value not in allowed:
         raise ValueError(f"{name} must be {allowed[0]}..{allowed[-1]}, got {value!r}")
     return value
 

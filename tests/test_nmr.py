@@ -508,7 +508,6 @@ class TestVerifierMemo:
     def test_second_tolerance_refits_nothing_and_ok_flips_at_the_distance(self, monkeypatch):
         warm = {name: verify_realization(name) for name in UNITARY_GATES}
         lowered, fitted = recorded(monkeypatch, "lower"), recorded(monkeypatch, "phase_fit")
-        misses = nmr._gate_check.cache_info().misses
         for name, check in warm.items():
             # tol = distance is refused where the distance is exactly 0.
             tols = [t for t in (check.distance, np.nextafter(check.distance, 1.0), 0.5) if t > 0]
@@ -518,25 +517,18 @@ class TestVerifierMemo:
                 assert again.ok is (check.distance < tol)
         assert warm["I_t"].distance > 0  # so the loop checks tol = distance at least once
         assert lowered == [] and fitted == []
-        assert nmr._gate_check.cache_info().misses == misses
 
     def test_fresh_constants_make_no_phase_fits(self, monkeypatch):
-        calls = []
-
-        def counted(u, v):
-            calls.append(u)
-            return phase_fit(u, v)
-
-        monkeypatch.setattr(nmr, "phase_fit", counted)
-        nmr._gate_check.cache_clear()
-        for name in UNITARY_GATES:
-            verify_realization(name)
-        assert len(calls) == len(UNITARY_GATES)
-        calls.clear()
-        for consts in sweep_constants(20, RNG_SEED + 21):
+        # A sweep op: the 13 checks and the prep.  Every fit was made at
+        # import, so the op fits nothing and lowers only the prep's alpha pulse.
+        fitted, built = recorded(monkeypatch, "phase_fit"), recorded(monkeypatch, "element_unitary")
+        for consts in fresh_prep_constants(20, RNG_SEED + 21):
             for name in UNITARY_GATES:
                 assert verify_realization(name, consts=consts).ok
-        assert calls == []
+            prepare_pseudo_pure(consts)
+            assert fitted == []
+            assert built == [(gate_library("pseudo-pure-prep", consts=consts).elements[0], consts)]
+            built.clear()
 
     def test_fresh_constants_lower_and_fit_nothing(self, monkeypatch):
         for name in UNITARY_GATES:
@@ -707,11 +699,16 @@ class TestSpectra:
         with pytest.raises(ValueError):
             predict_spectrum(basis_pseudo_pure(BasisLabel.UU), 3)
 
-    @pytest.mark.parametrize("spin", [True, 1.0, 2.0, np.int64(2), "1"], ids=repr)
+    @pytest.mark.parametrize("spin", [True, 1.0, 2.0, "1"], ids=repr)
     def test_spin_must_be_the_int_1_or_2(self, spin):
         # Equal to 1 or 2 is not enough: SpectrumLine would carry True or 1.0.
-        with pytest.raises(ValueError, match="spin must be 1 or 2"):
+        with pytest.raises(ValueError, match=re.escape(f"spin must be 1..2, got {spin!r}")):
             predict_spectrum(basis_pseudo_pure(BasisLabel.UU), spin)
+
+    def test_numpy_integer_spin_is_an_index(self):
+        # The check is qstate.checked_index, which takes numpy integers as every index check does.
+        rho = basis_pseudo_pure(BasisLabel.UD)
+        assert predict_spectrum(rho, np.int64(2)) == predict_spectrum(rho, 2)
 
     def test_warm_spectrum_lowers_nothing(self, monkeypatch):
         rho = basis_pseudo_pure(BasisLabel.UD)
@@ -724,11 +721,11 @@ class TestSpectra:
 
     def test_one_state_is_read_out_once(self, monkeypatch):
         rho = basis_pseudo_pure(BasisLabel.DU)
-        reads = recorded(monkeypatch, "_readout")
+        reads = recorded_readouts(monkeypatch)
         predict_spectrum(rho, 1)
         predict_spectrum(rho, 2)
         spectrum_fingerprint(rho)
-        assert reads == [(1,), (2,)]
+        assert reads == [1, 2]
 
     def test_stored_amplitudes_are_bitwise_each_spins_readout(self):
         states = [basis_pseudo_pure(label) for label in BasisLabel]
@@ -736,7 +733,7 @@ class TestSpectra:
                    for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)]
         for rho in states:
             for spin in (1, 2):
-                expected = (nmr._readout(spin) @ rho.entries.reshape(16)).tolist()
+                expected = (nmr._READOUT_ROWS[spin - 1] @ rho.entries.reshape(16)).tolist()
                 assert [line.amplitude for line in predict_spectrum(rho, spin)] == expected
 
     def test_each_call_returns_a_fresh_list(self):
@@ -956,8 +953,14 @@ class TestLowering:
         assert seconds.reads_j and not relative.reads_j
         a, b = PhysicalConstants(j_hz=215.0), PhysicalConstants(j_hz=300.0)
         uncoupled = PhysicalConstants(j_hz=0.0)
-        assert [nmr._j_key(seconds, c) for c in (a, b, uncoupled)] == [215.0, 300.0, 0.0]
-        assert [nmr._j_key(relative, c) for c in (a, b, uncoupled)] == [None, None, 0.0]
+        assert [nmr._j_key(seconds, c) for c in (a, b)] == [215.0, 300.0]
+        assert [nmr._j_key(relative, c) for c in (a, b)] == [None, None]
+        # At J = 0 the key is the first n/dJ delay's error, or J where no such delay reads it.
+        for seq in (seconds, relative):
+            with pytest.raises(ValueError, match=re.escape("delay 1/4J is undefined")):
+                nmr._j_key(seq, uncoupled)
+        assert nmr._j_key(PulseSequence(seconds.elements[:3]), uncoupled) == 0.0
+        assert nmr._j_key(PulseSequence(seconds.elements[:1]), uncoupled) is None
         rho = equilibrium_state()
         assert simulate_sequence(seconds, rho, a) is not simulate_sequence(seconds, rho, b)
         assert simulate_sequence(relative, rho, a) is simulate_sequence(relative, rho, b)
@@ -1030,9 +1033,11 @@ class TestLowering:
         prep_b = gate_library("pseudo-pure-prep", consts=b)
         first_a, *rest_a = prep_a.segments
         first_b, *rest_b = prep_b.segments
-        assert first_a != first_b and rest_a == rest_b
-        tail_a = nmr._after_crush(tuple(rest_a), nmr._j_key(prep_a, a))
-        assert nmr._after_crush(tuple(rest_b), nmr._j_key(prep_b, b)) is tail_a
+        assert first_a != first_b and rest_a == rest_b == list(nmr._PREP_AFTER_ALPHA.segments[1:])
+        # One read-only tail, the map of those runs at either constants, serves both.
+        for rest, consts in ((rest_a, a), (rest_b, b)):
+            assert nmr._after_crush(tuple(rest), consts).tobytes() == nmr._PREP_TAIL.tobytes()
+        assert not nmr._PREP_TAIL.flags.writeable
         assert np.abs(transfer_of(prep_a, a) - transfer_of(prep_b, b)).max() > 1e-3
 
     def test_fresh_constants_build_only_the_prep_pulse(self, monkeypatch):
@@ -1069,7 +1074,9 @@ def superoperator_reference(seq, consts=DEFAULT_CONSTANTS):
 
 def transfer_of(seq, consts=DEFAULT_CONSTANTS):
     """The transfer matrix of `seq` under `consts`, by the fold the simulator uses."""
-    return nmr._transfer(seq.segments[0], seq.segments[1:], nmr._j_key(seq, consts))
+    nmr._j_key(seq, consts)  # raises at J = 0 for an n/dJ delay, as the simulator does
+    first, *later = seq.segments
+    return nmr._transfer(nmr._lower_run(first, consts), nmr._after_crush(later, consts) if later else None)
 
 
 def recorded(monkeypatch, name) -> list:
@@ -1077,6 +1084,23 @@ def recorded(monkeypatch, name) -> list:
     calls, original = [], getattr(nmr, name)
     monkeypatch.setattr(nmr, name, lambda *args: calls.append(args) or original(*args))
     return calls
+
+
+def recorded_readouts(monkeypatch) -> list:
+    """Patch nmr._READOUT_ROWS so each product with a spin's rows records the spin."""
+    reads = []
+
+    class Rows:
+        def __init__(self, spin, rows):
+            self.spin, self.rows = spin, rows
+
+        def __matmul__(self, v):
+            reads.append(self.spin)
+            return self.rows @ v
+
+    monkeypatch.setattr(nmr, "_READOUT_ROWS", tuple(
+        Rows(spin, rows) for spin, rows in enumerate(nmr._READOUT_ROWS, start=1)))
+    return reads
 
 
 class TestTransfer:
@@ -1087,10 +1111,10 @@ class TestTransfer:
             t = transfer_of(seq)
             assert np.abs(t - superoperator_reference(seq)).max() < 1e-12
 
-    def test_memoised_tail_and_state_are_read_only(self):
+    def test_prep_tail_and_memoised_state_are_read_only(self):
         seq = protocol_sequence(1, 2)
         assert transfer_of(seq).shape == (16, 16)
-        tail = nmr._after_crush(seq.segments[1:], nmr._j_key(seq, DEFAULT_CONSTANTS))
+        tail = nmr._PREP_TAIL
         state = simulate_sequence(seq, equilibrium_state()).entries
         assert tail.shape == (16, 4)
         for shared in (tail, state):
@@ -1110,20 +1134,16 @@ class TestTransfer:
 
     def test_fresh_constants_prep_lowers_only_its_alpha_pulse(self, monkeypatch):
         prepare_pseudo_pure(DEFAULT_CONSTANTS)
-        memos = (nmr._simulate, nmr._after_crush)
-        before = [memo.cache_info() for memo in memos]
+        before = nmr._simulate.cache_info()
         runs = recorded(monkeypatch, "_lower_run")
         fresh = PhysicalConstants(nu1_hz=61e6, nu2_hz=377e6, j_hz=97.5, gamma_ratio=4.125)
         prepare_pseudo_pure(fresh)
-        after = [memo.cache_info() for memo in memos]
+        after = nmr._simulate.cache_info()
         alpha = gate_library("pseudo-pure-prep", consts=fresh).elements[0]
+        # The prep lowers its alpha run, reads the tail value and builds no state.
         assert [run for run, _ in runs] == [(alpha,)]
-        # The prep lowers its alpha run and builds no state; the tail after
-        # the first crush hits.
-        misses, hits = zip(*((a.misses - b.misses, a.hits - b.hits) for a, b in zip(after, before)))
-        assert misses == (0, 0)
-        assert hits == (0, 1)
-        assert after[0].currsize == before[0].currsize
+        assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses,
+                                                              before.currsize)
 
     def test_equal_programs_built_apart_hash_and_compare_equal(self):
         seq = protocol_sequence(2, 3)
@@ -1244,6 +1264,25 @@ class TestFold:
             t = transfer_of(seq, consts)
             assert np.abs(t - superoperator_reference(seq, consts)).max() < 1e-12, seq.to_text()
 
+    def test_uncoupled_pair_raises_what_the_element_fold_raises_first(self):
+        # `_j_key` checks J = 0 before any run is lowered, so it must name the
+        # program's first n/dJ delay, the one an element-by-element fold meets first.
+        rng = random.Random(RNG_SEED + 67)
+        uncoupled = PhysicalConstants(j_hz=0.0)
+        rho = equilibrium_state(uncoupled)
+        two_delays = 0
+        for index in range(300):
+            seq = random_program(rng, index)
+            got = outcome(simulate_sequence, seq, rho, uncoupled)
+            expected = outcome(reference_fold, seq, rho, uncoupled)
+            if isinstance(expected, str):
+                assert got == expected, seq.to_text()
+                fractions = {e.duration for e in seq if isinstance(e, Delay) and e.j_fraction}
+                two_delays += len(fractions) > 1
+            else:
+                assert np.abs(got.entries - expected).max() < 1e-12, seq.to_text()
+        assert two_delays > 20
+
     def test_fresh_constants_preps_match_the_fold(self):
         for consts in fresh_prep_constants(50, RNG_SEED + 43):
             seq = gate_library("pseudo-pure-prep", consts=consts)
@@ -1288,17 +1327,87 @@ class TestPrepBlock:
             prepare_pseudo_pure(PhysicalConstants(gamma_ratio=2.0))
 
     def test_result_is_checked_hermitian(self, monkeypatch):
-        tail = nmr._after_crush
-
-        def skewed(runs, j_hz):
-            # Feeds the first population into rho[0, 1] alone: trace kept, Hermiticity lost.
-            t = np.array(tail(runs, j_hz))
-            t[1, 0] += 1.0
-            return t
-
-        monkeypatch.setattr(nmr, "_after_crush", skewed)
+        # Feeds the first population into rho[0, 1] alone: trace kept, Hermiticity lost.
+        skewed = np.array(nmr._PREP_TAIL)
+        skewed[1, 0] += 1.0
+        monkeypatch.setattr(nmr, "_PREP_TAIL", skewed)
         with pytest.raises(ValueError, match="deviation matrix must be Hermitian"):
             prepare_pseudo_pure(PhysicalConstants(gamma_ratio=2.0))
+
+
+def outcome(f, *args, **kwargs):
+    """f's result, or the text of the ValueError it raises."""
+    try:
+        return f(*args, **kwargs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def refitted_check(name, kind, consts, tol=1e-9):
+    """`verify_realization` as a fit made on every call: lower the gate's program, fit it."""
+    seq = gate_library(name, kind, consts)
+    if len(seq.segments) > 1:
+        raise ValueError(f"gate {name!r} contains gradients; no net unitary exists")
+    (u,) = lower(seq, consts)
+    phase, distance = phase_fit(u, ideal_gate_unitary(name, kind).matrix)
+    return nmr.GateCheck(distance < tol, distance, phase)
+
+
+def library_constants() -> list:
+    """The default, J = 0, a low gamma_ratio with and without J, a coupled set, 200 draws."""
+    return [DEFAULT_CONSTANTS, PhysicalConstants(j_hz=0.0), PhysicalConstants(gamma_ratio=0.3),
+            PhysicalConstants(j_hz=0.0, gamma_ratio=0.3),
+            PhysicalConstants(nu1_hz=90e6, nu2_hz=700e6, j_hz=37.5, gamma_ratio=0.6),
+            *sweep_constants(200, RNG_SEED + 61)]
+
+
+class TestLibraryValues:
+    """Gate fits and the prep tail, built once, against the work they stand for."""
+
+    def test_library_programs_read_no_j(self):
+        # The condition under which one lowering serves every J != 0.
+        programs = [gate.pulses for gate in GATES.values() if gate.pulses is not None]
+        assert len(programs) == len(GATES) - 1
+        assert not any(seq.reads_j for seq in [*programs, nmr._PREP_AFTER_ALPHA])
+
+    def test_verify_matches_a_fit_made_on_every_call(self):
+        for consts in library_constants():
+            for name in [*GATES, "unknown"]:
+                for kind in ("y", "x"):
+                    got = outcome(verify_realization, name, kind, consts=consts)
+                    expected = outcome(refitted_check, name, kind, consts)
+                    if isinstance(expected, str):
+                        assert got == expected, (name, kind, consts)
+                    else:
+                        assert same_bits(got, expected.phase, expected.distance), (name, consts)
+                        assert got.ok is expected.ok
+
+    def test_prep_matches_the_program(self):
+        def by_program(consts):
+            program = gate_library("pseudo-pure-prep", consts=consts)
+            return simulate_sequence(program, equilibrium_state(consts), consts)
+
+        errors = set()
+        for consts in library_constants():
+            got, expected = outcome(prepare_pseudo_pure, consts), outcome(by_program, consts)
+            if isinstance(expected, str):
+                assert got == expected, consts
+                errors.add(expected)
+            else:
+                assert got.entries.tobytes() == expected.entries.tobytes(), consts
+        assert "ValueError: delay 1/4J is undefined for an uncoupled pair (j_hz = 0)" in errors
+
+    def test_a_substituted_gate_derives_its_own_fit(self):
+        gate = Gate(GATES["V3"].pulses, GATES["V2"].ideal)
+        (u,) = lower(GATES["V3"].pulses)
+        assert gate.fit == phase_fit(u, GATES["V2"].ideal.matrix) and gate.fit[1] > 0.5
+        assert Gate(GATES["readout-carbon"].pulses).fit is None
+        assert GATES["pseudo-pure-prep"].fit is None
+        assert [f.name for f in dataclasses.fields(Gate)] == ["pulses", "ideal"]
+        loaded = pickle.loads(pickle.dumps(gate))
+        assert loaded.pulses == gate.pulses and loaded.fit == gate.fit
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gate.pulses = None
 
 
 def old_j_fraction(duration: str):
@@ -1418,9 +1527,9 @@ print(nmr.simulate_sequence(pickle.loads(pickle.dumps(seq)), nmr.equilibrium_sta
         loaded = pickle.loads(pickle.dumps(rho))
         assert loaded.entries.tobytes() == rho.entries.tobytes()
         assert not loaded.entries.flags.writeable
-        reads = recorded(monkeypatch, "_readout")
+        reads = recorded_readouts(monkeypatch)
         assert predict_spectrum(loaded, 1) == spectrum
-        assert reads == [(1,), (2,)]
+        assert reads == [1, 2]
 
         class Forged:
             def __reduce__(self):
