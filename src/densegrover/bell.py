@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import Ket4, _by_fields, _frozen_array, checked_index
+from .qstate import Ket4, _by_fields, _frozen_array, checked_index, checked_member
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -74,20 +74,18 @@ def rotate_epr(i: int, axis: str, theta: float) -> BellVector:
         raise ValueError("rotation angle must be finite")
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
-    if axis == "y":
+    if checked_member(axis, ("x", "y"), "axis") == "y":
         forms = {
             1: (c, 0.0, 0.0, -s),
             2: (0.0, c, -s, 0.0),
             3: (0.0, s, c, 0.0),
             4: (s, 0.0, 0.0, c),
         }
-    elif axis == "x":
+    else:
         forms = {
             1: (c, 0.0, 1j * s, 0.0),
             2: (0.0, c, 0.0, 1j * s),
             3: (1j * s, 0.0, c, 0.0),
             4: (0.0, 1j * s, 0.0, c),
         }
-    else:
-        raise ValueError(f"axis must be x or y, got {axis!r}")
     return BellVector(np.array(forms[i], dtype=complex))

@@ -5,29 +5,27 @@ two bits by one of four manipulations of particle 2 alone, and the
 first party decodes with G^-1 followed by a product-basis measurement.
 An ancilla bit extends the scheme to three bits by switching between
 the y-kind and x-kind encoder sets.
+
+Each kind's encoder set and each preset's outcomes are values built at
+import, keyed on kind and (kind, j), with each outcome map's bijection
+checked then; the entry points read them and `grover.PRESETS`.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import bell
-from .grover import (
-    UChoice,
-    build_G_pair,
-    is_preset,
-    preset,
-    preset_index,
-)
+from .grover import _AXES, PRESETS, UChoice, preset, preset_index
 from .qstate import (
     BasisLabel,
     Ket4,
     Operator4,
     checked_index,
+    checked_member,
     compose,
     identity,
     measure_basis,
@@ -41,26 +39,25 @@ def _pauli_on_2(axis: str) -> Operator4:
     return scaled(single_spin_rotation(2, axis, np.pi), -1j)
 
 
-@functools.lru_cache(maxsize=None)
+_ENCODER_SETS = {
+    "y": (
+        identity(),
+        compose([single_spin_rotation(2, "y", -np.pi / 2), _pauli_on_2("x")]),
+        compose([single_spin_rotation(2, "y", np.pi / 2), _pauli_on_2("x")]),
+        scaled(_pauli_on_2("y"), 1j),
+    ),
+    "x": (
+        identity(),
+        compose([single_spin_rotation(2, "x", np.pi / 2), _pauli_on_2("z")]),
+        compose([single_spin_rotation(2, "x", -np.pi / 2), _pauli_on_2("z")]),
+        _pauli_on_2("x"),
+    ),
+}
+
+
 def encoder_set(kind: str) -> tuple:
     """The four particle-2 manipulations paired with the given decoding axis."""
-    if kind == "y":
-        ops = (
-            identity(),
-            compose([single_spin_rotation(2, "y", -np.pi / 2), _pauli_on_2("x")]),
-            compose([single_spin_rotation(2, "y", np.pi / 2), _pauli_on_2("x")]),
-            scaled(_pauli_on_2("y"), 1j),
-        )
-    elif kind == "x":
-        ops = (
-            identity(),
-            compose([single_spin_rotation(2, "x", np.pi / 2), _pauli_on_2("z")]),
-            compose([single_spin_rotation(2, "x", -np.pi / 2), _pauli_on_2("z")]),
-            _pauli_on_2("x"),
-        )
-    else:
-        raise ValueError(f"encoder-set kind must be x or y, got {kind!r}")
-    return ops
+    return _ENCODER_SETS[checked_member(kind, _AXES, "encoder-set kind")]
 
 
 def encoder(kind: str, k: int) -> Operator4:
@@ -82,9 +79,10 @@ class ProtocolTrace:
 
 def run_protocol(c: UChoice, k: int) -> ProtocolTrace:
     """Full pipeline: G(c) on up-up, encoder k of c's axis, G^-1(c), measurement."""
-    if not is_preset(c):
+    j = preset_index(c)
+    if j is None:
         raise ValueError("protocol runs require one of the eight named presets")
-    g, g_inv = build_G_pair(c)
+    g, g_inv, _ = PRESETS[c.axis, j]
     return _pipeline(g, encoder(c.axis, k), g_inv, c, k)
 
 
@@ -112,29 +110,30 @@ def _bell_column(psi0: np.ndarray) -> int:
     return idx + 1
 
 
-@functools.lru_cache(maxsize=None)
-def _preset_outcomes(kind: str, j: int) -> tuple[int, tuple[BasisLabel, ...]]:
+def _preset_outcomes(kind: str, j: int, encoders: tuple) -> tuple[int, tuple[BasisLabel, ...]]:
     """Starting Bell index of preset (kind, j) and the output labels of its runs k = 1..4.
 
-    Each run is `_pipeline` with the preset's one G and one G^-1.  A bad
-    kind or j raises in preset() before anything is stored, so the memo
-    holds at most the eight presets; table2 and decode both read it.
+    Each run is `_pipeline` with the preset's G and G^-1 from `PRESETS` and encoders[k - 1].
     """
     c = preset(kind, j)
-    g, g_inv = build_G_pair(c)
+    g, g_inv, _ = PRESETS[kind, j]
     labels = tuple(_pipeline(g, v, g_inv, c, k).output_label
-                   for k, v in enumerate(encoder_set(kind), start=1))
+                   for k, v in enumerate(encoders, start=1))
     # Injectivity of k -> label is what makes two-bit transmission work.
     if len(set(labels)) != 4:
         raise AssertionError(f"outcome map for preset {j} ({kind}) is not a bijection")
     return _bell_column(g.matrix[:, 0]), labels
 
 
+_OUTCOMES = {(kind, j): _preset_outcomes(kind, j, _ENCODER_SETS[kind]) for kind, j in PRESETS}
+
+
 def table2(kind: str = "y") -> dict:
     """Outcome grid keyed by (starting Bell index, k) over all 16 runs."""
+    checked_member(kind, _AXES, "axis")
     grid = {}
     for j in (1, 2, 3, 4):
-        column, labels = _preset_outcomes(kind, j)
+        column, labels = _OUTCOMES[kind, j]
         for k, label in enumerate(labels, start=1):
             grid[(column, k)] = label
     return grid
@@ -145,7 +144,7 @@ def decode(output: BasisLabel, c: UChoice) -> int:
     j = preset_index(c)
     if j is None:
         raise ValueError("decoding requires one of the eight named presets")
-    return _preset_outcomes(c.axis, j)[1].index(output) + 1
+    return _OUTCOMES[c.axis, j][1].index(output) + 1
 
 
 @dataclass(frozen=True)
@@ -185,8 +184,7 @@ def run_ancilla_protocol(m: AncillaMessage) -> AncillaResult:
     """
     kind = "y" if m.set_bit == 0 else "x"
     c_dec = preset(kind, 1)
-    g, _ = build_G_pair(preset("y", 1))
-    _, g_inv = build_G_pair(c_dec)
+    g, g_inv = PRESETS["y", 1].g, PRESETS[kind, 1].g_inverse
     trace = _pipeline(g, encoder(kind, m.v_index), g_inv, c_dec, m.v_index)
     recovered = AncillaMessage(m.set_bit, decode(trace.output_label, c_dec))
     return AncillaResult(trace, recovered)

@@ -5,30 +5,25 @@ single-spin rotations by arbitrary angles, maps each product-basis
 state to a Bell state or an equal-weight superposition of two Bell
 states.  Eight named angle presets (four per rotation axis) make G
 produce exactly the four Bell states from the up-up input.
+
+The builders take arbitrary angles and compute on every call; each
+preset's G, G^-1 and Table-1 entries are values built at import, in
+`PRESETS`, keyed on (kind, j).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bell
-from .qstate import (
-    BasisLabel,
-    Operator4,
-    checked_index,
-    kron2,
-    rotation_2x2,
-)
+from .qstate import BasisLabel, Operator4, checked_index, checked_member, kron2, rotation_2x2
 
 _PI = np.pi
-
-# Bound of each memo keyed on a UChoice: the (G, G^-1) pairs and Table 1.
-# The eight presets fit with room to spare; other angles cycle through the rest.
-_ANGLE_CHOICES = 16
+_AXES = ("x", "y")
 
 # Preset rotation angles (phi1, phi2), indexed 1..4 per axis.
 _PRESET_ANGLES = {
@@ -56,8 +51,7 @@ class UChoice:
     phi2: float
 
     def __post_init__(self):
-        if self.axis not in ("x", "y"):
-            raise ValueError(f"axis must be x or y, got {self.axis!r}")
+        checked_member(self.axis, _AXES, "axis")
         for name in ("phi1", "phi2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -74,8 +68,7 @@ class Table1Entry:
 
 def preset(axis: str, j: int) -> UChoice:
     """Named angle choice j (1..4) for the given rotation axis."""
-    if axis not in _PRESET_ANGLES:
-        raise ValueError(f"axis must be x or y, got {axis!r}")
+    checked_member(axis, _AXES, "axis")
     phi1, phi2 = _PRESET_ANGLES[axis][checked_index(j, range(1, 5), "preset index")]
     return UChoice(axis, phi1, phi2)
 
@@ -86,10 +79,6 @@ def preset_index(c: UChoice) -> int | None:
         if abs(c.phi1 - phi1) < 1e-15 and abs(c.phi2 - phi2) < 1e-15:
             return j
     return None
-
-
-def is_preset(c: UChoice) -> bool:
-    return preset_index(c) is not None
 
 
 def build_U(c: UChoice) -> Operator4:
@@ -122,12 +111,11 @@ def build_G_inverse(c: UChoice) -> Operator4:
     return build_G_pair(c)[1]
 
 
-@functools.lru_cache(maxsize=_ANGLE_CHOICES)
 def build_G_pair(c: UChoice) -> tuple[Operator4, Operator4]:
     """(G, G^-1) from one U, each checked unitary once as a whole.
 
     I_t and I_s are involutions, so G^-1 is G's factors in reverse with
-    U and U^-1 swapped.  Memoised per angle choice; both are immutable.
+    U and U^-1 swapped.
     """
     u = build_U(c).matrix
     u_inv = u.conj().T
@@ -180,25 +168,30 @@ def bell_combination_str(v: bell.BellVector, tol: float = 1e-9) -> str:
 
 def table1(c: UChoice) -> list[Table1Entry]:
     """Classify G(c) on the four product-basis inputs, in canonical order."""
-    if not is_preset(c):
+    j = preset_index(c)
+    if j is None:
         raise ValueError(
             "table classification requires one of the eight named presets; "
             "apply build_G directly for generic angles"
         )
-    return list(_table1_entries(c))
+    return list(PRESETS[c.axis, j].table1)
 
 
-@functools.lru_cache(maxsize=_ANGLE_CHOICES)
-def _table1_entries(c: UChoice) -> tuple[Table1Entry, ...]:
-    """table1's entries, memoised per angle choice; each entry is immutable.
+class PresetValues(NamedTuple):
+    """A preset's G, G^-1 and Table-1 entries, each immutable."""
 
-    Keyed on c itself, not its preset index, so a choice within the preset
-    tolerance gets the images of its own G.
-    """
+    g: Operator4
+    g_inverse: Operator4
+    table1: tuple[Table1Entry, ...]
+
+
+def _build_preset(axis: str, j: int) -> PresetValues:
+    """Preset (axis, j)'s values, built afresh."""
+    g, g_inv = build_G_pair(preset(axis, j))
     # G's column i is G applied to basis input i.
-    images = bell.BELL_ADJOINT @ build_G(c).matrix
-    entries = []
-    for label in BasisLabel:
-        out = bell.BellVector(images[:, label.index])
-        entries.append(Table1Entry(label, out, bell_combination_str(out)))
-    return tuple(entries)
+    images = [bell.BellVector(column) for column in (bell.BELL_ADJOINT @ g.matrix).T]
+    entries = [Table1Entry(label, v, bell_combination_str(v)) for label, v in zip(BasisLabel, images)]
+    return PresetValues(g, g_inv, tuple(entries))
+
+
+PRESETS = {(axis, j): _build_preset(axis, j) for axis in _AXES for j in (1, 2, 3, 4)}

@@ -53,12 +53,14 @@ import numpy as np
 from .grover import phase_shift_s, preset, sign_flip_target
 from .qstate import (
     _EYE2,
+    SPINS,
     BasisLabel,
     Operator4,
     _by_fields,
     _frozen_array,
     check_hermitian,
     checked_index,
+    checked_member,
     kron2,
     phase_fit,
     rotation_2x2,
@@ -209,8 +211,7 @@ class Rf:
         # type() rejects True and 1.0, which equal 1 but print as other text.
         if not (self.spin == "both" or (type(self.spin) is int and self.spin in (1, 2))):
             raise ValueError(f"rf spin must be 1, 2, or 'both', got {self.spin!r}")
-        if self.axis not in ("x", "y"):
-            raise ValueError(f"rf axis must be x or y, got {self.axis!r}")
+        checked_member(self.axis, ("x", "y"), "rf axis")
         angle_rad = parse_angle(self.angle)
         if not math.isfinite(angle_rad):
             raise ValueError(f"rf angle must be finite, got {self.angle!r}")
@@ -280,8 +281,7 @@ class Gradient:
     __reduce__ = _by_fields
 
     def __post_init__(self):
-        if self.axis != "z":
-            raise ValueError(f"gradient axis must be z, got {self.axis!r}")
+        checked_member(self.axis, ("z",), "gradient axis")
         _store(self, _hash=hash((self.axis,)))
 
 
@@ -731,7 +731,7 @@ def predict_spectrum(
     Both spins' amplitudes are read off a state once and kept on it
     (`_amplitudes`); each call returns a fresh list of fresh lines.
     """
-    checked_index(spin, range(1, 3), "spin")
+    checked_index(spin, SPINS, "spin")
     up, down = _amplitudes(rho)[spin - 1]
     half_j = consts.j_hz / 2.0
     return [

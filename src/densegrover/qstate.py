@@ -21,6 +21,7 @@ EXACT_TOL = 1e-12
 
 _EYE2 = np.eye(2, dtype=complex)
 _EYE4 = np.eye(4)
+SPINS = range(1, 3)
 
 
 class BasisLabel(enum.Enum):
@@ -130,6 +131,14 @@ def checked_index(value, allowed: range, name: str) -> int:
     return value
 
 
+def checked_member(value, allowed: tuple, name: str):
+    """value if it is one of `allowed`, else a ValueError naming it; tuple
+    membership compares by ==, so an unhashable value raises it too."""
+    if value not in allowed:
+        raise ValueError(f"{name} must be {' or '.join(allowed)}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class Ket4:
     """State vector of the two-spin system in the product basis."""
@@ -225,7 +234,7 @@ def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def single_spin_rotation(spin: int, axis: str, angle: float) -> Operator4:
     """Rotation of one spin embedded in the two-spin space."""
     r = rotation_2x2(axis, angle)
-    if checked_index(spin, range(1, 3), "spin") == 1:
+    if checked_index(spin, SPINS, "spin") == 1:
         return Operator4(kron2(r, _EYE2))
     return Operator4(kron2(_EYE2, r))
 
@@ -299,7 +308,7 @@ def equal_up_to_phase(a, b, tol: float = EXACT_TOL) -> PhaseMatch:
 def partial_trace(state: Ket4, keep: int) -> ReducedState:
     """Reduced density matrix of one spin, tracing out the other."""
     psi = state.amplitudes.reshape(2, 2)
-    if checked_index(keep, range(1, 3), "keep") == 1:
+    if checked_index(keep, SPINS, "keep") == 1:
         rho = np.einsum("ab,cb->ac", psi, psi.conj())
     else:
         rho = np.einsum("ab,ac->bc", psi, psi.conj())

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -92,9 +94,10 @@ def test_x_rotation_of_first_bell_state():
     assert np.abs(out.coords - [s, 0, 1j * s, 0]).max() < 1e-12
 
 
-def test_axis_validated():
-    with pytest.raises(ValueError):
-        rotate_epr(1, "z", 0.1)
+@pytest.mark.parametrize("axis", ["z", ["y"], ["x", "y"]])
+def test_axis_validated(axis):
+    with pytest.raises(ValueError, match=f"^axis must be x or y, got {re.escape(repr(axis))}$"):
+        rotate_epr(1, axis, 0.1)
 
 
 @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])

@@ -85,11 +85,15 @@ class TestEncoderSets:
         assert np.abs(v2 - on_spin_2(-_ry(np.pi / 2) @ _SZ)).max() < 1e-12
         assert np.abs(v3 - on_spin_2(_ry(-np.pi / 2) @ _SZ)).max() < 1e-12
 
-    def test_kind_validated(self):
-        with pytest.raises(ValueError):
-            encoder_set("q")
-        with pytest.raises(ValueError):
-            encoder("q", 1)
+    @pytest.mark.parametrize("kind", ["q", ["y"], ["x", "y"]])
+    def test_kind_validated(self, kind):
+        message = re.escape(f"encoder-set kind must be x or y, got {kind!r}")
+        with pytest.raises(ValueError, match=message):
+            encoder_set(kind)
+        with pytest.raises(ValueError, match=message):
+            encoder(kind, 1)
+        with pytest.raises(ValueError, match=message):
+            encoder(kind, 5)  # the kind is checked before the index
 
     def test_encoder_accepts_set_objects(self):
         enc = encoder_set("y")
@@ -153,12 +157,11 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             run_protocol(UChoice("y", 0.1, 0.2), 1)
 
-    def test_builds_u_once(self, monkeypatch):
-        grover.build_G_pair.cache_clear()
+    def test_builds_no_u(self, monkeypatch):
         calls = []
         monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
         run_protocol(preset("y", 2), 3)
-        assert calls == [preset("y", 2)]
+        assert calls == []
 
 
 def _checked_chain(g, v, g_inv):
@@ -219,14 +222,20 @@ class TestTable2:
         assert outputs == [BasisLabel.UU, BasisLabel.UD, BasisLabel.DU, BasisLabel.DD]
 
     @pytest.mark.parametrize("kind", ["x", "y"])
-    def test_builds_g_and_its_inverse_once_per_preset(self, kind, monkeypatch):
-        # G and G^-1 of a preset come from one U.
-        grover.build_G_pair.cache_clear()
-        coding._preset_outcomes.cache_clear()
-        calls = []
+    def test_outcomes_run_each_presets_one_g_and_its_inverse(self, kind, monkeypatch):
+        # A build of a preset's outcomes runs the G and G^-1 built at import
+        # and builds no U; neither does table2.
+        calls, seen = [], []
         monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
+        monkeypatch.setattr(coding, "_pipeline",
+                            lambda g, v, g_inv, *rest, p=coding._pipeline: seen.append((g, g_inv))
+                            or p(g, v, g_inv, *rest))
         table2(kind)
-        assert calls == [preset(kind, j) for j in (1, 2, 3, 4)]
+        for j in (1, 2, 3, 4):
+            coding._preset_outcomes(kind, j, encoder_set(kind))
+        assert calls == []
+        presets = [grover.PRESETS[kind, j] for j in (1, 2, 3, 4)]
+        assert seen == [(p.g, p.g_inverse) for p in presets for _ in range(4)]
 
     @pytest.mark.parametrize("kind", ["x", "y"])
     def test_stacked_outcomes_equal_single_runs(self, kind):
@@ -239,14 +248,14 @@ class TestTable2:
             assert all(decode(label, c) == k for k, label in labels.items())
 
 
-class TestOutcomesMemo:
+class TestOutcomeValues:
     @pytest.mark.parametrize("kind", ["x", "y"])
-    def test_a_second_table_builds_no_u_and_classifies_nothing(self, kind, monkeypatch):
-        first = table2(kind)
+    def test_a_table_builds_no_u_and_classifies_nothing(self, kind, monkeypatch):
         built, classified = [], []
         monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: built.append(c) or b(c))
         monkeypatch.setattr(coding, "_bell_column",
                             lambda psi0, b=coding._bell_column: classified.append(psi0) or b(psi0))
+        first = table2(kind)
         assert table2(kind) == first
         assert built == [] and classified == []
 
@@ -270,26 +279,38 @@ class TestOutcomesMemo:
             psi0 = g.matrix[:, 0]
             outputs = (np.stack([v.matrix for v in encoder_set(kind)]) @ psi0) @ g_inv.matrix.T
             labels = tuple(BasisLabel(i) for i in np.abs(outputs).argmax(axis=1).tolist())
-            assert coding._preset_outcomes(kind, j) == (starting_bell_column(preset(kind, j)), labels)
+            assert coding._OUTCOMES[kind, j] == (starting_bell_column(preset(kind, j)), labels)
 
-    def test_decoder_and_table_read_one_memo(self):
-        coding._preset_outcomes.cache_clear()
-        table2("x")
-        decode(BasisLabel.UU, preset("x", 3))
-        info = coding._preset_outcomes.cache_info()
-        assert (info.misses, info.hits) == (4, 1)
+    @pytest.mark.parametrize("kind,j", [(kind, j) for kind in ("x", "y") for j in (1, 2, 3, 4)])
+    def test_values_equal_a_fresh_build(self, kind, j):
+        assert coding._OUTCOMES[kind, j] == coding._preset_outcomes(kind, j, encoder_set(kind))
+
+    def test_values_hold_exactly_the_eight_presets(self):
+        assert list(coding._OUTCOMES) == list(grover.PRESETS)
+        assert len(coding._OUTCOMES) == 8
+        assert table2(np.str_("y")) == table2("y")
+        assert decode(BasisLabel.UU, preset("y", np.int64(2))) == 1
+        for kind, j in [("q", 1), ("", 2), ("Y", 1), ("y", 0), ("y", 5), ("x", -1)]:
+            with pytest.raises(ValueError):
+                coding._preset_outcomes(kind, j, encoder_set("y"))
+
+    def test_decoder_and_table_read_one_value(self, monkeypatch):
+        # A relabelled outcome map for preset x3 shows in both readers.
+        column, labels = coding._OUTCOMES["x", 3]
+        swapped = (labels[1], labels[0], labels[2], labels[3])
+        monkeypatch.setitem(coding._OUTCOMES, ("x", 3), (column, swapped))
+        assert decode(labels[1], preset("x", 3)) == 1
+        assert [table2("x")[(column, k)] for k in (1, 2, 3, 4)] == list(swapped)
 
     def test_outcomes_are_an_immutable_tuple(self):
-        column, labels = coding._preset_outcomes("y", 2)
+        column, labels = coding._OUTCOMES["y", 2]
         assert column == starting_bell_column(preset("y", 2))
         assert isinstance(labels, tuple)
         assert labels == tuple(run_protocol(preset("y", 2), k).output_label for k in (1, 2, 3, 4))
 
     @pytest.mark.parametrize("kind", ["x", "y"])
-    def test_warm_table_and_decode_build_no_u_choice(self, kind, monkeypatch):
+    def test_table_and_decode_build_no_u_choice(self, kind, monkeypatch):
         c = preset(kind, 3)
-        table2(kind)
-        decode(BasisLabel.DU, c)
         built = []
         monkeypatch.setattr(grover.UChoice, "__post_init__",
                             lambda self, p=grover.UChoice.__post_init__: built.append(self) or p(self))
@@ -297,68 +318,49 @@ class TestOutcomesMemo:
         decode(BasisLabel.DU, c)
         assert built == []
 
-    def test_bad_kind_raises_cold_and_warm(self):
-        coding._preset_outcomes.cache_clear()
-        with pytest.raises(ValueError, match="axis must be x or y"):
-            table2("q")
-        table2("y")
-        with pytest.raises(ValueError, match="axis must be x or y"):
-            table2("q")
-
-    def test_memo_holds_at_most_the_eight_presets(self):
-        for kind in ("x", "y"):
+    @pytest.mark.parametrize("kind", ["q", "z", "", ["y"], ["x", "y"]])
+    def test_bad_kind_raises_before_and_after_a_good_table(self, kind):
+        message = re.escape(f"axis must be x or y, got {kind!r}")
+        with pytest.raises(ValueError, match=message):
             table2(kind)
-            for j in (1, 2, 3, 4):
-                decode(BasisLabel.UU, preset(kind, j))
-        assert coding._preset_outcomes("y", np.int64(2)) == coding._preset_outcomes("y", 2)
-        for kind, j in [("q", 1), ("", 2), ("Y", 1), ("y", 0), ("y", 5), ("x", -1)]:
-            with pytest.raises(ValueError):
-                coding._preset_outcomes(kind, j)
-        with pytest.raises(ValueError):
-            table2("z")
-        assert coding._preset_outcomes.cache_info().currsize <= 8
+        table2("y")
+        with pytest.raises(ValueError, match=message):
+            table2(kind)
 
     def test_decode_rejects_a_string_label(self):
         with pytest.raises(ValueError):
             decode("uu", preset("y", 1))
 
-    def test_table_and_decoder_both_check_the_bijection(self, monkeypatch):
-        def repeated_first(kind, real=coding.encoder_set):
-            ops = real(kind)
-            return (ops[0], ops[0], ops[2], ops[3])
-
-        monkeypatch.setattr(coding, "encoder_set", repeated_first)
-        coding._preset_outcomes.cache_clear()
-        try:
-            with pytest.raises(AssertionError, match="is not a bijection"):
-                table2("y")
-            with pytest.raises(AssertionError, match="is not a bijection"):
-                decode(BasisLabel.UU, preset("x", 2))
-        finally:
-            coding._preset_outcomes.cache_clear()
+    @pytest.mark.parametrize("kind", ["x", "y"])
+    def test_the_builder_checks_the_bijection(self, kind):
+        ops = encoder_set(kind)
+        for j in (1, 2, 3, 4):
+            with pytest.raises(AssertionError, match=re.escape(f"preset {j} ({kind}) is not a bijection")):
+                coding._preset_outcomes(kind, j, (ops[0], ops[0], ops[2], ops[3]))
 
 
-class TestGMemo:
+class TestGValues:
     def test_ancilla_reads_g_from_y1_and_its_inverse_from_the_decoding_preset(self, monkeypatch):
-        grover.build_G_pair.cache_clear()
-        calls = []
-        monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
+        seen = []
+        monkeypatch.setattr(coding, "_pipeline",
+                            lambda g, v, g_inv, *rest, p=coding._pipeline: seen.append((g, g_inv))
+                            or p(g, v, g_inv, *rest))
         run_ancilla_protocol(AncillaMessage(1, 2))
-        assert calls == [preset("y", 1), preset("x", 1)]
+        # Operator4 compares by identity, so these are the preset values themselves.
+        assert seen == [(grover.PRESETS["y", 1].g, grover.PRESETS["x", 1].g_inverse)]
 
     @pytest.mark.parametrize("run", [
         lambda: run_protocol(preset("y", 2), 3),
         lambda: grover.table1(preset("x", 3)),
         lambda: table2("x"),
+        lambda: decode(BasisLabel.UU, preset("y", 4)),
         lambda: run_ancilla_protocol(AncillaMessage(1, 2)),
-    ], ids=["run_protocol", "table1", "table2", "run_ancilla_protocol"])
-    def test_a_second_run_builds_no_u(self, run, monkeypatch):
-        first = run()
+    ], ids=["run_protocol", "table1", "table2", "decode", "run_ancilla_protocol"])
+    def test_no_run_builds_a_u(self, run, monkeypatch):
         calls = []
         monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
-        second = run()
+        run()
         assert calls == []
-        assert repr(second) == repr(first)
 
 
 class TestDecode:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from densegrover.bell import BellVector, bell_state, rotate_epr, to_bell_coords
-from densegrover import grover
+from densegrover import coding, grover
 from densegrover.grover import (
     Table1Entry,
     UChoice,
@@ -12,7 +12,6 @@ from densegrover.grover import (
     build_G,
     build_G_inverse,
     build_U,
-    is_preset,
     phase_shift_s,
     preset,
     preset_index,
@@ -116,7 +115,6 @@ class TestPresets:
                 assert preset_index(preset(axis, j)) == j
 
     def test_generic_angles_are_not_presets(self):
-        assert not is_preset(UChoice("y", 0.3, 0.4))
         assert preset_index(UChoice("y", 0.3, 0.4)) is None
 
     def test_bad_arguments(self):
@@ -128,6 +126,12 @@ class TestPresets:
             preset("y", True)
         with pytest.raises(ValueError):
             UChoice("q", 0.0, 0.0)
+        # An unhashable axis raises the same ValueError, not a TypeError.
+        for axis in (["y"], ["x", "y"]):
+            with pytest.raises(ValueError, match=re.escape(f"axis must be x or y, got {axis!r}")):
+                preset(axis, 1)
+            with pytest.raises(ValueError, match=re.escape(f"axis must be x or y, got {axis!r}")):
+                UChoice(axis, 0.0, 0.0)
 
     @pytest.mark.parametrize("j", [True, 2.0, np.float64(2.0), "2", None, 0, 5])
     def test_index_must_be_an_int_in_range(self, j):
@@ -280,7 +284,6 @@ class TestOneCheckedProduct:
     @pytest.mark.parametrize("c", CHOICES, ids=lambda c: f"{c.axis}-{c.phi1:.3f}-{c.phi2:.3f}")
     def test_pair_builds_one_u_and_equals_the_reference_chain(self, c, monkeypatch):
         _, g, g_inv = reference_chain(c)
-        grover.build_G_pair.cache_clear()
         calls = []
         monkeypatch.setattr(grover, "build_U", lambda c, b=build_U: calls.append(c) or b(c))
         pair = grover.build_G_pair(c)
@@ -289,37 +292,22 @@ class TestOneCheckedProduct:
         assert np.array_equal(pair[1].matrix, g_inv.matrix)
 
     @pytest.mark.parametrize("c", CHOICES, ids=lambda c: f"{c.axis}-{c.phi1:.3f}-{c.phi2:.3f}")
-    def test_g_and_its_inverse_are_the_read_only_pair(self, c):
+    def test_g_and_its_inverse_equal_the_read_only_pair(self, c):
         g, g_inv = grover.build_G_pair(c)
-        assert build_G(c) is g
-        assert build_G_inverse(c) is g_inv
+        assert np.array_equal(build_G(c).matrix, g.matrix)
+        assert np.array_equal(build_G_inverse(c).matrix, g_inv.matrix)
         assert not g.matrix.flags.writeable and not g_inv.matrix.flags.writeable
 
-    def test_a_warm_pair_builds_no_u(self, monkeypatch):
+    def test_every_pair_is_built_afresh(self, monkeypatch):
+        # The builders take arbitrary angles, so they keep nothing between calls.
         c = preset("x", 2)
         first = grover.build_G_pair(c)
         calls = []
         monkeypatch.setattr(grover, "build_U", lambda c, b=build_U: calls.append(c) or b(c))
-        assert grover.build_G_pair(c) is first
-        assert grover.build_G_pair(UChoice("x", c.phi1, c.phi2)) is first
-        assert calls == []
-
-    def test_evicted_presets_are_rebuilt_equal_to_the_reference_chain(self, monkeypatch):
-        presets = [preset(axis, j) for axis in ("x", "y") for j in (1, 2, 3, 4)]
-        for c in presets:
-            grover.build_G_pair(c)
-        rng = np.random.default_rng(RNG_SEED)
-        for _ in range(20):
-            phi1, phi2 = rng.uniform(-np.pi, np.pi, size=2)
-            grover.build_G_pair(UChoice(str(rng.choice(["x", "y"])), float(phi1), float(phi2)))
-        calls = []
-        monkeypatch.setattr(grover, "build_U", lambda c, b=build_U: calls.append(c) or b(c))
-        for c in presets:
-            _, g, g_inv = reference_chain(c)
-            pair = grover.build_G_pair(c)
-            assert np.array_equal(pair[0].matrix, g.matrix)
-            assert np.array_equal(pair[1].matrix, g_inv.matrix)
-        assert calls == presets  # every preset had been evicted and was built again
+        second = grover.build_G_pair(c)
+        assert calls == [c]
+        assert second[0] is not first[0] and second[1] is not first[1]
+        assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(first, second))
 
 
 class TestTable1:
@@ -389,21 +377,21 @@ def counted(monkeypatch, name) -> list:
     return calls
 
 
-# Within table1's preset tolerance of y1.  A one-ulp step of phi1 leaves
+# Within preset_index's tolerance of y1.  A one-ulp step of phi1 leaves
 # G's bits as they are; one of phi2 changes them.
 NEAR_Y1 = [
     UChoice("y", float(np.nextafter(np.pi / 4, 1)), 3 * np.pi / 4),
     UChoice("y", np.pi / 4, float(np.nextafter(3 * np.pi / 4, 4))),
 ]
+PRESETS = [(axis, j) for axis in ("x", "y") for j in (1, 2, 3, 4)]
 
 
-class TestTable1Memo:
+class TestTable1Values:
     @pytest.mark.parametrize("c", [preset("x", 3), preset("y", 1)] + NEAR_Y1,
                              ids=["x3", "y1", "near-y1-phi1", "near-y1-phi2"])
-    def test_a_second_call_builds_no_u_and_formats_nothing(self, c, monkeypatch):
-        first = table1(c)
+    def test_a_call_builds_no_u_and_formats_nothing(self, c, monkeypatch):
         built, formatted = counted(monkeypatch, "build_U"), counted(monkeypatch, "bell_combination_str")
-        second = table1(c)
+        first, second = table1(c), table1(c)
         assert built == [] and formatted == []
         assert second is not first
         assert all(a is b for a, b in zip(second, first)) and len(second) == 4
@@ -424,37 +412,52 @@ class TestTable1Memo:
             entry.output.coords[0] = 0.0
 
     @pytest.mark.parametrize("c", NEAR_Y1, ids=["phi1", "phi2"])
-    def test_a_near_preset_choice_gets_its_own_g_bit_for_bit(self, c):
-        assert is_preset(c)
-        assert_entries_equal_reference(table1(c), c)
+    def test_a_near_preset_choice_gets_the_presets_entries(self, c):
+        assert preset_index(c) == 1
+        assert all(a is b for a, b in zip(table1(c), table1(preset("y", 1))))
+        assert_entries_equal_reference(table1(c), preset("y", 1))
 
-    def test_the_near_preset_key_is_the_choice_not_its_index(self):
-        # The phi2 neighbour's G differs from y1's in its last bits, so a
-        # memo keyed on the preset index would hand it y1's entries.
-        near, y1 = table1(NEAR_Y1[1]), table1(preset("y", 1))
-        assert any(not np.array_equal(a.output.coords, b.output.coords) for a, b in zip(near, y1))
+    def test_the_key_is_the_preset_index_not_the_choice(self):
+        # The phi2 neighbour's own G differs from y1's in its last bits,
+        # yet it reads y1's entries.
+        near = NEAR_Y1[1]
+        assert not np.array_equal(build_G(near).matrix, build_G(preset("y", 1)).matrix)
+        assert_entries_equal_reference(table1(near), preset("y", 1))
 
-    def test_near_preset_choices_evict_the_presets_which_rebuild_equal(self, monkeypatch):
-        presets = [preset(axis, j) for axis in ("x", "y") for j in (1, 2, 3, 4)]
-        for c in presets:
-            table1(c)
-        # 20 distinct choices, each up to 3 ulps (3.3e-16) of phi1 off a preset.
-        near = []
-        for steps in (1, 2, 3):
-            for c in presets:
-                phi1 = c.phi1
-                for _ in range(steps):
-                    phi1 = float(np.nextafter(phi1, 1))
-                near.append(UChoice(c.axis, phi1, c.phi2))
-        near = near[:20]
-        assert len(set(near)) == 20 and all(is_preset(c) for c in near)
-        for c in near:
-            table1(c)
-        built, formatted = counted(monkeypatch, "build_U"), counted(monkeypatch, "bell_combination_str")
-        for c in presets:
-            assert_entries_equal_reference(table1(c), c)
-        assert built == [(c,) for c in presets]  # every preset had been evicted
-        assert len(formatted) == 4 * len(presets)
+
+class TestPresetValues:
+    def test_one_value_per_preset(self):
+        assert list(grover.PRESETS) == PRESETS
+
+    @pytest.mark.parametrize("axis,j", PRESETS)
+    def test_values_equal_a_fresh_build_bit_for_bit(self, axis, j):
+        values = grover.PRESETS[axis, j]
+        fresh = grover._build_preset(axis, j)
+        g, g_inv = grover.build_G_pair(preset(axis, j))
+        for built in (fresh.g, g):
+            assert np.array_equal(values.g.matrix, built.matrix)
+        for built in (fresh.g_inverse, g_inv):
+            assert np.array_equal(values.g_inverse.matrix, built.matrix)
+        assert len(values.table1) == 4
+        for entry, other in zip(values.table1, fresh.table1):
+            assert entry.input is other.input
+            assert np.array_equal(entry.output.coords, other.output.coords)
+            assert entry.display == other.display
+        assert_entries_equal_reference(list(values.table1), preset(axis, j))
+
+    @pytest.mark.parametrize("c", [preset("y", 1)] + NEAR_Y1, ids=["y1", "near-y1-phi1", "near-y1-phi2"])
+    def test_every_preset_entry_point_hands_out_the_presets_objects(self, c, monkeypatch):
+        y1 = grover.PRESETS["y", 1]
+        assert all(a is b for a, b in zip(table1(c), y1.table1))
+        seen = []
+        monkeypatch.setattr(coding, "_pipeline",
+                            lambda g, v, g_inv, *rest, p=coding._pipeline: seen.append((g, g_inv))
+                            or p(g, v, g_inv, *rest))
+        for k in (1, 2, 3, 4):
+            trace = coding.run_protocol(c, k)
+            assert trace.u_choice is c
+            assert coding.decode(trace.output_label, c) == k
+        assert all(g is y1.g and g_inv is y1.g_inverse for g, g_inv in seen) and len(seen) == 4
 
 
 class TestDisplayStrings:

@@ -151,6 +151,11 @@ class TestPulseText:
             Delay("-0.001")
         with pytest.raises(ValueError):
             Gradient("x")
+        # An unhashable axis raises the same ValueError.
+        with pytest.raises(ValueError, match=re.escape("rf axis must be x or y, got ['x']")):
+            Rf(1, ["x"], "pi")
+        with pytest.raises(ValueError, match=re.escape("gradient axis must be z, got ['z']")):
+            Gradient(["z"])
 
     def test_delay_resolution(self):
         assert Delay("1/4J").seconds(DEFAULT_CONSTANTS) == pytest.approx(1 / (4 * 215.0))

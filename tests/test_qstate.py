@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from densegrover.qstate import (
     Operator4,
     ReducedState,
     apply,
+    checked_member,
     compose,
     equal_up_to_phase,
     identity,
@@ -380,6 +382,19 @@ class TestHermitianCheck:
     def test_names_the_failed_property(self, make, entries, message):
         with pytest.raises(ValueError, match=message):
             make(np.array(entries))
+
+
+class TestCheckedMember:
+    @pytest.mark.parametrize("value", ["x", "y"])
+    def test_returns_a_member(self, value):
+        assert checked_member(value, ("x", "y"), "axis") is value
+
+    @pytest.mark.parametrize("allowed,text", [(("x", "y"), "x or y"), (("z",), "z")])
+    @pytest.mark.parametrize("value", ["q", "", None, 1, ["y"], ["z"], {"y": 1}])
+    def test_names_the_members_and_the_value(self, allowed, text, value):
+        # An unhashable value raises the same ValueError, never a TypeError.
+        with pytest.raises(ValueError, match=f"^axis must be {text}, got {re.escape(repr(value))}$"):
+            checked_member(value, allowed, "axis")
 
 
 class TestMeasurement:
