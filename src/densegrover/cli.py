@@ -73,12 +73,6 @@ def _fmt_coords(v: bell.BellVector) -> str:
     )
 
 
-def _print_grid(rows: list) -> None:
-    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-
-
 def _load_constants(parser: argparse.ArgumentParser, path: str | None):
     if path is None:
         return nmr.DEFAULT_CONSTANTS
@@ -129,7 +123,6 @@ def cmd_tables(args, parser) -> int:
                         f"mismatch: G{j} on |{entry.input.arrows}>: computed "
                         f"{entry.display}, reference {grover.bell_combination_str(ref)}"
                     )
-        _print_grid(rows)
         checked = "all rows" if kind == "y" else "G1 row"
     else:
         grid = coding.table2(kind)
@@ -144,8 +137,10 @@ def cmd_tables(args, parser) -> int:
                     f"mismatch: column ψ{col}, V{k}: computed |{actual.arrows}>, "
                     f"reference |{BasisLabel.from_string(expected).arrows}>"
                 )
-        _print_grid(rows)
         checked = "all cells" if kind == "y" else "ψ1 column"
+    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
+    for row in rows:
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     if mismatches:
         for line in mismatches:
             print(line)
@@ -196,10 +191,10 @@ def cmd_verify(args, parser) -> int:
         try:
             if name == "pseudo-pure-prep":
                 scale, deviation = nmr.pseudo_pure_fit(nmr.prepare_pseudo_pure(consts))
-                ok = scale > 0 and deviation < 1e-9
+                ok = scale > 0 and deviation < nmr.VERIFY_TOL
                 detail = f"relative deviation {deviation:.3e}  scale {scale:.6f}"
             else:
-                check = nmr.verify_realization(name, tol=1e-9, consts=consts)
+                check = nmr.verify_realization(name, consts=consts)
                 ok = check.ok
                 detail = f"distance {check.distance:.3e}  phase {_fmt_complex(check.phase)}"
         except ValueError as exc:

@@ -4,7 +4,9 @@ The composite operator G = -U * I_s * U^-1 * I_t * U, with U a pair of
 single-spin rotations by arbitrary angles, maps each product-basis
 state to a Bell state or an equal-weight superposition of two Bell
 states.  Eight named angle presets (four per rotation axis) make G
-produce exactly the four Bell states from the up-up input.
+produce exactly the four Bell states from the up-up input.  The factor
+order is written once, in time order, as `G_FACTORS`; `build_G_pair`
+and `nmr`'s pulse programs read it and its inverse, `G_INVERSE_FACTORS`.
 
 The builders take arbitrary angles and compute on every call; each
 preset's G, G^-1 and Table-1 entries are values built at import, in
@@ -13,6 +15,7 @@ preset's G, G^-1 and Table-1 entries are values built at import, in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -101,26 +104,39 @@ def phase_shift_s() -> Operator4:
     return _PHASE_SHIFT_S
 
 
+# G's factors in time order, first applied first; the minus sign is a global phase.
+G_FACTORS = ("U", "I_t", "U-inv", "I_s", "U")
+
+
+def inverse_factors(factors: tuple) -> tuple:
+    """The inverse's time order: reversed, U and U^-1 swapped (I_t, I_s are involutions)."""
+    return tuple({"U": "U-inv", "U-inv": "U"}.get(f, f) for f in reversed(factors))
+
+
+G_INVERSE_FACTORS = inverse_factors(G_FACTORS)
+
+
 def build_G(c: UChoice) -> Operator4:
-    """G = -U * I_s * U^-1 * I_t * U; the first of build_G_pair(c)."""
+    """G = -U * I_s * U^-1 * I_t * U (`G_FACTORS`); the first of build_G_pair(c)."""
     return build_G_pair(c)[0]
 
 
 def build_G_inverse(c: UChoice) -> Operator4:
-    """G^-1 = -U^-1 * I_t * U * I_s * U^-1; the second of build_G_pair(c)."""
+    """G^-1 (`G_INVERSE_FACTORS`); the second of build_G_pair(c)."""
     return build_G_pair(c)[1]
 
 
 def build_G_pair(c: UChoice) -> tuple[Operator4, Operator4]:
     """(G, G^-1) from one U, each checked unitary once as a whole.
 
-    I_t and I_s are involutions, so G^-1 is G's factors in reverse with
-    U and U^-1 swapped.
+    Each is minus the product of its factor list, the last-applied
+    factor leftmost, multiplied left to right.
     """
     u = build_U(c).matrix
-    u_inv = u.conj().T
-    i_s, i_t = _PHASE_SHIFT_S.matrix, _SIGN_FLIP_TARGET.matrix
-    return Operator4(-(u @ i_s @ u_inv @ i_t @ u)), Operator4(-(u_inv @ i_t @ u @ i_s @ u_inv))
+    factor = {"U": u, "U-inv": u.conj().T,
+              "I_t": _SIGN_FLIP_TARGET.matrix, "I_s": _PHASE_SHIFT_S.matrix}
+    return tuple(Operator4(-functools.reduce(np.matmul, [factor[f] for f in reversed(names)]))
+                 for names in (G_FACTORS, G_INVERSE_FACTORS))
 
 
 def _format_coefficient(value: complex, tol: float) -> str | None:

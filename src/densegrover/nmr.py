@@ -26,6 +26,9 @@ by 2*pi*n/d at every J != 0, so a program with no delay in seconds
 J = 0 check: there it raises the error of the program's first n/dJ
 delay (`j_delay`); otherwise it is J where the program reads J, else None.
 
+The programs of G and G^-1 join library gates in the time order of
+`grover.G_FACTORS` and `grover.G_INVERSE_FACTORS`, U read as preset j's `U{j}`.
+
 Every library program reads no J, so three library results are values
 built at import: each gate's phase fit (`Gate.fit`), the readout rows
 (`_READOUT_ROWS`) and the prep's map after its first crush (`_PREP_TAIL`).
@@ -50,7 +53,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grover import phase_shift_s, preset, sign_flip_target
 from .qstate import (
     _EYE2,
     SPINS,
@@ -65,8 +67,7 @@ from .qstate import (
     phase_fit,
     rotation_2x2,
 )
-from . import coding
-from . import grover
+from . import coding, grover
 
 _IZ = np.diag([0.5, -0.5]).astype(complex)
 IZ1 = kron2(_IZ, _EYE2)
@@ -78,6 +79,9 @@ _IZIZ_DIAGONAL = np.diag(IZIZ)
 # few sets of constants; a sweep that draws fresh constants cycles through
 # `equilibrium_state` instead.
 _PROGRAMS = 128
+
+# The bound below which a gate's distance, or the prep's relative deviation, verifies.
+VERIFY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -539,34 +543,26 @@ class Gate:
 
 def _u_gate(j: int) -> Gate:
     # U_j = R_y^1(phi1) R_y^2(phi2) in quarter turns; equal angles make one hard pulse.
-    c = preset("y", j)
+    c = grover.preset("y", j)
     q1, q2 = (round(4 * phi / np.pi) for phi in (c.phi1, c.phi2))
     pulses = (_rf("both", "y", q1, 4),) if q1 == q2 else (_rf(1, "y", q1, 4), _rf(2, "y", q2, 4))
     return Gate(PulseSequence(pulses), grover.build_U(c))
 
 
-def _inverse(gate: Gate) -> Gate:
-    return Gate(gate.pulses.inverse(), gate.ideal.adjoint())
+_U_GATES = {j: _u_gate(j) for j in (1, 2, 3, 4)}
 
-
-# The gate library, in the order `verify --all` checks it.
+# The gate library, in the order `verify --all` checks it; U{j}-inv time-reverses U{j}.
 GATES = {
-    "U1": _u_gate(1),
-    "U2": _u_gate(2),
-    "U3": _u_gate(3),
-    "U4": _u_gate(4),
-    "U1-inv": _inverse(_u_gate(1)),
-    "U2-inv": _inverse(_u_gate(2)),
-    "U3-inv": _inverse(_u_gate(3)),
-    "U4-inv": _inverse(_u_gate(4)),
+    **{f"U{j}": u for j, u in _U_GATES.items()},
+    **{f"U{j}-inv": Gate(u.pulses.inverse(), u.ideal.adjoint()) for j, u in _U_GATES.items()},
     "I_t": Gate(
         PulseSequence((Delay("1/2J"), _rf("both", "x", 1), Delay("1/2J"), _rf("both", "x", -1))),
-        sign_flip_target(),
+        grover.sign_flip_target(),
     ),
     "I_s": Gate(
         PulseSequence((*_REFOCUSED_HALF_J,
                        _rf("both", "y", -1, 2), _rf("both", "x", -1, 2), _rf("both", "y", 1, 2))),
-        phase_shift_s(),
+        grover.phase_shift_s(),
     ),
     "V2": Gate(PulseSequence((_rf(2, "x", 1), _rf(2, "y", -1, 2))), coding.encoder("y", 2)),
     "V3": Gate(PulseSequence((_rf(2, "x", 1), _rf(2, "y", 1, 2))), coding.encoder("y", 3)),
@@ -612,7 +608,7 @@ class GateCheck(NamedTuple):
 def verify_realization(
     name: str,
     kind: str = "y",
-    tol: float = 1e-9,
+    tol: float = VERIFY_TOL,
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> GateCheck:
     """Compare a gate's net pulse unitary to its ideal, up to global phase.
@@ -773,28 +769,21 @@ def spectrum_fingerprint(rho: DeviationMatrix) -> Fingerprint:
     return Fingerprint(*signatures)
 
 
-def _g_gates(j: int) -> list:
-    # G = -U I_s U^-1 I_t U in time order; the sign is a global phase.
-    return [f"U{j}", "I_t", f"U{j}-inv", "I_s", f"U{j}"]
-
-
-def _g_inverse_gates(j: int) -> list:
-    # G^-1 = -U^-1 I_t U I_s U^-1 in time order, as grover.build_G_pair builds it.
-    return [f"U{j}-inv", "I_s", f"U{j}", "I_t", f"U{j}-inv"]
-
-
-def _program(names, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> PulseSequence:
-    return PulseSequence(tuple(e for name in names for e in gate_library(name, consts=consts)))
+def _program(factors, j: int, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> PulseSequence:
+    # The library programs of `factors` in turn, `grover`'s U and U-inv read as preset j's gates.
+    names = {"U": f"U{j}", "U-inv": f"U{j}-inv"}
+    programs = (gate_library(names.get(f, f), consts=consts) for f in factors)
+    return PulseSequence(tuple(e for seq in programs for e in seq))
 
 
 def synthesis_sequence(j: int) -> PulseSequence:
-    """Pulse program for G (preset j): U, I_t, U^-1, I_s, U, left to right."""
-    return _program(_g_gates(j))
+    """Pulse program for G (preset j): `grover.G_FACTORS`, in time order."""
+    return _program(grover.G_FACTORS, j)
 
 
 def decoding_sequence(j: int) -> PulseSequence:
-    """Pulse program for G^-1 (preset j): U^-1, I_s, U, I_t, U^-1, left to right."""
-    return _program(_g_inverse_gates(j))
+    """Pulse program for G^-1 (preset j): `grover.G_INVERSE_FACTORS`, in time order."""
+    return _program(grover.G_INVERSE_FACTORS, j)
 
 
 @functools.lru_cache(maxsize=_PROGRAMS, typed=True)
@@ -811,4 +800,5 @@ def protocol_sequence(
     checked_index(j, range(1, 5), "preset index")
     checked_index(k, range(1, 5), "encoder index")
     encode = [f"V{k}"] if k > 1 else []
-    return _program(["pseudo-pure-prep", *_g_gates(j), *encode, *_g_inverse_gates(j)], consts)
+    factors = ("pseudo-pure-prep", *grover.G_FACTORS, *encode, *grover.G_INVERSE_FACTORS)
+    return _program(factors, j, consts)

@@ -46,9 +46,7 @@ class BasisLabel(enum.Enum):
 
     @property
     def arrows(self) -> str:
-        return ("↑" if self.spin1 == "up" else "↓") + (
-            "↑" if self.spin2 == "up" else "↓"
-        )
+        return self.short.replace("u", "↑").replace("d", "↓")
 
     @property
     def short(self) -> str:

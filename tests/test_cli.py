@@ -177,6 +177,13 @@ class TestVerify:
         assert out.splitlines()[0].split()[:3] == ["V2", "FAIL", "distance"]
         assert out.splitlines()[1] == "1 gate(s) failed verification"
 
+    def test_prep_is_bounded_by_the_verify_tolerance(self, capsys, monkeypatch):
+        # No relative deviation is below 0, so a zero bound fails the prep.
+        monkeypatch.setattr(nmr, "VERIFY_TOL", 0.0)
+        code, out, _ = run_cli(capsys, "verify", "pseudo-pure-prep")
+        assert code == 1
+        assert out.splitlines()[0].split()[:2] == ["pseudo-pure-prep", "FAIL"]
+
     def test_usage_errors(self, capsys):
         for argv in [("bogus",), (), ("I_t", "--all"), ("readout-carbon",)]:
             assert expect_usage_error(capsys, "verify", *argv).out == "", argv

@@ -1,4 +1,7 @@
 import dataclasses
+import functools
+import inspect
+import operator
 import os
 import pickle
 import random
@@ -479,6 +482,10 @@ class TestVerifier:
             target = ideal_gate_unitary(f"V{k}")
             assert np.abs(target.matrix - coding.encoder("y", k).matrix).max() == 0.0
 
+    def test_default_tolerance_is_the_named_one(self):
+        assert inspect.signature(verify_realization).parameters["tol"].default is nmr.VERIFY_TOL
+        assert nmr.VERIFY_TOL == 1e-9
+
     @pytest.mark.parametrize("tol", [0.0, -0.0, -1e-9, -np.inf, np.nan])
     def test_non_positive_tolerance_rejected(self, tol):
         with pytest.raises(ValueError, match="tolerance must be positive"):
@@ -866,6 +873,61 @@ class TestOneDefinition:
         for lookup in (ideal_gate_unitary, gate_library, verify_realization):
             with pytest.raises(ValueError, match="^the pulse library covers only the y-kind presets$"):
                 lookup(name, "x")
+
+
+GATE_BUILD_COUNT = """
+import sys
+builds = []
+def count(frame, event, arg):
+    if (event == "call" and frame.f_code.co_name == "__post_init__"
+            and type(frame.f_locals.get("self")).__name__ == "Gate"):
+        builds.append(frame.f_locals["self"])
+sys.setprofile(count)
+from densegrover import nmr
+sys.setprofile(None)
+print(len(builds), len(nmr.GATES))
+"""
+
+
+def run_python(code: str, seed: str, data: bytes = b"") -> bytes:
+    """Stdout of `code` run by a fresh interpreter under PYTHONHASHSEED=seed."""
+    src = Path(nmr.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], input=data, env=env,
+                          capture_output=True, check=True, timeout=60).stdout
+
+
+def library_names(factors, j):
+    """`grover`'s factor names as preset j's library gate names."""
+    return [{"U": f"U{j}", "U-inv": f"U{j}-inv"}.get(f, f) for f in factors]
+
+
+class TestOneFactorList:
+    """`grover`'s factor list is the one order both layers read."""
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_library_targets_fold_to_the_preset_pair(self, j):
+        # Reversed time order, left fold, negated: the product build_G_pair forms.
+        values = grover.PRESETS["y", j]
+        for factors, expected in ((grover.G_FACTORS, values.g),
+                                  (grover.G_INVERSE_FACTORS, values.g_inverse)):
+            names = library_names(factors, j)
+            product = functools.reduce(operator.matmul,
+                                       [GATES[name].ideal.matrix for name in reversed(names)])
+            assert np.array_equal(-product, expected.matrix), names
+
+    def test_inverse_rule(self):
+        assert grover.G_FACTORS == ("U", "I_t", "U-inv", "I_s", "U")
+        assert grover.G_INVERSE_FACTORS == grover.inverse_factors(grover.G_FACTORS)
+        assert grover.inverse_factors(grover.G_INVERSE_FACTORS) == grover.G_FACTORS
+        assert library_names(grover.G_INVERSE_FACTORS, 2) == ["U2-inv", "I_s", "U2", "I_t", "U2-inv"]
+
+    def test_import_builds_one_gate_per_library_entry(self):
+        # Each build lowers a program and fits its phase; U{j}-inv reverses the
+        # U{j} gate in GATES instead of building U{j} a second time.
+        assert run_python(GATE_BUILD_COUNT, "0").split() == [str(len(GATES)).encode()] * 2
+        assert list(GATES)[:8] == [f"U{j}" for j in (1, 2, 3, 4)] + [f"U{j}-inv" for j in (1, 2, 3, 4)]
 
 
 def reference_fold(seq, rho, consts=DEFAULT_CONSTANTS):
@@ -1493,20 +1555,13 @@ values = (seq, rf, delay, nmr.Gradient(), nmr.parse_sequence(seq.to_text()))
 class TestPickle:
     """A pickle rebuilds from the fields, so a stored hash cannot go stale."""
 
-    def run_python(self, code: str, seed: str, data: bytes = b"") -> bytes:
-        src = Path(nmr.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        return subprocess.run([sys.executable, "-c", code], input=data, env=env,
-                              capture_output=True, check=True, timeout=60).stdout
-
     def test_a_hashed_program_loads_under_another_hash_seed(self):
-        dumped = self.run_python(PICKLE_PROGRAM + """
+        dumped = run_python(PICKLE_PROGRAM + """
 for v in values:
     hash(v)
 sys.stdout.buffer.write(pickle.dumps(values))
 """, seed="1")
-        report = self.run_python(PICKLE_PROGRAM + """
+        report = run_python(PICKLE_PROGRAM + """
 for loaded, fresh in zip(pickle.loads(sys.stdin.buffer.read()), values):
     print(loaded == fresh, hash(loaded) == hash(fresh), loaded in {fresh}, fresh in {loaded})
 print(nmr.simulate_sequence(pickle.loads(pickle.dumps(seq)), nmr.equilibrium_state()).entries.tobytes()
