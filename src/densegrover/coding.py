@@ -6,9 +6,9 @@ first party decodes with G^-1 followed by a product-basis measurement.
 An ancilla bit extends the scheme to three bits by switching between
 the y-kind and x-kind encoder sets.
 
-Each kind's encoder set and each preset's outcomes are values built at
-import, keyed on kind and (kind, j), with each outcome map's bijection
-checked then; the entry points read them and `grover.PRESETS`.
+Each kind's encoder set, each preset's four runs and outcomes (keyed on
+kind and (kind, j), each outcome map's bijection checked then) and the
+eight ancilla runs are values built at import; the entry points read them.
 """
 
 from __future__ import annotations
@@ -78,12 +78,17 @@ class ProtocolTrace:
 
 
 def run_protocol(c: UChoice, k: int) -> ProtocolTrace:
-    """Full pipeline: G(c) on up-up, encoder k of c's axis, G^-1(c), measurement."""
+    """G(c) on up-up, encoder k of c's axis, G^-1(c), measurement: the run built at import."""
     j = preset_index(c)
     if j is None:
         raise ValueError("protocol runs require one of the eight named presets")
-    g, g_inv, _ = PRESETS[c.axis, j]
-    return _pipeline(g, encoder(c.axis, k), g_inv, c, k)
+    return _handed_out(_RUNS[c.axis, j][checked_index(k, range(1, 5), "encoder index") - 1], c)
+
+
+def _handed_out(run: ProtocolTrace, c: UChoice) -> ProtocolTrace:
+    """A stored run under choice c; its own probabilities keep an edit from the stored run."""
+    return ProtocolTrace(c, run.message, run.starting_bell, run.encoded, run.output_label,
+                         dict(run.probabilities))
 
 
 def _pipeline(g: Operator4, v: Operator4, g_inv: Operator4, dec: UChoice, k: int) -> ProtocolTrace:
@@ -91,41 +96,34 @@ def _pipeline(g: Operator4, v: Operator4, g_inv: Operator4, dec: UChoice, k: int
     psi0 = g.matrix[:, 0]  # column 0 is g applied to up-up
     encoded = v.matrix @ psi0
     measurement = measure_basis(Ket4(g_inv.matrix @ encoded))
-    return ProtocolTrace(
-        u_choice=dec,
-        message=k - 1,
-        starting_bell=bell.BellVector(bell.BELL_ADJOINT @ psi0),
-        encoded=bell.BellVector(bell.BELL_ADJOINT @ encoded),
-        output_label=measurement.argmax,
-        probabilities=measurement.probabilities,
-    )
+    return ProtocolTrace(dec, k - 1, bell.BellVector(bell.BELL_ADJOINT @ psi0),
+                         bell.BellVector(bell.BELL_ADJOINT @ encoded), measurement.argmax,
+                         measurement.probabilities)
 
 
-def _bell_column(psi0: np.ndarray) -> int:
-    """1-based index of the pure Bell state with amplitudes psi0."""
-    coords = bell.BELL_ADJOINT @ psi0
+def _bell_column(coords: np.ndarray) -> int:
+    """1-based index of the pure Bell state with Bell coordinates coords."""
     idx = int(np.argmax(np.abs(coords)))
     if not abs(coords[idx]) >= 1.0 - 1e-9:
         raise ValueError("starting state is not a pure Bell state")
     return idx + 1
 
 
-def _preset_outcomes(kind: str, j: int, encoders: tuple) -> tuple[int, tuple[BasisLabel, ...]]:
-    """Starting Bell index of preset (kind, j) and the output labels of its runs k = 1..4.
-
-    Each run is `_pipeline` with the preset's G and G^-1 from `PRESETS` and encoders[k - 1].
-    """
+def _preset_runs(kind: str, j: int, encoders: tuple) -> tuple[ProtocolTrace, ...]:
+    """Runs k = 1..4 of preset (kind, j): `_pipeline` of its `PRESETS` G and G^-1, encoders[k - 1]."""
     c = preset(kind, j)
     g, g_inv, _ = PRESETS[kind, j]
-    labels = tuple(_pipeline(g, v, g_inv, c, k).output_label
-                   for k, v in enumerate(encoders, start=1))
+    runs = tuple(_pipeline(g, v, g_inv, c, k) for k, v in enumerate(encoders, start=1))
     # Injectivity of k -> label is what makes two-bit transmission work.
-    if len(set(labels)) != 4:
+    if len({run.output_label for run in runs}) != 4:
         raise AssertionError(f"outcome map for preset {j} ({kind}) is not a bijection")
-    return _bell_column(g.matrix[:, 0]), labels
+    return runs
 
 
-_OUTCOMES = {(kind, j): _preset_outcomes(kind, j, _ENCODER_SETS[kind]) for kind, j in PRESETS}
+_RUNS = {(kind, j): _preset_runs(kind, j, _ENCODER_SETS[kind]) for kind, j in PRESETS}
+# Each preset's starting Bell index and the output labels of its runs k = 1..4.
+_OUTCOMES = {key: (_bell_column(runs[0].starting_bell.coords), tuple(run.output_label for run in runs))
+             for key, runs in _RUNS.items()}
 
 
 def table2(kind: str = "y") -> dict:
@@ -175,16 +173,23 @@ class AncillaResult(NamedTuple):
 
 
 def run_ancilla_protocol(m: AncillaMessage) -> AncillaResult:
-    """Three-bit scheme over a shared psi1 and a classical ancilla bit.
+    """Three-bit scheme over a shared psi1 and a classical ancilla bit; built at import.
 
     The pair starts in psi1 (synthesized by the y-form preset 1; the
     x-form preset 1 makes the same state up to phase).  The sender
     encodes with the set named by the ancilla bit, and the receiver
     reads the ancilla first, then decodes with the matching axis.
     """
+    trace, recovered = _ANCILLA_RUNS[m.value]
+    return AncillaResult(_handed_out(trace, trace.u_choice), recovered)
+
+
+def _ancilla_run(m: AncillaMessage) -> AncillaResult:
     kind = "y" if m.set_bit == 0 else "x"
     c_dec = preset(kind, 1)
     g, g_inv = PRESETS["y", 1].g, PRESETS[kind, 1].g_inverse
     trace = _pipeline(g, encoder(kind, m.v_index), g_inv, c_dec, m.v_index)
-    recovered = AncillaMessage(m.set_bit, decode(trace.output_label, c_dec))
-    return AncillaResult(trace, recovered)
+    return AncillaResult(trace, AncillaMessage(m.set_bit, decode(trace.output_label, c_dec)))
+
+
+_ANCILLA_RUNS = tuple(_ancilla_run(AncillaMessage.from_value(value)) for value in range(8))

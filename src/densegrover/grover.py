@@ -9,8 +9,8 @@ order is written once, in time order, as `G_FACTORS`; `build_G_pair`
 and `nmr`'s pulse programs read it and its inverse, `G_INVERSE_FACTORS`.
 
 The builders take arbitrary angles and compute on every call; each
-preset's G, G^-1 and Table-1 entries are values built at import, in
-`PRESETS`, keyed on (kind, j).
+preset's choice (`preset`) and its G, G^-1 and Table-1 entries are
+values built at import, the latter in `PRESETS`, keyed on (kind, j).
 """
 
 from __future__ import annotations
@@ -28,23 +28,6 @@ from .qstate import BasisLabel, Operator4, checked_index, checked_member, kron2,
 _PI = np.pi
 _AXES = ("x", "y")
 
-# Preset rotation angles (phi1, phi2), indexed 1..4 per axis.
-_PRESET_ANGLES = {
-    "y": {
-        1: (_PI / 4, 3 * _PI / 4),
-        2: (_PI / 4, -3 * _PI / 4),
-        3: (_PI / 4, _PI / 4),
-        4: (_PI / 4, -_PI / 4),
-    },
-    "x": {
-        1: (_PI / 4, -3 * _PI / 4),
-        2: (_PI / 4, 3 * _PI / 4),
-        3: (_PI / 4, _PI / 4),
-        4: (_PI / 4, -_PI / 4),
-    },
-}
-
-
 @dataclass(frozen=True)
 class UChoice:
     """Axis and rotation angles defining U = R_axis^1(phi1) R_axis^2(phi2)."""
@@ -60,6 +43,23 @@ class UChoice:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
+# The named presets, indexed 1..4 per axis; a UChoice is frozen, so each is one shared value.
+_PRESET_CHOICES = {
+    "y": {
+        1: UChoice("y", _PI / 4, 3 * _PI / 4),
+        2: UChoice("y", _PI / 4, -3 * _PI / 4),
+        3: UChoice("y", _PI / 4, _PI / 4),
+        4: UChoice("y", _PI / 4, -_PI / 4),
+    },
+    "x": {
+        1: UChoice("x", _PI / 4, -3 * _PI / 4),
+        2: UChoice("x", _PI / 4, 3 * _PI / 4),
+        3: UChoice("x", _PI / 4, _PI / 4),
+        4: UChoice("x", _PI / 4, -_PI / 4),
+    },
+}
+
+
 @dataclass(frozen=True, eq=False)
 class Table1Entry:
     """One classified input: its Bell-coordinate image and a display string."""
@@ -70,16 +70,15 @@ class Table1Entry:
 
 
 def preset(axis: str, j: int) -> UChoice:
-    """Named angle choice j (1..4) for the given rotation axis."""
+    """Named angle choice j (1..4) for the given rotation axis, built at import."""
     checked_member(axis, _AXES, "axis")
-    phi1, phi2 = _PRESET_ANGLES[axis][checked_index(j, range(1, 5), "preset index")]
-    return UChoice(axis, phi1, phi2)
+    return _PRESET_CHOICES[axis][checked_index(j, range(1, 5), "preset index")]
 
 
 def preset_index(c: UChoice) -> int | None:
     """Index of c among its axis's presets, or None for generic angles."""
-    for j, (phi1, phi2) in _PRESET_ANGLES[c.axis].items():
-        if abs(c.phi1 - phi1) < 1e-15 and abs(c.phi2 - phi2) < 1e-15:
+    for j, p in _PRESET_CHOICES[c.axis].items():
+        if abs(c.phi1 - p.phi1) < 1e-15 and abs(c.phi2 - p.phi2) < 1e-15:
             return j
     return None
 

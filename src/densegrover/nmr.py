@@ -608,15 +608,18 @@ class GateCheck(NamedTuple):
 def verify_realization(
     name: str,
     kind: str = "y",
-    tol: float = VERIFY_TOL,
+    tol: float | None = None,
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> GateCheck:
     """Compare a gate's net pulse unitary to its ideal, up to global phase.
 
-    It reads the gate's `fit`, made once at import, under any tolerance
-    and any constants; at J = 0 an n/dJ delay raises (`_j_key`).
+    It reads the gate's `fit`, made once at import, under any tolerance (no
+    tol reads `VERIFY_TOL` at the call) and any constants; at J = 0 an n/dJ
+    delay raises (`_j_key`).
     """
-    if not tol > 0:  # written so that NaN fails
+    if tol is None:
+        tol = VERIFY_TOL
+    elif not tol > 0:  # written so that NaN fails
         raise ValueError("tolerance must be positive")
     gate = _gate(name, kind)
     seq = gate_library(name, kind, consts) if gate.pulses is None else gate.pulses

@@ -178,11 +178,13 @@ class TestVerify:
         assert out.splitlines()[1] == "1 gate(s) failed verification"
 
     def test_prep_is_bounded_by_the_verify_tolerance(self, capsys, monkeypatch):
-        # No relative deviation is below 0, so a zero bound fails the prep.
+        # No relative deviation or distance is below 0, so a zero bound fails
+        # the prep and the unitary gates alike.
         monkeypatch.setattr(nmr, "VERIFY_TOL", 0.0)
-        code, out, _ = run_cli(capsys, "verify", "pseudo-pure-prep")
-        assert code == 1
-        assert out.splitlines()[0].split()[:2] == ["pseudo-pure-prep", "FAIL"]
+        for name in ("pseudo-pure-prep", "I_t"):
+            code, out, _ = run_cli(capsys, "verify", name)
+            assert code == 1
+            assert out.splitlines()[0].split()[:2] == [name, "FAIL"]
 
     def test_usage_errors(self, capsys):
         for argv in [("bogus",), (), ("I_t", "--all"), ("readout-carbon",)]:

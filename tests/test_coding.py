@@ -1,4 +1,9 @@
+import os
+import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +38,11 @@ def starting_bell_column(c):
     column = int(np.argmax(np.abs(coords)))
     assert abs(coords[column]) >= 1.0 - 1e-9
     return column + 1
+
+
+def bell_coords_of(g):
+    """Bell coordinates of g applied to up-up, g's column 0."""
+    return to_bell_coords(apply(g, ket_from_basis(BasisLabel.UU))).coords
 
 
 def _ry(theta):
@@ -171,6 +181,14 @@ def _checked_chain(g, v, g_inv):
     return to_bell_coords(psi0), to_bell_coords(encoded), measure_basis(apply(g_inv, encoded))
 
 
+def assert_same_run(run, other):
+    """Two runs' fields equal bit for bit."""
+    assert (run.u_choice, run.message, run.output_label) == (other.u_choice, other.message, other.output_label)
+    assert run.starting_bell.coords.tobytes() == other.starting_bell.coords.tobytes()
+    assert run.encoded.coords.tobytes() == other.encoded.coords.tobytes()
+    assert pickle.dumps(run.probabilities) == pickle.dumps(other.probabilities)
+
+
 def _assert_trace_equals_chain(trace, chain):
     starting, encoded, measurement = chain
     assert np.array_equal(trace.starting_bell.coords, starting.coords)
@@ -223,7 +241,7 @@ class TestTable2:
 
     @pytest.mark.parametrize("kind", ["x", "y"])
     def test_outcomes_run_each_presets_one_g_and_its_inverse(self, kind, monkeypatch):
-        # A build of a preset's outcomes runs the G and G^-1 built at import
+        # A build of a preset's runs runs the G and G^-1 built at import
         # and builds no U; neither does table2.
         calls, seen = [], []
         monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
@@ -232,7 +250,7 @@ class TestTable2:
                             or p(g, v, g_inv, *rest))
         table2(kind)
         for j in (1, 2, 3, 4):
-            coding._preset_outcomes(kind, j, encoder_set(kind))
+            coding._preset_runs(kind, j, encoder_set(kind))
         assert calls == []
         presets = [grover.PRESETS[kind, j] for j in (1, 2, 3, 4)]
         assert seen == [(p.g, p.g_inverse) for p in presets for _ in range(4)]
@@ -283,16 +301,23 @@ class TestOutcomeValues:
 
     @pytest.mark.parametrize("kind,j", [(kind, j) for kind in ("x", "y") for j in (1, 2, 3, 4)])
     def test_values_equal_a_fresh_build(self, kind, j):
-        assert coding._OUTCOMES[kind, j] == coding._preset_outcomes(kind, j, encoder_set(kind))
+        # Each stored run is bit-identical to a fresh _pipeline run, and the outcomes read them.
+        c = preset(kind, j)
+        g, g_inv, _ = grover.PRESETS[kind, j]
+        for k, (run, v) in enumerate(zip(coding._RUNS[kind, j], encoder_set(kind)), start=1):
+            assert_same_run(run, coding._pipeline(g, v, g_inv, c, k))
+        labels = tuple(run.output_label for run in coding._preset_runs(kind, j, encoder_set(kind)))
+        assert coding._OUTCOMES[kind, j] == (coding._bell_column(bell_coords_of(g)), labels)
 
     def test_values_hold_exactly_the_eight_presets(self):
-        assert list(coding._OUTCOMES) == list(grover.PRESETS)
+        assert list(coding._OUTCOMES) == list(coding._RUNS) == list(grover.PRESETS)
         assert len(coding._OUTCOMES) == 8
+        assert all(len(runs) == 4 for runs in coding._RUNS.values())
         assert table2(np.str_("y")) == table2("y")
         assert decode(BasisLabel.UU, preset("y", np.int64(2))) == 1
         for kind, j in [("q", 1), ("", 2), ("Y", 1), ("y", 0), ("y", 5), ("x", -1)]:
             with pytest.raises(ValueError):
-                coding._preset_outcomes(kind, j, encoder_set("y"))
+                coding._preset_runs(kind, j, encoder_set("y"))
 
     def test_decoder_and_table_read_one_value(self, monkeypatch):
         # A relabelled outcome map for preset x3 shows in both readers.
@@ -336,7 +361,7 @@ class TestOutcomeValues:
         ops = encoder_set(kind)
         for j in (1, 2, 3, 4):
             with pytest.raises(AssertionError, match=re.escape(f"preset {j} ({kind}) is not a bijection")):
-                coding._preset_outcomes(kind, j, (ops[0], ops[0], ops[2], ops[3]))
+                coding._preset_runs(kind, j, (ops[0], ops[0], ops[2], ops[3]))
 
 
 class TestGValues:
@@ -345,9 +370,13 @@ class TestGValues:
         monkeypatch.setattr(coding, "_pipeline",
                             lambda g, v, g_inv, *rest, p=coding._pipeline: seen.append((g, g_inv))
                             or p(g, v, g_inv, *rest))
-        run_ancilla_protocol(AncillaMessage(1, 2))
+        built = coding._ancilla_run(AncillaMessage(1, 2))
         # Operator4 compares by identity, so these are the preset values themselves.
         assert seen == [(grover.PRESETS["y", 1].g, grover.PRESETS["x", 1].g_inverse)]
+        stored = coding._ANCILLA_RUNS[AncillaMessage(1, 2).value]
+        assert_same_run(stored.trace, built.trace)
+        assert stored.recovered == built.recovered
+        assert run_ancilla_protocol(AncillaMessage(1, 2)).trace.encoded is stored.trace.encoded
 
     @pytest.mark.parametrize("run", [
         lambda: run_protocol(preset("y", 2), 3),
@@ -361,6 +390,79 @@ class TestGValues:
         monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
         run()
         assert calls == []
+
+
+PIPELINE_COUNT = """
+import sys
+import numpy
+runs = []
+def count(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "_pipeline":
+        runs.append(frame.f_code.co_filename)
+sys.setprofile(count)
+import densegrover
+sys.setprofile(None)
+print(len(runs), all(name.endswith("coding.py") for name in runs))
+"""
+
+
+class TestRunValues:
+    """Every gate-level run is a value built at import; a call hands out a copy."""
+
+    CALLS = [
+        *[(run_protocol, (preset(kind, j), k)) for kind in ("x", "y") for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)],
+        *[(run_ancilla_protocol, (AncillaMessage.from_value(value),)) for value in range(8)],
+    ]
+
+    def test_a_call_runs_no_pipeline_measurement_or_ket(self, monkeypatch):
+        seen = []
+        for name in ("_pipeline", "measure_basis", "Ket4"):
+            monkeypatch.setattr(coding, name, lambda *args, n=name, f=getattr(coding, name):
+                                seen.append(n) or f(*args))
+        for run, args in self.CALLS:
+            run(*args)
+        assert seen == []
+
+    def test_import_runs_the_pipeline_forty_times(self):
+        src = Path(coding.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", PIPELINE_COUNT], env=env, capture_output=True, text=True,
+                             check=True, timeout=60).stdout
+        assert out == "40 True\n"
+
+    def test_mutating_returned_probabilities_changes_no_later_run(self):
+        for run, args in self.CALLS:
+            first = run(*args)
+            trace = first.trace if run is run_ancilla_protocol else first
+            expected = pickle.dumps(trace.probabilities)
+            trace.probabilities[trace.output_label] = 0.0
+            trace.probabilities.clear()
+            again = run(*args)
+            again = again.trace if run is run_ancilla_protocol else again
+            assert again.probabilities is not trace.probabilities
+            assert pickle.dumps(again.probabilities) == expected
+
+    def test_a_run_is_the_stored_value_under_the_callers_choice(self):
+        for kind, j in grover.PRESETS:
+            c = UChoice(kind, preset(kind, j).phi1, preset(kind, j).phi2)
+            for k, stored in enumerate(coding._RUNS[kind, j], start=1):
+                trace = run_protocol(c, k)
+                assert trace is not stored and trace.u_choice is c and stored.u_choice is preset(kind, j)
+                assert trace.starting_bell is stored.starting_bell and trace.encoded is stored.encoded
+                assert_same_run(trace, stored)
+
+    @pytest.mark.parametrize("value", range(8))
+    def test_ancilla_values_equal_a_fresh_build(self, value):
+        message = AncillaMessage.from_value(value)
+        kind = "y" if message.set_bit == 0 else "x"
+        stored = coding._ANCILLA_RUNS[value]
+        fresh = coding._pipeline(grover.PRESETS["y", 1].g, encoder(kind, message.v_index),
+                                 grover.PRESETS[kind, 1].g_inverse, preset(kind, 1), message.v_index)
+        assert_same_run(stored.trace, fresh)
+        assert stored.recovered == message
+        result = run_ancilla_protocol(message)
+        assert result.recovered is stored.recovered and result.trace is not stored.trace
+        assert_same_run(result.trace, stored.trace)
 
 
 class TestDecode:

@@ -384,6 +384,13 @@ NEAR_Y1 = [
     UChoice("y", np.pi / 4, float(np.nextafter(3 * np.pi / 4, 4))),
 ]
 PRESETS = [(axis, j) for axis in ("x", "y") for j in (1, 2, 3, 4)]
+# The presets' angles (phi1, phi2), written out apart from grover's table.
+PRESET_ANGLES = {
+    ("y", 1): (np.pi / 4, 3 * np.pi / 4), ("y", 2): (np.pi / 4, -3 * np.pi / 4),
+    ("y", 3): (np.pi / 4, np.pi / 4), ("y", 4): (np.pi / 4, -np.pi / 4),
+    ("x", 1): (np.pi / 4, -3 * np.pi / 4), ("x", 2): (np.pi / 4, 3 * np.pi / 4),
+    ("x", 3): (np.pi / 4, np.pi / 4), ("x", 4): (np.pi / 4, -np.pi / 4),
+}
 
 
 class TestTable1Values:
@@ -453,11 +460,27 @@ class TestPresetValues:
         monkeypatch.setattr(coding, "_pipeline",
                             lambda g, v, g_inv, *rest, p=coding._pipeline: seen.append((g, g_inv))
                             or p(g, v, g_inv, *rest))
-        for k in (1, 2, 3, 4):
+        # The runs are built at import, from y1's G and G^-1; a call hands out y1's runs.
+        coding._preset_runs("y", 1, coding.encoder_set("y"))
+        assert all(g is y1.g and g_inv is y1.g_inverse for g, g_inv in seen) and len(seen) == 4
+        for k, stored in enumerate(coding._RUNS["y", 1], start=1):
             trace = coding.run_protocol(c, k)
             assert trace.u_choice is c
             assert coding.decode(trace.output_label, c) == k
-        assert all(g is y1.g and g_inv is y1.g_inverse for g, g_inv in seen) and len(seen) == 4
+            assert trace.encoded is stored.encoded
+        assert len(seen) == 4
+
+    @pytest.mark.parametrize("axis,j", PRESETS)
+    def test_preset_hands_out_one_choice_built_at_import(self, axis, j, monkeypatch):
+        expected = UChoice(axis, *PRESET_ANGLES[axis, j])
+        built = []
+        monkeypatch.setattr(UChoice, "__post_init__",
+                            lambda self, p=UChoice.__post_init__: built.append(self) or p(self))
+        first = preset(axis, j)
+        assert first == expected and type(first) is UChoice
+        assert all(preset(axis, j) is first for _ in range(3))
+        assert preset(np.str_(axis), np.int64(j)) is first
+        assert built == []
 
 
 class TestDisplayStrings:

@@ -482,9 +482,15 @@ class TestVerifier:
             target = ideal_gate_unitary(f"V{k}")
             assert np.abs(target.matrix - coding.encoder("y", k).matrix).max() == 0.0
 
-    def test_default_tolerance_is_the_named_one(self):
-        assert inspect.signature(verify_realization).parameters["tol"].default is nmr.VERIFY_TOL
+    def test_default_tolerance_is_the_named_one(self, monkeypatch):
+        # With no tol, the bound is VERIFY_TOL as it reads at the call.
+        assert inspect.signature(verify_realization).parameters["tol"].default is None
         assert nmr.VERIFY_TOL == 1e-9
+        distance = verify_realization("I_t").distance
+        monkeypatch.setattr(nmr, "VERIFY_TOL", distance)
+        assert not verify_realization("I_t").ok
+        monkeypatch.setattr(nmr, "VERIFY_TOL", np.nextafter(distance, np.inf))
+        assert verify_realization("I_t").ok
 
     @pytest.mark.parametrize("tol", [0.0, -0.0, -1e-9, -np.inf, np.nan])
     def test_non_positive_tolerance_rejected(self, tol):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from densegrover.bell import BellVector, bell_state, to_bell_coords
-from densegrover.coding import run_protocol
+from densegrover.coding import AncillaMessage, AncillaResult, run_ancilla_protocol, run_protocol
 from densegrover.grover import build_G, preset, table1
 from densegrover.nmr import DeviationMatrix
 from densegrover.qstate import (
@@ -454,6 +454,17 @@ class TestPickle:
             again = pickle.loads(pickle.dumps(entry))
             assert frozen_copy(entry.output.coords, again.output.coords)
             assert (again.input, again.display) == (entry.input, entry.display)
+
+    def test_an_ancilla_result_round_trips_its_values(self):
+        for value in range(8):
+            result = run_ancilla_protocol(AncillaMessage.from_value(value))
+            loaded = pickle.loads(pickle.dumps(result))
+            assert type(loaded) is AncillaResult and loaded.recovered == result.recovered
+            trace, again = result.trace, loaded.trace
+            assert frozen_copy(trace.starting_bell.coords, again.starting_bell.coords)
+            assert frozen_copy(trace.encoded.coords, again.encoded.coords)
+            assert (again.u_choice, again.message, again.output_label, again.probabilities) == (
+                trace.u_choice, trace.message, trace.output_label, trace.probabilities)
 
     def test_a_tampered_operator_pickle_is_checked_on_load(self):
         # Every 1.0 of the identity's bytes becomes 2.0: the payload is 2 * I.
