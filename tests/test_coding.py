@@ -40,11 +40,6 @@ def starting_bell_column(c):
     return column + 1
 
 
-def bell_coords_of(g):
-    """Bell coordinates of g applied to up-up, g's column 0."""
-    return to_bell_coords(apply(g, ket_from_basis(BasisLabel.UU))).coords
-
-
 def _ry(theta):
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     return np.array([[c, s], [-s, c]], dtype=complex)
@@ -241,7 +236,7 @@ class TestTable2:
 
     @pytest.mark.parametrize("kind", ["x", "y"])
     def test_outcomes_run_each_presets_one_g_and_its_inverse(self, kind, monkeypatch):
-        # A build of a preset's runs runs the G and G^-1 built at import
+        # Building a preset's runs uses the G and G^-1 built at import
         # and builds no U; neither does table2.
         calls, seen = [], []
         monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
@@ -307,7 +302,8 @@ class TestOutcomeValues:
         for k, (run, v) in enumerate(zip(coding._RUNS[kind, j], encoder_set(kind)), start=1):
             assert_same_run(run, coding._pipeline(g, v, g_inv, c, k))
         labels = tuple(run.output_label for run in coding._preset_runs(kind, j, encoder_set(kind)))
-        assert coding._OUTCOMES[kind, j] == (coding._bell_column(bell_coords_of(g)), labels)
+        column = coding._bell_column(to_bell_coords(apply(g, ket_from_basis(BasisLabel.UU))).coords)
+        assert coding._OUTCOMES[kind, j] == (column, labels)
 
     def test_values_hold_exactly_the_eight_presets(self):
         assert list(coding._OUTCOMES) == list(coding._RUNS) == list(grover.PRESETS)
@@ -409,9 +405,11 @@ print(len(runs), all(name.endswith("coding.py") for name in runs))
 class TestRunValues:
     """Every gate-level run is a value built at import; a call hands out a copy."""
 
-    CALLS = [
-        *[(run_protocol, (preset(kind, j), k)) for kind in ("x", "y") for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)],
-        *[(run_ancilla_protocol, (AncillaMessage.from_value(value),)) for value in range(8)],
+    # Each of the 40 calls, returning the trace it hands out.
+    TRACES = [
+        *[lambda c=preset(kind, j), k=k: run_protocol(c, k)
+          for kind in ("x", "y") for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)],
+        *[lambda m=AncillaMessage.from_value(value): run_ancilla_protocol(m).trace for value in range(8)],
     ]
 
     def test_a_call_runs_no_pipeline_measurement_or_ket(self, monkeypatch):
@@ -419,8 +417,8 @@ class TestRunValues:
         for name in ("_pipeline", "measure_basis", "Ket4"):
             monkeypatch.setattr(coding, name, lambda *args, n=name, f=getattr(coding, name):
                                 seen.append(n) or f(*args))
-        for run, args in self.CALLS:
-            run(*args)
+        for trace_of in self.TRACES:
+            trace_of()
         assert seen == []
 
     def test_import_runs_the_pipeline_forty_times(self):
@@ -431,14 +429,12 @@ class TestRunValues:
         assert out == "40 True\n"
 
     def test_mutating_returned_probabilities_changes_no_later_run(self):
-        for run, args in self.CALLS:
-            first = run(*args)
-            trace = first.trace if run is run_ancilla_protocol else first
+        for trace_of in self.TRACES:
+            trace = trace_of()
             expected = pickle.dumps(trace.probabilities)
             trace.probabilities[trace.output_label] = 0.0
             trace.probabilities.clear()
-            again = run(*args)
-            again = again.trace if run is run_ancilla_protocol else again
+            again = trace_of()
             assert again.probabilities is not trace.probabilities
             assert pickle.dumps(again.probabilities) == expected
 
