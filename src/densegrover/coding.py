@@ -9,6 +9,8 @@ the y-kind and x-kind encoder sets.
 Each kind's encoder set, each preset's four runs and outcomes (keyed on
 kind and (kind, j), each outcome map's bijection checked then) and the
 eight ancilla runs are values built at import; the entry points read them.
+The four y-set ancilla runs are preset y1's own runs, so `_pipeline` runs
+36 times per process: 32 preset runs and the four x-set ancilla runs.
 """
 
 from __future__ import annotations
@@ -187,8 +189,12 @@ def run_ancilla_protocol(m: AncillaMessage) -> AncillaResult:
 def _ancilla_run(m: AncillaMessage) -> AncillaResult:
     kind = "y" if m.set_bit == 0 else "x"
     c_dec = preset(kind, 1)
-    g, g_inv = PRESETS["y", 1].g, PRESETS[kind, 1].g_inverse
-    trace = _pipeline(g, encoder(kind, m.v_index), g_inv, c_dec, m.v_index)
+    if kind == "y":
+        # The y set decodes with preset y1 itself, so the run is that preset's run k.
+        trace = _RUNS["y", 1][m.v_index - 1]
+    else:
+        trace = _pipeline(PRESETS["y", 1].g, encoder("x", m.v_index), PRESETS["x", 1].g_inverse,
+                          c_dec, m.v_index)
     return AncillaResult(trace, AncillaMessage(m.set_bit, decode(trace.output_label, c_dec)))
 
 

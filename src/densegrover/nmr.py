@@ -36,7 +36,8 @@ The three memos, each for a result that repeats across protocol runs:
 
 - `_simulate`: the simulated state, keyed on the program, its `_j_key`
   and the starting state, by identity.  A memoised state is shared and
-  immutable; both spins' spectrum amplitudes are read off it once.
+  immutable; both spins' spectrum amplitudes, their lines at the J last
+  asked and the state's fingerprint are read off it once and kept on it.
 - `protocol_sequence`: the assembled protocol program, whose building
   costs more than the rest of a warm protocol run.
 - `equilibrium_state`: the thermal state per set of constants, so a
@@ -382,8 +383,10 @@ def parse_sequence(text: str) -> PulseSequence:
 class DeviationMatrix:
     """Traceless Hermitian 4x4 matrix carrying the observable signal.
 
-    It pickles by its entries, so a load checks and freezes them again
-    and carries no stored spectrum amplitudes (`_amplitudes`).
+    Its spectrum read-out is stored on it: the amplitudes (`_amplitudes`),
+    the lines at the J last asked (`_lines`) and the fingerprint.  It
+    pickles by its entries, so a load checks and freezes them again and
+    carries none of these.
     """
 
     entries: np.ndarray
@@ -717,6 +720,22 @@ def _amplitudes(rho: DeviationMatrix) -> tuple:
     return pairs
 
 
+def _lines(rho: DeviationMatrix, j_hz: float) -> tuple:
+    # Each spin's (partner-up, partner-down) lines at J j_hz, built on the first
+    # call for that J and stored on the state; a call at another J replaces them.
+    # +0.0 and -0.0 compare equal but give the offsets other signs, so a zero J
+    # is matched by its sign too.
+    stored = getattr(rho, "_lines", None)
+    if (stored is None or stored[0] != j_hz
+            or j_hz == 0 and math.copysign(1.0, stored[0]) != math.copysign(1.0, j_hz)):
+        half_j = j_hz / 2.0
+        stored = j_hz, tuple(
+            (SpectrumLine(spin, _LINES[0], +half_j, up), SpectrumLine(spin, _LINES[1], -half_j, down))
+            for spin, (up, down) in zip((1, 2), _amplitudes(rho)))
+        _store(rho, _lines=stored)
+    return stored[1]
+
+
 def predict_spectrum(
     rho: DeviationMatrix,
     spin: int,
@@ -727,16 +746,13 @@ def predict_spectrum(
     The calibration constant is fixed so the uu pseudo-pure state shows
     +1 on its nonzero (partner-up) line; which signed frequency offset
     carries the partner-up label is a convention, set here to +J/2.
-    Both spins' amplitudes are read off a state once and kept on it
-    (`_amplitudes`); each call returns a fresh list of fresh lines.
+    Both spins' amplitudes are read off a state once (`_amplitudes`), and
+    both spins' lines are built once per state for the J last asked and
+    kept on it (`_lines`).  Each call returns a fresh list, but its lines
+    are shared and frozen, and carry the int spin 1 or 2.
     """
     checked_index(spin, SPINS, "spin")
-    up, down = _amplitudes(rho)[spin - 1]
-    half_j = consts.j_hz / 2.0
-    return [
-        SpectrumLine(spin, _LINES[0], +half_j, up),
-        SpectrumLine(spin, _LINES[1], -half_j, down),
-    ]
+    return list(_lines(rho, consts.j_hz)[spin - 1])
 
 
 @dataclass(frozen=True)
@@ -753,8 +769,13 @@ def spectrum_fingerprint(rho: DeviationMatrix) -> Fingerprint:
     A basis state shows one real line per spin, so a spin is refused if
     its weaker line, or its dominant line's imaginary part, exceeds 1e-9
     times the dominant line; the tests are relative, so the fingerprint
-    does not depend on the state's scale.
+    does not depend on the state's scale.  A state is classified once and
+    its fingerprint kept on it; a refused state keeps nothing, so each
+    call raises the same error again.
     """
+    fingerprint = getattr(rho, "_fingerprint", None)
+    if fingerprint is not None:
+        return fingerprint
     signatures = []
     for spin, amplitudes in zip((1, 2), _amplitudes(rho)):
         line = int(abs(amplitudes[1]) > abs(amplitudes[0]))
@@ -769,7 +790,9 @@ def spectrum_fingerprint(rho: DeviationMatrix) -> Fingerprint:
         if problem:
             raise ValueError(f"spin {spin} {problem}; not a basis pseudo-pure state")
         signatures.append((_LINES[line], 1 if dominant.real > 0 else -1))
-    return Fingerprint(*signatures)
+    fingerprint = Fingerprint(*signatures)
+    _store(rho, _fingerprint=fingerprint)
+    return fingerprint
 
 
 def _program(factors, j: int, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> PulseSequence:

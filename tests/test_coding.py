@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pickle
 import re
@@ -421,12 +422,21 @@ class TestRunValues:
             trace_of()
         assert seen == []
 
-    def test_import_runs_the_pipeline_forty_times(self):
+    def test_import_runs_the_pipeline_thirty_six_times(self):
+        # The 32 preset runs and the four x-set ancilla runs; the y-set ancilla runs are preset y1's.
         src = Path(coding.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", PIPELINE_COUNT], env=env, capture_output=True, text=True,
                              check=True, timeout=60).stdout
-        assert out == "40 True\n"
+        assert out == "36 True\n"
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_y_set_ancilla_runs_are_preset_y1s_runs(self, k):
+        trace = coding._ANCILLA_RUNS[AncillaMessage(0, k).value].trace
+        run = coding._RUNS["y", 1][k - 1]
+        assert ([pickle.dumps(getattr(trace, f.name)) for f in dataclasses.fields(trace)]
+                == [pickle.dumps(getattr(run, f.name)) for f in dataclasses.fields(run)])
+        assert run_ancilla_protocol(AncillaMessage(0, k)).recovered == AncillaMessage(0, k)
 
     def test_mutating_returned_probabilities_changes_no_later_run(self):
         for trace_of in self.TRACES:

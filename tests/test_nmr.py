@@ -726,7 +726,10 @@ class TestSpectra:
     def test_numpy_integer_spin_is_an_index(self):
         # The check is qstate.checked_index, which takes numpy integers as every index check does.
         rho = basis_pseudo_pure(BasisLabel.UD)
-        assert predict_spectrum(rho, np.int64(2)) == predict_spectrum(rho, 2)
+        lines = predict_spectrum(rho, np.int64(2))
+        assert lines == predict_spectrum(rho, 2)
+        # The lines are the state's stored ones, which carry the int spin.
+        assert all(type(line.spin) is int and line.spin == 2 for line in lines)
 
     def test_warm_spectrum_lowers_nothing(self, monkeypatch):
         rho = basis_pseudo_pure(BasisLabel.UD)
@@ -763,6 +766,44 @@ class TestSpectra:
         first.append(first[1])
         again = predict_spectrum(rho, 1)
         assert again is not first and again == expected
+        # The lines themselves are shared and frozen.
+        assert all(a is b for a, b in zip(again, expected))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            again[0].amplitude = 0.0
+
+    def test_a_warm_read_out_builds_no_line_or_fingerprint(self, monkeypatch):
+        rho = simulate_sequence(protocol_sequence(3, 2), equilibrium_state())
+        lines = [predict_spectrum(rho, spin) for spin in (1, 2)]
+        fingerprint = spectrum_fingerprint(rho)
+        reads = recorded_readouts(monkeypatch)
+        built = recorded(monkeypatch, "SpectrumLine") + recorded(monkeypatch, "Fingerprint")
+        assert spectrum_fingerprint(rho) is fingerprint
+        assert [predict_spectrum(rho, spin) for spin in (1, 2)] == lines
+        assert reads == [] and built == []
+
+    def test_lines_follow_the_j_last_asked(self):
+        rho = simulate_sequence(protocol_sequence(1, 4), equilibrium_state())
+        amplitudes = [[line.amplitude for line in predict_spectrum(rho, spin)] for spin in (1, 2)]
+        for j_hz in (215.0, 37.5, 215.0, 0.0, -0.0, 37.5):
+            consts = PhysicalConstants(j_hz=j_hz)
+            for spin in (1, 2):
+                up, down = predict_spectrum(rho, spin, consts)
+                assert (up.spin, up.line, down.spin, down.line) == (spin, "partner_up", spin, "partner_down")
+                # Compared by repr, so a zero offset keeps the sign of its J.
+                assert (repr(up.offset_hz), repr(down.offset_hz)) == (repr(j_hz / 2), repr(-j_hz / 2))
+                assert [up.amplitude, down.amplitude] == amplitudes[spin - 1]
+        assert [line.offset_hz for line in predict_spectrum(rho, 1)] == [107.5, -107.5]
+
+    def test_a_refused_state_raises_the_same_error_every_call(self):
+        rho = DeviationMatrix(0.5 * basis_pseudo_pure(BasisLabel.UU).entries
+                              + 0.5 * basis_pseudo_pure(BasisLabel.DD).entries)
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not a basis pseudo-pure state") as caught:
+                spectrum_fingerprint(rho)
+            messages.append(str(caught.value))
+        assert messages == [messages[0]] * 3
+        assert [line.line for line in predict_spectrum(rho, 1)] == ["partner_up", "partner_down"]
 
     def test_spectrum_line_is_a_dataclass(self):
         line = predict_spectrum(basis_pseudo_pure(BasisLabel.UU), 1)[0]
@@ -1590,11 +1631,15 @@ print(nmr.simulate_sequence(pickle.loads(pickle.dumps(seq)), nmr.equilibrium_sta
     def test_a_loaded_state_is_checked_frozen_and_read_out_again(self, monkeypatch):
         rho = simulate_sequence(protocol_sequence(2, 3), equilibrium_state())
         spectrum = predict_spectrum(rho, 1)
+        fingerprint = spectrum_fingerprint(rho)
         loaded = pickle.loads(pickle.dumps(rho))
         assert loaded.entries.tobytes() == rho.entries.tobytes()
         assert not loaded.entries.flags.writeable
+        # None of the read-out stored on rho (amplitudes, lines, fingerprint) travels with it.
+        assert set(vars(loaded)) == {"entries"}
         reads = recorded_readouts(monkeypatch)
         assert predict_spectrum(loaded, 1) == spectrum
+        assert spectrum_fingerprint(loaded) == fingerprint and spectrum_fingerprint(loaded) is not fingerprint
         assert reads == [1, 2]
 
         class Forged:
