@@ -21,8 +21,8 @@ import sys
 
 import numpy as np
 
-from . import bell, coding, grover, nmr
-from .qstate import BasisLabel, checked_index, equal_up_to_phase
+from . import bell, coding, grover, nmr, qstate
+from .qstate import DISPLAY_ZERO, REFERENCE_TOL, BasisLabel, checked_index, equal_up_to_phase
 
 _S = 1.0 / np.sqrt(2.0)
 
@@ -56,9 +56,9 @@ TABLE2_X_REFERENCE = {
 def _fmt_csv_number(x: float) -> str:
     if not np.isfinite(x):
         raise ValueError(f"refusing to write a non-finite CSV value ({x!r})")
-    # Snap sub-1e-9 residue from pulse-level simulation to an exact 0 so
+    # Snap residue from pulse-level simulation to an exact 0 so
     # protocol CSVs match the ideal reference CSVs byte for byte.
-    if abs(x) < 1e-9:
+    if abs(x) < DISPLAY_ZERO:
         x = 0.0
     return f"{x:.12g}"
 
@@ -118,7 +118,7 @@ def cmd_tables(args, parser) -> int:
                 continue
             for entry, ref_coords in zip(entries, reference):
                 ref = bell.BellVector(np.array(ref_coords, dtype=complex))
-                if not equal_up_to_phase(entry.output, ref, tol=1e-9).equal:
+                if not equal_up_to_phase(entry.output, ref, tol=REFERENCE_TOL).equal:
                     mismatches.append(
                         f"mismatch: G{j} on |{entry.input.arrows}>: computed "
                         f"{entry.display}, reference {grover.bell_combination_str(ref)}"
@@ -191,7 +191,7 @@ def cmd_verify(args, parser) -> int:
         try:
             if name == "pseudo-pure-prep":
                 scale, deviation = nmr.pseudo_pure_fit(nmr.prepare_pseudo_pure(consts))
-                ok = scale > 0 and deviation < nmr.VERIFY_TOL
+                ok = scale > 0 and deviation < qstate.VERIFY_TOL
                 detail = f"relative deviation {deviation:.3e}  scale {scale:.6f}"
             else:
                 check = nmr.verify_realization(name, consts=consts)

@@ -23,6 +23,7 @@ import numpy as np
 from . import bell
 from .grover import _AXES, PRESETS, UChoice, preset, preset_index
 from .qstate import (
+    CLASSIFY_TOL,
     BasisLabel,
     Ket4,
     Operator4,
@@ -106,7 +107,7 @@ def _pipeline(g: Operator4, v: Operator4, g_inv: Operator4, dec: UChoice, k: int
 def _bell_column(coords: np.ndarray) -> int:
     """1-based index of the pure Bell state with Bell coordinates coords."""
     idx = int(np.argmax(np.abs(coords)))
-    if not abs(coords[idx]) >= 1.0 - 1e-9:
+    if not abs(coords[idx]) >= 1.0 - CLASSIFY_TOL:
         raise ValueError("starting state is not a pure Bell state")
     return idx + 1
 

@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bell
-from .qstate import BasisLabel, Operator4, checked_index, checked_member, kron2, rotation_2x2
+from .qstate import (CLASSIFY_TOL, PRESET_TOL, SIGN_TOL, BasisLabel, Operator4, checked_index,
+                     checked_member, kron2, rotation_2x2)
 
 _PI = np.pi
 _AXES = ("x", "y")
@@ -76,9 +77,9 @@ def preset(axis: str, j: int) -> UChoice:
 
 
 def preset_index(c: UChoice) -> int | None:
-    """Index of c among its axis's presets, or None for generic angles."""
+    """Index of c among its axis's presets, each angle within `PRESET_TOL`, or None."""
     for j, p in _PRESET_CHOICES[c.axis].items():
-        if abs(c.phi1 - p.phi1) < 1e-15 and abs(c.phi2 - p.phi2) < 1e-15:
+        if abs(c.phi1 - p.phi1) < PRESET_TOL and abs(c.phi2 - p.phi2) < PRESET_TOL:
             return j
     return None
 
@@ -138,15 +139,15 @@ def build_G_pair(c: UChoice) -> tuple[Operator4, Operator4]:
                  for names in (G_FACTORS, G_INVERSE_FACTORS))
 
 
-def _format_coefficient(value: complex, tol: float) -> str | None:
-    """Render a snapped coefficient from {1, -1, i, -i}, else None."""
+def _format_coefficient(value: complex) -> str | None:
+    """Render a coefficient within `SIGN_TOL` of one of {1, -1, i, -i}, else None."""
     for text, target in (("+", 1.0), ("-", -1.0), ("+i", 1j), ("-i", -1j)):
-        if abs(value - target) < tol:
+        if abs(value - target) < SIGN_TOL:
             return text
     return None
 
 
-def bell_combination_str(v: bell.BellVector, tol: float = 1e-9) -> str:
+def bell_combination_str(v: bell.BellVector) -> str:
     """Human-readable Bell combination with a normalized display phase.
 
     The overall phase is fixed by rotating the first nonzero coordinate
@@ -155,17 +156,19 @@ def bell_combination_str(v: bell.BellVector, tol: float = 1e-9) -> str:
     or (|psi_a> +- i|psi_b>)/sqrt2.
     """
     coords = v.coords
-    nonzero = [k for k in range(4) if abs(coords[k]) > tol]
+    nonzero = [k for k in range(4) if abs(coords[k]) > CLASSIFY_TOL]
     if not nonzero:
         raise ValueError("cannot format the zero vector")
     lead = coords[nonzero[0]]
     normalized = coords * (lead.conjugate() / abs(lead))
     terms = []
     scale = abs(normalized[nonzero[0]])
-    uniform = all(abs(abs(normalized[k]) - scale) < tol for k in nonzero)
-    if uniform and (len(nonzero) == 1 or abs(scale - 1 / np.sqrt(2.0)) < tol):
+    # Terms of equal weight print by name when there is one, or when each weighs 1/sqrt2.
+    uniform = (all(abs(abs(normalized[k]) - scale) < CLASSIFY_TOL for k in nonzero)
+               and (len(nonzero) == 1 or abs(scale - 1 / np.sqrt(2.0)) < CLASSIFY_TOL))
+    if uniform:
         for k in nonzero:
-            sign = _format_coefficient(normalized[k] / scale, 1e-6)
+            sign = _format_coefficient(normalized[k] / scale)
             if sign is None:
                 uniform = False
                 break

@@ -42,6 +42,9 @@ The three memos, each for a result that repeats across protocol runs:
   costs more than the rest of a warm protocol run.
 - `equilibrium_state`: the thermal state per set of constants, so a
   warm protocol run starts from the same `_simulate` key.
+
+The tolerances are `qstate`'s: `VERIFY_TOL` bounds a gate's distance and
+the prep's deviation, read at the call, and `CLASSIFY_TOL` a zero line.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ import numpy as np
 
 from .qstate import (
     _EYE2,
+    CLASSIFY_TOL,
     SPINS,
     BasisLabel,
     Operator4,
@@ -68,7 +72,7 @@ from .qstate import (
     phase_fit,
     rotation_2x2,
 )
-from . import coding, grover
+from . import coding, grover, qstate
 
 _IZ = np.diag([0.5, -0.5]).astype(complex)
 IZ1 = kron2(_IZ, _EYE2)
@@ -80,9 +84,6 @@ _IZIZ_DIAGONAL = np.diag(IZIZ)
 # few sets of constants; a sweep that draws fresh constants cycles through
 # `equilibrium_state` instead.
 _PROGRAMS = 128
-
-# The bound below which a gate's distance, or the prep's relative deviation, verifies.
-VERIFY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -617,11 +618,11 @@ def verify_realization(
     """Compare a gate's net pulse unitary to its ideal, up to global phase.
 
     It reads the gate's `fit`, made once at import, under any tolerance (no
-    tol reads `VERIFY_TOL` at the call) and any constants; at J = 0 an n/dJ
-    delay raises (`_j_key`).
+    tol reads `qstate.VERIFY_TOL` at the call) and any constants; at J = 0
+    an n/dJ delay raises (`_j_key`).
     """
     if tol is None:
-        tol = VERIFY_TOL
+        tol = qstate.VERIFY_TOL
     elif not tol > 0:  # written so that NaN fails
         raise ValueError("tolerance must be positive")
     gate = _gate(name, kind)
@@ -767,9 +768,10 @@ def spectrum_fingerprint(rho: DeviationMatrix) -> Fingerprint:
     """Identify which basis pseudo-pure state produced the spectrum.
 
     A basis state shows one real line per spin, so a spin is refused if
-    its weaker line, or its dominant line's imaginary part, exceeds 1e-9
-    times the dominant line; the tests are relative, so the fingerprint
-    does not depend on the state's scale.  A state is classified once and
+    its lines are all below `qstate.CLASSIFY_TOL`, or its weaker line, or
+    its dominant line's imaginary part, exceeds CLASSIFY_TOL times the
+    dominant line; these two tests are relative, so the fingerprint does
+    not depend on the state's scale.  A state is classified once and
     its fingerprint kept on it; a refused state keeps nothing, so each
     call raises the same error again.
     """
@@ -781,11 +783,11 @@ def spectrum_fingerprint(rho: DeviationMatrix) -> Fingerprint:
         line = int(abs(amplitudes[1]) > abs(amplitudes[0]))
         dominant, weaker = amplitudes[line], abs(amplitudes[1 - line])
         problem = None
-        if abs(dominant) < 1e-9:
+        if abs(dominant) < CLASSIFY_TOL:
             problem = "line amplitudes are all below 1e-9"
-        elif weaker > 1e-9 * abs(dominant):
+        elif weaker > CLASSIFY_TOL * abs(dominant):
             problem = f"shows both doublet lines ({abs(dominant):.3g} and {weaker:.3g})"
-        elif abs(dominant.imag) > 1e-9 * abs(dominant):
+        elif abs(dominant.imag) > CLASSIFY_TOL * abs(dominant):
             problem = f"line {dominant:.3g} is 90 degrees out of phase"
         if problem:
             raise ValueError(f"spin {spin} {problem}; not a basis pseudo-pure state")

@@ -15,9 +15,22 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-# Tolerance of the exact-arithmetic identities: unitarity, Hermiticity,
-# unit trace and phase matches.
+# One tolerance per meaning of "close enough", each 1e3 above the float error its check sees
+# (EXACT_TOL 100) and 1e3 below a wrong answer's gap; tests/test_tolerance_margins.py measures both.
+# The exact-arithmetic identities: unitarity, Hermiticity, unit trace and phase matches.
 EXACT_TOL = 1e-12
+# Below this a gate's distance to its target, or the prep's relative deviation, verifies.
+VERIFY_TOL = 1e-9
+# A computed Table-1 entry's distance from the published one, up to phase.
+REFERENCE_TOL = 1e-9
+# A Bell coordinate or spectrum line that counts as zero, or as of full weight.
+CLASSIFY_TOL = 1e-9
+# A CSV value that prints as 0, so pulse-level CSVs match the ideal ones byte for byte.
+DISPLAY_ZERO = 1e-9
+# An angle's distance from a preset's that still selects the preset.
+PRESET_TOL = 1e-15
+# A display coefficient's distance from +-1 or +-i.
+SIGN_TOL = 1e-6
 
 _EYE2 = np.eye(2, dtype=complex)
 _EYE4 = np.eye(4)

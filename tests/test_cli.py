@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import densegrover
-from densegrover import nmr
+from densegrover import nmr, qstate
 from densegrover.cli import TABLE2_Y_REFERENCE, _fmt_csv_number, main
 from densegrover.nmr import gate_library, parse_sequence
 
@@ -180,7 +180,7 @@ class TestVerify:
     def test_prep_is_bounded_by_the_verify_tolerance(self, capsys, monkeypatch):
         # No relative deviation or distance is below 0, so a zero bound fails
         # the prep and the unitary gates alike.
-        monkeypatch.setattr(nmr, "VERIFY_TOL", 0.0)
+        monkeypatch.setattr(qstate, "VERIFY_TOL", 0.0)
         for name in ("pseudo-pure-prep", "I_t"):
             code, out, _ = run_cli(capsys, "verify", name)
             assert code == 1

@@ -22,6 +22,7 @@ from densegrover.coding import (
 )
 from densegrover.grover import UChoice, build_G, build_G_inverse, preset
 from densegrover.qstate import (
+    EXACT_TOL,
     BasisLabel,
     apply,
     equal_up_to_phase,
@@ -538,6 +539,13 @@ class TestAncilla:
         with pytest.raises(ValueError,
                            match=re.escape(f"ancilla message value must be 0..7, got {value!r}")):
             AncillaMessage.from_value(value)
+
+    def test_x_and_y_preset_1_make_the_same_state_up_to_phase(self):
+        # run_ancilla_protocol's claim: the x-set runs start from y1's state
+        # yet decode with x1's G^-1, which needs x1's state to be that one.
+        x1, y1 = grover.PRESETS["x", 1].g.matrix[:, 0], grover.PRESETS["y", 1].g.matrix[:, 0]
+        match = equal_up_to_phase(x1, y1, tol=EXACT_TOL)
+        assert match.equal and match.phase == 1
 
     def test_identity_message(self):
         result = run_ancilla_protocol(AncillaMessage(0, 1))

@@ -1,3 +1,4 @@
+import inspect
 import re
 
 import numpy as np
@@ -506,3 +507,15 @@ class TestDisplayStrings:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             bell_combination_str(bell_coords(0, 0, 0, 0))
+
+    @pytest.mark.parametrize("coords, text", [
+        ((0.5, 0.5, 0, 0), "(0.5+0j)|ψ1> + (0.5+0j)|ψ2>"),
+        ((1, 1, 0, 0), "(1+0j)|ψ1> + (1+0j)|ψ2>"),
+        ((0.5, 0.5, 0.5, 0.5), "(0.5+0j)|ψ1> + (0.5+0j)|ψ2> + (0.5+0j)|ψ3> + (0.5+0j)|ψ4>"),
+    ], ids=["two-halves", "two-ones", "four-halves"])
+    def test_untabulated_weights_print_numerically(self, coords, text):
+        assert bell_combination_str(bell_coords(*coords)) == text
+
+    def test_no_tolerance_parameter(self):
+        assert list(inspect.signature(bell_combination_str).parameters) == ["v"]
+        assert list(inspect.signature(grover._format_coefficient).parameters) == ["value"]

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from densegrover import coding, grover, nmr
+from densegrover import coding, grover, nmr, qstate
 from densegrover.nmr import (
     DEFAULT_CONSTANTS,
     GATES,
@@ -483,13 +483,13 @@ class TestVerifier:
             assert np.abs(target.matrix - coding.encoder("y", k).matrix).max() == 0.0
 
     def test_default_tolerance_is_the_named_one(self, monkeypatch):
-        # With no tol, the bound is VERIFY_TOL as it reads at the call.
+        # With no tol, the bound is qstate.VERIFY_TOL as it reads at the call.
         assert inspect.signature(verify_realization).parameters["tol"].default is None
-        assert nmr.VERIFY_TOL == 1e-9
+        assert qstate.VERIFY_TOL == 1e-9
         distance = verify_realization("I_t").distance
-        monkeypatch.setattr(nmr, "VERIFY_TOL", distance)
+        monkeypatch.setattr(qstate, "VERIFY_TOL", distance)
         assert not verify_realization("I_t").ok
-        monkeypatch.setattr(nmr, "VERIFY_TOL", np.nextafter(distance, np.inf))
+        monkeypatch.setattr(qstate, "VERIFY_TOL", np.nextafter(distance, np.inf))
         assert verify_realization("I_t").ok
 
     @pytest.mark.parametrize("tol", [0.0, -0.0, -1e-9, -np.inf, np.nan])
