@@ -163,9 +163,9 @@ def bell_combination_str(v: bell.BellVector) -> str:
     normalized = coords * (lead.conjugate() / abs(lead))
     terms = []
     scale = abs(normalized[nonzero[0]])
-    # Terms of equal weight print by name when there is one, or when each weighs 1/sqrt2.
+    # Terms of equal weight print by name when there is one of weight 1, or two of 1/sqrt2.
     uniform = (all(abs(abs(normalized[k]) - scale) < CLASSIFY_TOL for k in nonzero)
-               and (len(nonzero) == 1 or abs(scale - 1 / np.sqrt(2.0)) < CLASSIFY_TOL))
+               and abs(scale - (1.0 if len(nonzero) == 1 else 1 / np.sqrt(2.0))) < CLASSIFY_TOL)
     if uniform:
         for k in nonzero:
             sign = _format_coefficient(normalized[k] / scale)

@@ -619,7 +619,9 @@ def verify_realization(
 
     It reads the gate's `fit`, made once at import, under any tolerance (no
     tol reads `qstate.VERIFY_TOL` at the call) and any constants; at J = 0
-    an n/dJ delay raises (`_j_key`).
+    an n/dJ delay raises (`_j_key`).  The check is built on the first call
+    for a tolerance and stored on the gate; a call with another tolerance
+    replaces it, so each call returns the check of the tolerance it was given.
     """
     if tol is None:
         tol = qstate.VERIFY_TOL
@@ -632,8 +634,12 @@ def verify_realization(
     _j_key(seq, consts)
     if gate.fit is None:
         ideal_gate_unitary(name, kind)  # raises: a gate without a fit has no target
-    phase, distance = gate.fit
-    return GateCheck(distance < tol, distance, phase)
+    stored = getattr(gate, "_check", None)
+    if stored is None or stored[0] != tol:
+        phase, distance = gate.fit
+        stored = tol, GateCheck(distance < tol, distance, phase)
+        _store(gate, _check=stored)
+    return stored[1]
 
 
 @functools.lru_cache(maxsize=_PROGRAMS)

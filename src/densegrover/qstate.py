@@ -9,6 +9,7 @@ so R_y(theta) has rows [cos(t/2), sin(t/2); -sin(t/2), cos(t/2)].
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple
@@ -33,7 +34,7 @@ PRESET_TOL = 1e-15
 SIGN_TOL = 1e-6
 
 _EYE2 = np.eye(2, dtype=complex)
-_EYE4 = np.eye(4)
+_EYE4 = np.eye(4, dtype=complex)
 SPINS = range(1, 3)
 
 
@@ -175,8 +176,12 @@ class Operator4:
     __reduce__ = _by_fields
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen_array(self.matrix, (4, 4)))
-        defect = np.abs(self.matrix @ self.matrix.conj().T - _EYE4).max()
+        m = _frozen_array(self.matrix, (4, 4))
+        object.__setattr__(self, "matrix", m)
+        # m m^dagger - I in place; a float identity would be cast to complex on every call.
+        gram = m @ m.conj().T
+        gram -= _EYE4
+        defect = np.abs(gram).max()
         if not defect < EXACT_TOL:  # written so that a NaN defect fails
             raise ValueError(f"operator deviates from unitarity by {defect:.3e}")
 
@@ -220,10 +225,10 @@ def ket_from_basis(label: BasisLabel) -> Ket4:
 
 def rotation_2x2(axis: str, angle: float) -> np.ndarray:
     """exp(i * angle * I_axis) for the half-Pauli spin operators."""
-    if not np.isfinite(angle):
+    if not math.isfinite(angle):
         raise ValueError("rotation angle must be finite")
-    c = np.cos(angle / 2.0)
-    s = np.sin(angle / 2.0)
+    c = math.cos(angle / 2.0)
+    s = math.sin(angle / 2.0)
     if axis == "x":
         return np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
     if axis == "y":

@@ -516,6 +516,19 @@ class TestDisplayStrings:
     def test_untabulated_weights_print_numerically(self, coords, text):
         assert bell_combination_str(bell_coords(*coords)) == text
 
+    @pytest.mark.parametrize("coords, text", [
+        ((0.5, 0, 0, 0), "(0.5+0j)|ψ1>"),
+        ((0, 2, 0, 0), "(2+0j)|ψ2>"),
+        ((0, 0, -0.5j, 0), "(0.5-0j)|ψ3>"),
+        ((0, 0, 0, 1 + 1e-8), "(1+0j)|ψ4>"),
+    ], ids=["half", "two", "imaginary-half", "just-past-the-tolerance"])
+    def test_a_lone_coordinate_off_unit_weight_prints_its_weight(self, coords, text):
+        assert bell_combination_str(bell_coords(*coords)) == text
+
+    def test_a_lone_coordinate_within_the_tolerance_of_unit_weight_prints_by_name(self):
+        assert bell_combination_str(bell_coords(0, 0, 0, 1 + 1e-10)) == "|ψ4>"
+        assert bell_combination_str(bell_coords(0, -1j * (1 - 1e-10), 0, 0)) == "|ψ2>"
+
     def test_no_tolerance_parameter(self):
         assert list(inspect.signature(bell_combination_str).parameters) == ["v"]
         assert list(inspect.signature(grover._format_coefficient).parameters) == ["value"]

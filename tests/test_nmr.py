@@ -573,6 +573,53 @@ class TestVerifierMemo:
                 verify_realization("readout-carbon")
 
 
+class TestStoredCheck:
+    """Each gate keeps the check of the tolerance it was last asked for."""
+
+    def test_a_warm_call_builds_no_check(self, monkeypatch):
+        fresh = PhysicalConstants(nu1_hz=81e6, nu2_hz=402e6, j_hz=151.125, gamma_ratio=1.875)
+        warm = {name: verify_realization(name) for name in UNITARY_GATES}
+        built = []
+        monkeypatch.setattr(nmr, "GateCheck", lambda *args: built.append(args))
+        for consts in (DEFAULT_CONSTANTS, fresh):
+            for name, check in warm.items():
+                assert verify_realization(name, consts=consts) is check
+                assert verify_realization(name, tol=qstate.VERIFY_TOL, consts=consts) is check
+        assert built == []
+
+    def test_each_call_gets_the_ok_of_its_own_tolerance(self, monkeypatch):
+        consts = PhysicalConstants(nu1_hz=90e6, nu2_hz=700e6, j_hz=37.5, gamma_ratio=0.6)
+        default = qstate.VERIFY_TOL
+        for name in UNITARY_GATES:
+            distance = verify_realization(name).distance
+            just_above = np.nextafter(distance, 1.0)
+            # (patched VERIFY_TOL, explicit tol): each differs from the call before it, or
+            # repeats its tolerance by the other route.
+            calls = [(default, None), (default, distance or just_above), (just_above, None),
+                     (default, None), (default, 0.5), (0.5, None), (np.nan, None),
+                     (distance or just_above, None), (default, just_above), (default, None)]
+            for patched, tol in calls:
+                monkeypatch.setattr(qstate, "VERIFY_TOL", patched)
+                effective = patched if tol is None else tol
+                check = verify_realization(name, tol=tol, consts=consts)
+                assert check.ok is (distance < effective), (name, patched, tol)
+                expected = refitted_check(name, "y", consts, tol=effective)
+                assert same_bits(check, expected.phase, expected.distance) and check == expected
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan], ids=repr)
+    def test_a_bad_tolerance_raises_and_keeps_the_stored_check(self, tol):
+        check = verify_realization("I_s")
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            verify_realization("I_s", tol=tol)
+        assert verify_realization("I_s") is check
+
+    def test_a_pickled_gate_carries_no_check(self):
+        verify_realization("V2")
+        loaded = pickle.loads(pickle.dumps(GATES["V2"]))
+        assert hasattr(GATES["V2"], "_check") and not hasattr(loaded, "_check")
+        assert loaded.fit == GATES["V2"].fit
+
+
 class TestPseudoPure:
     def test_target_equals_projector_form(self):
         projector = np.zeros((4, 4), dtype=complex)

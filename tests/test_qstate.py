@@ -9,6 +9,7 @@ from densegrover.coding import AncillaMessage, AncillaResult, run_ancilla_protoc
 from densegrover.grover import build_G, preset, table1
 from densegrover.nmr import DeviationMatrix
 from densegrover.qstate import (
+    EXACT_TOL,
     BasisLabel,
     Ket4,
     Measurement,
@@ -119,6 +120,17 @@ class TestRotations:
         with pytest.raises(ValueError):
             single_spin_rotation(1, "x", np.inf)
 
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf, np.float64(np.nan)], ids=repr)
+    def test_a_non_finite_angle_is_refused(self, axis, angle):
+        with pytest.raises(ValueError, match="rotation angle must be finite"):
+            rotation_2x2(axis, angle)
+
+    @pytest.mark.parametrize("angle", [1, np.float64(0.73), np.int64(-3)], ids=repr)
+    def test_int_and_numpy_angles_match_the_float(self, angle):
+        for axis in "xyz":
+            assert np.array_equal(rotation_2x2(axis, angle), rotation_2x2(axis, float(angle)))
+
     @pytest.mark.parametrize("spin", [True, 1.0, 2.0, 0, 3], ids=repr)
     def test_spin_must_be_the_integer_1_or_2(self, spin):
         with pytest.raises(ValueError, match=r"spin must be 1\.\.2"):
@@ -188,6 +200,64 @@ class TestOperators:
         rng = np.random.default_rng(RNG_SEED + 1)
         u = random_unitary(rng)
         assert np.abs((compose([u, u.adjoint()])).matrix - np.eye(4)).max() < 1e-12
+
+
+def _old_unitary_defect(m):
+    """The residual Operator4 took against a float identity, kept here as the reference."""
+    m = np.array(m, dtype=complex)
+    return np.abs(m @ m.conj().T - np.eye(4)).max()
+
+
+def _unitary_cases(rng, u):
+    """u, u scaled and perturbed so its residual straddles EXACT_TOL, and non-finite entries."""
+    cases = [u]
+    # (1 + eps) u has residual (2 + eps) eps: accepted below eps = 0.5 EXACT_TOL, refused above.
+    for factor in (0.3, 0.49, 0.499999, 0.500001, 0.51, 0.7):
+        cases.append(u * (1 + factor * EXACT_TOL))
+    for _ in range(4):
+        bumped = u.copy()
+        i, k = rng.integers(4, size=2)
+        bumped[i, k] += EXACT_TOL * 10 ** rng.uniform(-1, 1) * np.exp(2j * np.pi * rng.uniform())
+        cases.append(bumped)
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1.0), 1e200):
+        m = u.copy()
+        m[rng.integers(4), rng.integers(4)] = bad
+        cases.append(m)
+    return cases
+
+
+class TestUnitarityCheck:
+    def test_accepts_exactly_what_the_old_predicate_accepts(self):
+        rng = np.random.default_rng(RNG_SEED + 9)
+        verdicts = []
+        for _ in range(200):
+            for m in _unitary_cases(rng, random_unitary(rng).matrix):
+                # inf and 1e200 entries overflow or make inf - inf in both residuals.
+                with np.errstate(invalid="ignore", over="ignore"):
+                    defect = _old_unitary_defect(m)
+                    try:
+                        Operator4(m)
+                        accepted = True
+                    except ValueError as exc:
+                        accepted = False
+                        assert str(exc) == f"operator deviates from unitarity by {defect:.3e}"
+                assert accepted == (defect < EXACT_TOL), m
+                verdicts.append(accepted)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_the_residual_straddles_the_tolerance_at_half_of_it(self):
+        u = random_unitary(np.random.default_rng(RNG_SEED + 10)).matrix
+        Operator4(u * (1 + 0.49 * EXACT_TOL))
+        with pytest.raises(ValueError, match=r"^operator deviates from unitarity by 1\.0[0-9]{2}e-12$"):
+            Operator4(u * (1 + 0.51 * EXACT_TOL))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+    def test_a_non_finite_entry_is_not_unitary(self, bad):
+        m = np.eye(4, dtype=complex)
+        m[2, 1] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="^operator deviates from unitarity by (nan|inf)$"):
+                Operator4(m)
 
 
 class TestEqualUpToPhase:
