@@ -229,7 +229,7 @@ def _unitary_cases(rng, u):
 class TestUnitarityCheck:
     def test_accepts_exactly_what_the_old_predicate_accepts(self):
         rng = np.random.default_rng(RNG_SEED + 9)
-        verdicts = []
+        finite_verdicts, messages = [], set()
         for _ in range(200):
             for m in _unitary_cases(rng, random_unitary(rng).matrix):
                 # inf and 1e200 entries overflow or make inf - inf in both residuals.
@@ -240,24 +240,15 @@ class TestUnitarityCheck:
                         accepted = True
                     except ValueError as exc:
                         accepted = False
+                        messages.add(str(exc))
                         assert str(exc) == f"operator deviates from unitarity by {defect:.3e}"
                 assert accepted == (defect < EXACT_TOL), m
-                verdicts.append(accepted)
-        assert any(verdicts) and not all(verdicts)
-
-    def test_the_residual_straddles_the_tolerance_at_half_of_it(self):
-        u = random_unitary(np.random.default_rng(RNG_SEED + 10)).matrix
-        Operator4(u * (1 + 0.49 * EXACT_TOL))
-        with pytest.raises(ValueError, match=r"^operator deviates from unitarity by 1\.0[0-9]{2}e-12$"):
-            Operator4(u * (1 + 0.51 * EXACT_TOL))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
-    def test_a_non_finite_entry_is_not_unitary(self, bad):
-        m = np.eye(4, dtype=complex)
-        m[2, 1] = bad
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match="^operator deviates from unitarity by (nan|inf)$"):
-                Operator4(m)
+                if np.isfinite(m).all():
+                    finite_verdicts.append(accepted)
+        # Finite matrices fall on both sides of the tolerance; non-finite ones report nan or inf.
+        assert any(finite_verdicts) and not all(finite_verdicts)
+        assert {"operator deviates from unitarity by nan",
+                "operator deviates from unitarity by inf"} <= messages
 
 
 class TestEqualUpToPhase:
