@@ -70,8 +70,8 @@ def rotate_epr(i: int, axis: str, theta: float) -> BellVector:
     and psi2 with psi4 through an extra factor of i.
     """
     checked_index(i, range(1, 5), "Bell index")
-    if not np.isfinite(theta):  # as qstate.rotation_2x2 checks it
-        raise ValueError("rotation angle must be finite")
+    if np.iscomplexobj(theta) or not np.isfinite(theta):  # isfinite alone passes complex
+        raise ValueError("rotation angle must be finite and real")
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
     if checked_member(axis, ("x", "y"), "axis") == "y":

@@ -160,7 +160,7 @@ def bell_combination_str(v: bell.BellVector) -> str:
     if not nonzero:
         raise ValueError("cannot format the zero vector")
     lead = coords[nonzero[0]]
-    normalized = coords * (lead.conjugate() / abs(lead))
+    normalized = coords * (lead.conjugate() / abs(lead)) + 0.0  # + 0.0 clears each -0.0
     terms = []
     scale = abs(normalized[nonzero[0]])
     # Terms of equal weight print by name when there is one of weight 1, or two of 1/sqrt2.

@@ -12,13 +12,12 @@ Pulse text format, one element per line, applied top to bottom:
     delay <expr>                          expr like 1/4J, or a float (seconds)
     grad z
 
-A program acts on deviation matrices as one linear map, its 16x16
-transfer matrix (`_transfer`), which acts on the row-major vec of rho:
-vec(rho)[4*i + j] = rho[i, j].  A gradient-free run with net unitary U
-is kron(U, conj U) there, and a full crush keeps only the 4 population
-entries vec(rho)[0, 5, 10, 15] and zeroes the other 12.  The transfer
-is one fold with no memo: the first run, then the map of the runs
-after the first crush.
+A program acts on deviation matrices as one linear map on the row-major
+vec of rho, vec(rho)[4*i + j] = rho[i, j]: a gradient-free run with net
+unitary U is kron(U, conj U), and a full crush keeps only the 4 population
+entries vec(rho)[0, 5, 10, 15].  `_fold`, with no memo, folds the state,
+not the map: vec(rho) through the first run, then through the 16x4 map of
+the runs after the first crush, so only a crush-free program builds 16x16.
 
 The frame reads no constant but J, and an n/dJ delay turns the coupling
 by 2*pi*n/d at every J != 0, so a program with no delay in seconds
@@ -399,12 +398,15 @@ class DeviationMatrix:
         check_hermitian(self.entries, 0, "deviation matrix")
 
 
+def _rf_unitary(spin, axis: str, angle: float) -> np.ndarray:
+    r = rotation_2x2(axis, angle)  # the rotating frame makes a pulse read no constant
+    return kron2(_EYE2 if spin == 2 else r, _EYE2 if spin == 1 else r)
+
+
 def element_unitary(e, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
     """Unitary matrix of one rf pulse or delay; gradients have none."""
     if isinstance(e, Rf):
-        # The rotating frame makes an rf pulse independent of the constants.
-        r = rotation_2x2(e.axis, e.angle_rad)
-        return kron2(_EYE2 if e.spin == 2 else r, _EYE2 if e.spin == 1 else r)
+        return _rf_unitary(e.spin, e.axis, e.angle_rad)
     if isinstance(e, Delay):
         # exp(-i tau H) with H = 2*pi*J*Iz1*Iz2 diagonal: entrywise in the coupling phase.
         return np.diag(np.exp(-1j * e.coupling_phase(consts) * _IZIZ_DIAGONAL))
@@ -445,14 +447,14 @@ def _superoperator(u: np.ndarray) -> np.ndarray:
     return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(16, 16)
 
 
-def _transfer(u: np.ndarray, tail: np.ndarray | None) -> np.ndarray:
-    # The transfer of a first run with net unitary `u`, then `tail`, the map
+def _fold(u: np.ndarray, tail: np.ndarray | None, v: np.ndarray) -> np.ndarray:
+    # vec(rho) `v` after a first run with net unitary `u`, then `tail`, the map
     # of the runs after a crush (`_after_crush`); None where no crush follows.
     if tail is None:
-        return _superoperator(u)
+        return _superoperator(u) @ v
     # A crush reads only the population rows 5i of kron(u, conj u), u[i, :] (x) conj u[i, :].
     rows = (u[:, :, None] * u.conj()[:, None, :]).reshape(4, 16)
-    return tail @ rows
+    return tail @ (rows @ v)
 
 
 def _after_crush(runs, consts: PhysicalConstants) -> np.ndarray:
@@ -469,12 +471,12 @@ def simulate_sequence(
     rho0: DeviationMatrix,
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> DeviationMatrix:
-    """Apply the program's 16x16 transfer matrix to vec(rho0).
+    """Fold vec(rho0) through the program's runs (`_fold`).
 
     vec is row-major, vec(rho)[4*i + j] = rho[i, j], so a lowered run
     with net unitary U acts as kron(U, conj U).  A gradient between two
-    runs is the crush mask diag(vec(I4)): it keeps the 4 populations,
-    vec entries 0, 5, 10 and 15, and zeroes every coherence.
+    runs keeps the 4 populations, vec entries 0, 5, 10 and 15, so only the
+    first run's 4 population rows act where a crush follows it.
 
     The result is memoised on (program, `_j_key`, rho0), with rho0 keyed
     by identity (`DeviationMatrix` compares by identity; the memo holds
@@ -492,8 +494,8 @@ def _simulate(seq: PulseSequence, j_hz: float | None, rho0: DeviationMatrix) -> 
     # With no J in the key, the program reads no J (see `_j_key`).
     consts = DEFAULT_CONSTANTS if j_hz is None else PhysicalConstants(j_hz=j_hz)
     first, *later = seq.segments
-    t = _transfer(_lower_run(first, consts), _after_crush(later, consts) if later else None)
-    return DeviationMatrix((t @ rho0.entries.reshape(16)).reshape(4, 4))
+    u, tail = _lower_run(first, consts), _after_crush(later, consts) if later else None
+    return DeviationMatrix(_fold(u, tail, rho0.entries.reshape(16)).reshape(4, 4))
 
 
 def _rf(spin, axis, num, den=1) -> Rf:
@@ -517,10 +519,6 @@ def alpha_angle(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
 _PREP_AFTER_ALPHA = PulseSequence((Gradient(), _rf(1, "x", 1, 4), *_REFOCUSED_HALF_J,
                                    _rf(1, "y", -1, 4), Gradient()))
 _PREP_TAIL = _frozen_array(_after_crush(_PREP_AFTER_ALPHA.segments[1:], DEFAULT_CONSTANTS), (16, 4))
-
-
-def _alpha_pulse(consts: PhysicalConstants) -> Rf:
-    return Rf(2, "x", repr(alpha_angle(consts)))
 
 
 @dataclass(frozen=True)
@@ -592,7 +590,9 @@ def gate_library(
 ) -> PulseSequence:
     """Pulse realization of a named gate (y-kind presets only)."""
     seq = _gate(name, kind).pulses
-    return PulseSequence((_alpha_pulse(consts), *_PREP_AFTER_ALPHA)) if seq is None else seq
+    if seq is None:  # the prep, whose alpha pulse turns by an angle that reads gamma_ratio
+        seq = PulseSequence((Rf(2, "x", repr(alpha_angle(consts))), *_PREP_AFTER_ALPHA))
+    return seq
 
 
 def ideal_gate_unitary(name: str, kind: str = "y") -> Operator4:
@@ -680,14 +680,14 @@ def prepare_pseudo_pure(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> Deviat
     """Run the spatial-averaging prep sequence on the equilibrium state.
 
     Applied as blocks, byte for byte `simulate_sequence` of the program:
-    the alpha pulse is the first run of `_transfer`'s fold, and
-    `_PREP_TAIL` the rest.  It builds no program or state memo entry, so
-    each call returns a new, checked state.
+    the alpha pulse, built from its angle and checked unitary, is the first
+    run of `_fold`, and `_PREP_TAIL` the rest.  It adds no memo entry, not
+    even `equilibrium_state`'s, so each call returns a new, checked state.
     """
-    alpha = _lower_run((_alpha_pulse(consts),), consts)
+    alpha = Operator4(_rf_unitary(2, "x", alpha_angle(consts))).matrix
     _j_key(_PREP_AFTER_ALPHA, consts)
-    t = _transfer(alpha, _PREP_TAIL)
-    return DeviationMatrix((t @ equilibrium_state(consts).entries.reshape(16)).reshape(4, 4))
+    v = _fold(alpha, _PREP_TAIL, equilibrium_state.__wrapped__(consts).entries.reshape(16))
+    return DeviationMatrix(v.reshape(4, 4))
 
 
 @dataclass(frozen=True)
@@ -704,9 +704,9 @@ _LINES = ("partner_up", "partner_down")
 
 
 def _readout_rows(name: str, coherences: list) -> np.ndarray:
-    # The two rows of the readout's transfer (one rf pulse, which reads no
+    # The two rows of the readout's map (one rf pulse, which reads no
     # constant), divided by the uu reference's partner-up line.
-    rows = _transfer(*lower(GATES[name].pulses), None)[coherences]
+    rows = _superoperator(*lower(GATES[name].pulses))[coherences]
     reference = rows[0] @ basis_pseudo_pure(BasisLabel.UU).entries.reshape(16)
     return _frozen_array(rows / reference, (2, 16))
 

@@ -108,6 +108,15 @@ def test_non_finite_angle_rejected(axis, theta):
         rotate_epr(1, axis, theta)
 
 
+@pytest.mark.parametrize("theta", [1 + 1j, 0.3 + 0j, np.complex128(0.3), np.complex64(-0.5j),
+                                   complex(np.nan, 0.0), np.nan, np.inf, -np.inf], ids=repr)
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_complex_or_non_finite_angle_rejected(axis, theta):
+    # A complex angle, even one with no imaginary part, would give an unnormalized vector.
+    with pytest.raises(ValueError, match="^rotation angle must be finite and real$"):
+        rotate_epr(1, axis, theta)
+
+
 def _matrix_path(i, axis, theta):
     rotated = apply(single_spin_rotation(2, axis, theta), bell_state(i))
     return to_bell_coords(rotated)

@@ -519,11 +519,19 @@ class TestDisplayStrings:
     @pytest.mark.parametrize("coords, text", [
         ((0.5, 0, 0, 0), "(0.5+0j)|ψ1>"),
         ((0, 2, 0, 0), "(2+0j)|ψ2>"),
-        ((0, 0, -0.5j, 0), "(0.5-0j)|ψ3>"),
+        ((0, 0, -0.5j, 0), "(0.5+0j)|ψ3>"),
         ((0, 0, 0, 1 + 1e-8), "(1+0j)|ψ4>"),
     ], ids=["half", "two", "imaginary-half", "just-past-the-tolerance"])
     def test_a_lone_coordinate_off_unit_weight_prints_its_weight(self, coords, text):
         assert bell_combination_str(bell_coords(*coords)) == text
+
+    @pytest.mark.parametrize("phase", [1, -1, 1j, -1j, -0.0 - 1j, complex(-0.0, 1.0)], ids=repr)
+    def test_the_display_phase_leaves_no_negative_zero(self, phase):
+        # -0.5j is complex(-0.0, -0.5); rotated to the real axis it once printed (0.5-0j).
+        for k in range(4):
+            coords = [0, 0, 0, 0]
+            coords[k] = 0.5 * phase
+            assert bell_combination_str(bell_coords(*coords)) == f"(0.5+0j)|ψ{k + 1}>"
 
     def test_a_lone_coordinate_within_the_tolerance_of_unit_weight_prints_by_name(self):
         assert bell_combination_str(bell_coords(0, 0, 0, 1 + 1e-10)) == "|ψ4>"

@@ -538,15 +538,17 @@ class TestVerifierMemo:
 
     def test_fresh_constants_make_no_phase_fits(self, monkeypatch):
         # A sweep op: the 13 checks and the prep.  Every fit was made at
-        # import, so the op fits nothing and lowers only the prep's alpha pulse.
+        # import, so the op fits nothing, lowers no element and builds only
+        # the unitary of the prep program's alpha pulse.
         fitted, built = recorded(monkeypatch, "phase_fit"), recorded(monkeypatch, "element_unitary")
+        pulses = recorded(monkeypatch, "_rf_unitary")
         for consts in fresh_prep_constants(20, RNG_SEED + 21):
             for name in UNITARY_GATES:
                 assert verify_realization(name, consts=consts).ok
             prepare_pseudo_pure(consts)
-            assert fitted == []
-            assert built == [(gate_library("pseudo-pure-prep", consts=consts).elements[0], consts)]
-            built.clear()
+            assert fitted == [] and built == []
+            assert pulses == [rf_arguments(gate_library("pseudo-pure-prep", consts=consts).elements[0])]
+            pulses.clear()
 
     def test_fresh_constants_lower_and_fit_nothing(self, monkeypatch):
         for name in UNITARY_GATES:
@@ -1215,9 +1217,11 @@ class TestLowering:
 
         verify_all(DEFAULT_CONSTANTS)
         monkeypatch.setattr(nmr, "element_unitary", counted)
+        pulses = recorded(monkeypatch, "_rf_unitary")
         fresh = PhysicalConstants(nu1_hz=77e6, nu2_hz=333e6, j_hz=123.25, gamma_ratio=2.345)
         verify_all(fresh)
-        assert calls == [gate_library("pseudo-pure-prep", consts=fresh).elements[0]]
+        assert calls == []
+        assert pulses == [rf_arguments(gate_library("pseudo-pure-prep", consts=fresh).elements[0])]
 
 
 def superoperator_reference(seq, consts=DEFAULT_CONSTANTS):
@@ -1234,10 +1238,28 @@ def superoperator_reference(seq, consts=DEFAULT_CONSTANTS):
 
 
 def transfer_of(seq, consts=DEFAULT_CONSTANTS):
-    """The transfer matrix of `seq` under `consts`, by the fold the simulator uses."""
+    """The 16x16 transfer matrix of `seq` under `consts`: column k is the
+    k-th basis vector of vec(rho) taken through `_fold`, the fold the simulator uses."""
     nmr._j_key(seq, consts)  # raises at J = 0 for an n/dJ delay, as the simulator does
     first, *later = seq.segments
-    return nmr._transfer(nmr._lower_run(first, consts), nmr._after_crush(later, consts) if later else None)
+    u, tail = nmr._lower_run(first, consts), nmr._after_crush(later, consts) if later else None
+    return np.stack([nmr._fold(u, tail, basis) for basis in np.eye(16)], axis=1)
+
+
+def map_product(seq, rho, consts=DEFAULT_CONSTANTS):
+    """The state by the map fold the state fold replaced: the 16x16 map
+    `tail @ rows` of a program whose first run a crush follows, then that
+    map times vec(rho)."""
+    first, *later = seq.segments
+    assert later, "a crush follows the first run"
+    u = nmr._lower_run(first, consts)
+    rows = (u[:, :, None] * u.conj()[:, None, :]).reshape(4, 16)
+    return ((nmr._after_crush(later, consts) @ rows) @ rho.entries.reshape(16)).reshape(4, 4)
+
+
+def rf_arguments(pulse):
+    """The (spin, axis, angle) that `_rf_unitary` takes for an `Rf`."""
+    return pulse.spin, pulse.axis, pulse.angle_rad
 
 
 def recorded(monkeypatch, name) -> list:
@@ -1272,6 +1294,15 @@ class TestTransfer:
             t = transfer_of(seq)
             assert np.abs(t - superoperator_reference(seq)).max() < 1e-12
 
+    @pytest.mark.parametrize("consts", [DEFAULT_CONSTANTS, COUPLED], ids=["default", "coupled"])
+    def test_state_fold_matches_the_map_product_on_the_protocol_programs(self, consts):
+        rho = equilibrium_state(consts)
+        for j in (1, 2, 3, 4):
+            for k in (1, 2, 3, 4):
+                seq = protocol_sequence(j, k, consts)
+                out = simulate_sequence(seq, rho, consts).entries
+                assert np.abs(out - map_product(seq, rho, consts)).max() < 1e-15, (j, k)
+
     def test_prep_tail_and_memoised_state_are_read_only(self):
         seq = protocol_sequence(1, 2)
         assert transfer_of(seq).shape == (16, 16)
@@ -1295,16 +1326,18 @@ class TestTransfer:
 
     def test_fresh_constants_prep_lowers_only_its_alpha_pulse(self, monkeypatch):
         prepare_pseudo_pure(DEFAULT_CONSTANTS)
-        before = nmr._simulate.cache_info()
-        runs = recorded(monkeypatch, "_lower_run")
+        memos = (nmr._simulate, equilibrium_state)
+        before = [memo.cache_info() for memo in memos]
+        runs, tails = recorded(monkeypatch, "_lower_run"), recorded(monkeypatch, "_after_crush")
+        maps, pulses = recorded(monkeypatch, "_superoperator"), recorded(monkeypatch, "_rf_unitary")
         fresh = PhysicalConstants(nu1_hz=61e6, nu2_hz=377e6, j_hz=97.5, gamma_ratio=4.125)
         prepare_pseudo_pure(fresh)
-        after = nmr._simulate.cache_info()
         alpha = gate_library("pseudo-pure-prep", consts=fresh).elements[0]
-        # The prep lowers its alpha run, reads the tail value and builds no state.
-        assert [run for run, _ in runs] == [(alpha,)]
-        assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses,
-                                                              before.currsize)
+        # The prep builds the unitary of its alpha pulse alone, lowers no run,
+        # reads the tail value, builds no 16x16 map and touches no memo.
+        assert pulses == [rf_arguments(alpha)]
+        assert runs == [] and tails == [] and maps == []
+        assert [memo.cache_info() for memo in memos] == before
 
     def test_equal_programs_built_apart_hash_and_compare_equal(self):
         seq = protocol_sequence(2, 3)
@@ -1483,9 +1516,30 @@ class TestPrepBlock:
             prepare_pseudo_pure(PhysicalConstants(gamma_ratio=0.45))
 
     def test_alpha_run_is_checked_unitary(self, monkeypatch):
-        monkeypatch.setattr(nmr, "element_unitary", lambda e, consts=DEFAULT_CONSTANTS: 2 * np.eye(4))
+        monkeypatch.setattr(nmr, "_rf_unitary", lambda spin, axis, angle: 2 * np.eye(4))
         with pytest.raises(ValueError, match="unitarity"):
             prepare_pseudo_pure(PhysicalConstants(gamma_ratio=2.0))
+
+    def test_equilibrium_state_and_result_are_checked_deviation_matrices(self, monkeypatch):
+        consts = PhysicalConstants(nu1_hz=61e6, nu2_hz=377e6, j_hz=97.5, gamma_ratio=4.125)
+        equilibrium = (IZ1 + consts.gamma_ratio * IZ2).tobytes()
+        checks = recorded(monkeypatch, "check_hermitian")
+        out = prepare_pseudo_pure(consts)
+        assert isinstance(out, DeviationMatrix) and not out.entries.flags.writeable
+        # One check of the equilibrium state, one of the result.
+        assert [entries.tobytes() for entries, *_ in checks] == [equilibrium, out.entries.tobytes()]
+
+    def test_fresh_constants_leave_the_equilibrium_memo_alone(self):
+        before = equilibrium_state.cache_info()
+        for consts in fresh_prep_constants(1000, RNG_SEED + 71):
+            prepare_pseudo_pure(consts)
+        assert equilibrium_state.cache_info() == before
+
+    def test_state_fold_matches_the_map_product_on_fresh_preps(self):
+        for consts in fresh_prep_constants(500, RNG_SEED + 73):
+            program = gate_library("pseudo-pure-prep", consts=consts)
+            expected = map_product(program, equilibrium_state(consts), consts)
+            assert np.abs(prepare_pseudo_pure(consts).entries - expected).max() < 1e-15
 
     def test_result_is_checked_hermitian(self, monkeypatch):
         # Feeds the first population into rho[0, 1] alone: trace kept, Hermiticity lost.
