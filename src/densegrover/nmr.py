@@ -16,8 +16,8 @@ A program acts on deviation matrices as one linear map on the row-major
 vec of rho, vec(rho)[4*i + j] = rho[i, j]: a gradient-free run with net
 unitary U is kron(U, conj U), and a full crush keeps only the 4 population
 entries vec(rho)[0, 5, 10, 15].  `_fold`, with no memo, folds the state,
-not the map: vec(rho) through the first run, then through the 16x4 map of
-the runs after the first crush, so only a crush-free program builds 16x16.
+not the map: the first run's population rows, then the 16x4 map of the
+runs after the first crush; with no crush, the first run's 16x16 map.
 
 The frame reads no constant but J, and an n/dJ delay turns the coupling
 by 2*pi*n/d at every J != 0, so a program with no delay in seconds
