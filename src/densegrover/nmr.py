@@ -15,9 +15,10 @@ Pulse text format, one element per line, applied top to bottom:
 A program acts on deviation matrices as one linear map on the row-major
 vec of rho, vec(rho)[4*i + j] = rho[i, j]: a gradient-free run with net
 unitary U is kron(U, conj U), and a full crush keeps only the 4 population
-entries vec(rho)[0, 5, 10, 15].  `_fold`, with no memo, folds the state,
-not the map: the first run's population rows, then the 16x4 map of the
-runs after the first crush; with no crush, the first run's 16x16 map.
+entries vec(rho)[0, 5, 10, 15].  `_fold`, with no memo, is the one general
+fold, of the state, not the map: the first run's population rows, then the
+16x4 map of the runs after the first crush; with no crush, the first run's
+16x16 map.  The prep, whose thermal start is diagonal, folds populations alone.
 
 The frame reads no constant but J, and an n/dJ delay turns the coupling
 by 2*pi*n/d at every J != 0, so a program with no delay in seconds
@@ -95,16 +96,17 @@ class PhysicalConstants:
     gamma_ratio: float | None = None
 
     def __post_init__(self):
-        for field in ("nu1_hz", "nu2_hz"):
-            if not 0 < getattr(self, field) < np.inf:
-                raise ValueError(f"{field} must be positive and finite")
+        if not 0 < self.nu1_hz < math.inf:
+            raise ValueError("nu1_hz must be positive and finite")
+        if not 0 < self.nu2_hz < math.inf:
+            raise ValueError("nu2_hz must be positive and finite")
         if self.gamma_ratio is None:
             object.__setattr__(self, "gamma_ratio", self.nu2_hz / self.nu1_hz)
-        if not 0 < self.gamma_ratio < np.inf:
+        if not 0 < self.gamma_ratio < math.inf:
             raise ValueError("gamma_ratio must be positive and finite")
         # An uncoupled pair (J = 0) is a valid frame even though the
         # J-relative delay expressions cannot be resolved in it.
-        if not 0 <= self.j_hz < np.inf:
+        if not 0 <= self.j_hz < math.inf:
             raise ValueError("j_hz must be nonnegative and finite")
 
 
@@ -459,10 +461,11 @@ def _fold(u: np.ndarray, tail: np.ndarray | None, v: np.ndarray) -> np.ndarray:
 
 def _after_crush(runs, consts: PhysicalConstants) -> np.ndarray:
     # The 16x4 map from the populations a crush leaves to vec of the state after
-    # `runs` (crushed between each pair), folded in a loop, not by recursion.
+    # `runs` (crushed between each pair), folded in a loop, not by recursion; a
+    # run acts by the population columns 5k of kron(u, conj u), u[:, k] (x) conj u[:, k].
     t = np.eye(16)[:, _POPULATIONS]
-    for run in runs:
-        t = _superoperator(_lower_run(run, consts))[:, _POPULATIONS] @ t[_POPULATIONS]
+    for u in (_lower_run(run, consts) for run in runs):
+        t = (u[:, None, :] * u.conj()[None, :, :]).reshape(16, 4) @ t[_POPULATIONS]
     return t
 
 
@@ -619,7 +622,7 @@ def verify_realization(
 
     It reads the gate's `fit`, made once at import, under any tolerance (no
     tol reads `qstate.VERIFY_TOL` at the call) and any constants; at J = 0
-    an n/dJ delay raises (`_j_key`).  The check is built on the first call
+    its program's `j_delay` raises.  The check is built on the first call
     for a tolerance and stored on the gate; a call with another tolerance
     replaces it, so each call returns the check of the tolerance it was given.
     """
@@ -628,12 +631,14 @@ def verify_realization(
     elif not tol > 0:  # written so that NaN fails
         raise ValueError("tolerance must be positive")
     gate = _gate(name, kind)
-    seq = gate_library(name, kind, consts) if gate.pulses is None else gate.pulses
-    if len(seq.segments) > 1:
-        raise ValueError(f"gate {name!r} contains gradients; no net unitary exists")
-    _j_key(seq, consts)
-    if gate.fit is None:
+    if gate.fit is None:  # a fitted gate's program is one run: `phase_fit` takes one unitary
+        seq = gate_library(name, kind, consts) if gate.pulses is None else gate.pulses
+        if len(seq.segments) > 1:
+            raise ValueError(f"gate {name!r} contains gradients; no net unitary exists")
+        _j_key(seq, consts)
         ideal_gate_unitary(name, kind)  # raises: a gate without a fit has no target
+    if consts.j_hz == 0 and gate.pulses.j_delay is not None:
+        gate.pulses.j_delay._check_coupled(consts)
     stored = getattr(gate, "_check", None)
     if stored is None or stored[0] != tol:
         phase, distance = gate.fit
@@ -648,7 +653,11 @@ def equilibrium_state(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> Deviatio
 
     Memoised per constants; the result is immutable.
     """
-    return DeviationMatrix(IZ1 + consts.gamma_ratio * IZ2)
+    return DeviationMatrix(_thermal(consts))
+
+
+def _thermal(consts: PhysicalConstants) -> np.ndarray:
+    return IZ1 + consts.gamma_ratio * IZ2
 
 
 def target_pseudo_pure() -> np.ndarray:
@@ -679,15 +688,19 @@ def basis_pseudo_pure(label: BasisLabel) -> DeviationMatrix:
 def prepare_pseudo_pure(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> DeviationMatrix:
     """Run the spatial-averaging prep sequence on the equilibrium state.
 
-    Applied as blocks, byte for byte `simulate_sequence` of the program:
-    the alpha pulse, built from its angle and checked unitary, is the first
-    run of `_fold`, and `_PREP_TAIL` the rest.  It adds no memo entry, not
-    even `equilibrium_state`'s, so each call returns a new, checked state.
+    Byte for byte `simulate_sequence` of the program, folded on populations:
+    the thermal state is diagonal and a crush follows the alpha pulse (built
+    from its angle and checked unitary), so the crush keeps the sums over k
+    of |alpha[i, k]|^2 rho0[k, k], which `_PREP_TAIL` maps to the result.
+    It checks the thermal entries but adds no memo entry, not even
+    `equilibrium_state`'s, so each call returns a new, checked state.
     """
     alpha = Operator4(_rf_unitary(2, "x", alpha_angle(consts))).matrix
     _j_key(_PREP_AFTER_ALPHA, consts)
-    v = _fold(alpha, _PREP_TAIL, equilibrium_state.__wrapped__(consts).entries.reshape(16))
-    return DeviationMatrix(v.reshape(4, 4))
+    rho0 = _thermal(consts)
+    check_hermitian(rho0, 0, "deviation matrix")
+    populations = (alpha * alpha.conj()) @ rho0.diagonal()
+    return DeviationMatrix((_PREP_TAIL @ populations).reshape(4, 4))
 
 
 @dataclass(frozen=True)

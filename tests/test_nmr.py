@@ -98,6 +98,26 @@ class TestConstants:
             PhysicalConstants(nu1_hz=0.0)
         with pytest.raises(ValueError):
             PhysicalConstants(gamma_ratio=-2.0)
+        # The exact texts, one per field.
+        for field, value, text in [("nu1_hz", 0.0, "nu1_hz must be positive and finite"),
+                                   ("nu2_hz", -5.0, "nu2_hz must be positive and finite"),
+                                   ("gamma_ratio", 0.0, "gamma_ratio must be positive and finite"),
+                                   ("j_hz", -1.0, "j_hz must be nonnegative and finite")]:
+            with pytest.raises(ValueError) as err:
+                PhysicalConstants(**{field: value})
+            assert str(err.value) == text
+        # Two invalid fields report the first tested: nu1, nu2, gamma_ratio, then J.
+        for bad, text in [(dict(nu1_hz=0.0, j_hz=-1.0), "nu1_hz must be positive and finite"),
+                          (dict(nu2_hz=np.nan, nu1_hz=-1.0), "nu1_hz must be positive and finite"),
+                          (dict(gamma_ratio=np.inf, nu2_hz=0.0), "nu2_hz must be positive and finite"),
+                          (dict(j_hz=np.nan, gamma_ratio=-1.0), "gamma_ratio must be positive and finite")]:
+            with pytest.raises(ValueError) as err:
+                PhysicalConstants(**bad)
+            assert str(err.value) == text, bad
+        # A derived ratio that underflows to 0 is refused as an explicit 0 is.
+        with pytest.raises(ValueError) as err:
+            PhysicalConstants(nu1_hz=1e300, nu2_hz=1e-300)
+        assert str(err.value) == "gamma_ratio must be positive and finite"
 
     @pytest.mark.parametrize("field", ["nu1_hz", "nu2_hz", "j_hz", "gamma_ratio"])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -588,6 +608,22 @@ class TestStoredCheck:
                 assert verify_realization(name, consts=consts) is check
                 assert verify_realization(name, tol=qstate.VERIFY_TOL, consts=consts) is check
         assert built == []
+
+    def test_a_unitary_gate_reads_no_program(self, monkeypatch):
+        # The fit and the program's first n/dJ delay were derived at import, so
+        # a call neither assembles nor walks the gate's program, at any J.
+        assembled, keyed = recorded(monkeypatch, "gate_library"), recorded(monkeypatch, "_j_key")
+        uncoupled = PhysicalConstants(j_hz=0.0)
+        first_delays = {"I_t": "1/2J", "I_s": "1/4J"}
+        for consts in (DEFAULT_CONSTANTS, *fresh_prep_constants(5, RNG_SEED + 81), uncoupled):
+            for name in UNITARY_GATES:
+                check = outcome(verify_realization, name, consts=consts)
+                if consts is uncoupled and name in first_delays:
+                    assert check == (f"ValueError: delay {first_delays[name]} is undefined "
+                                     "for an uncoupled pair (j_hz = 0)")
+                else:
+                    assert check.ok
+        assert assembled == [] and keyed == []
 
     def test_each_call_gets_the_ok_of_its_own_tolerance(self, monkeypatch):
         consts = PhysicalConstants(nu1_hz=90e6, nu2_hz=700e6, j_hz=37.5, gamma_ratio=0.6)
@@ -1458,6 +1494,35 @@ class TestFold:
             t = transfer_of(seq, consts)
             assert np.abs(t - superoperator_reference(seq, consts)).max() < 1e-12, seq.to_text()
 
+    def test_after_crush_is_byte_identical_to_the_superoperator_columns(self, monkeypatch):
+        # The map after a crush, built from each run's population columns, against
+        # the full 16x16 `_superoperator` of each run cut to those columns.
+        def by_superoperator(runs, consts):
+            t = np.eye(16)[:, nmr._POPULATIONS]
+            for run in runs:
+                u = nmr._lower_run(run, consts)
+                t = nmr._superoperator(u)[:, nmr._POPULATIONS] @ t[nmr._POPULATIONS]
+            return t
+
+        rng = random.Random(RNG_SEED + 79)
+        tails = 0
+        for j_hz in (215.0, 37.5):
+            consts = PhysicalConstants(j_hz=j_hz)
+            for index in range(200):
+                _, *later = random_program(rng, index).segments
+                tails += len(later) > 1
+                got = nmr._after_crush(later, consts)
+                assert got.tobytes() == by_superoperator(later, consts).tobytes(), later
+        assert tails > 200
+        # On 200 random unitaries, two runs at a time; each run stands for its own unitary.
+        gen = np.random.default_rng(RNG_SEED + 80)
+        monkeypatch.setattr(nmr, "_lower_run", lambda run, consts: run)
+        for _ in range(100):
+            runs = [np.linalg.qr(gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4)))[0]
+                    for _ in range(2)]
+            got = nmr._after_crush(runs, DEFAULT_CONSTANTS)
+            assert got.tobytes() == by_superoperator(runs, DEFAULT_CONSTANTS).tobytes()
+
     def test_uncoupled_pair_raises_what_the_element_fold_raises_first(self):
         # `_j_key` checks J = 0 before any run is lowered, so it must name the
         # program's first n/dJ delay, the one an element-by-element fold meets first.
@@ -1496,7 +1561,7 @@ class TestPrepBlock:
     """`prepare_pseudo_pure` against the program path it stands for."""
 
     def test_block_is_byte_identical_to_the_program(self):
-        edges = [PhysicalConstants(gamma_ratio=g) for g in (0.5, 12.0)]
+        edges = [PhysicalConstants(gamma_ratio=g) for g in (0.5, 12.0, 1e3, 1e4, 1e5)]
         for consts in fresh_prep_constants(500, RNG_SEED + 53) + edges:
             program = gate_library("pseudo-pure-prep", consts=consts)
             expected = simulate_sequence(program, equilibrium_state(consts), consts)
@@ -1585,17 +1650,35 @@ class TestLibraryValues:
         assert len(programs) == len(GATES) - 1
         assert not any(seq.reads_j for seq in [*programs, nmr._PREP_AFTER_ALPHA])
 
-    def test_verify_matches_a_fit_made_on_every_call(self):
+    def test_verify_matches_a_fit_made_on_every_call(self, monkeypatch):
+        def assert_same(got, expected, case):
+            if isinstance(expected, str):
+                assert got == expected, case
+            else:
+                assert same_bits(got, expected.phase, expected.distance), case
+                assert got.ok is expected.ok, case
+
         for consts in library_constants():
             for name in [*GATES, "unknown"]:
+                # The gate's own distance, or I_t's for a gate without a fit.
+                distance = (GATES[name].fit if name in GATES and GATES[name].fit else GATES["I_t"].fit)[1]
+                bounds = [distance, np.nextafter(distance, 1.0), 0.5, 1e-20]
                 for kind in ("y", "x"):
-                    got = outcome(verify_realization, name, kind, consts=consts)
-                    expected = outcome(refitted_check, name, kind, consts)
-                    if isinstance(expected, str):
-                        assert got == expected, (name, kind, consts)
-                    else:
-                        assert same_bits(got, expected.phase, expected.distance), (name, consts)
-                        assert got.ok is expected.ok
+                    for tol in [None, *bounds, 0.0, -1.0, np.nan]:
+                        got = outcome(verify_realization, name, kind, tol, consts)
+                        if tol is None:
+                            expected = outcome(refitted_check, name, kind, consts)
+                        elif not tol > 0:  # refused before the gate is looked up
+                            expected = "ValueError: tolerance must be positive"
+                        else:
+                            expected = outcome(refitted_check, name, kind, consts, tol=tol)
+                        assert_same(got, expected, (name, kind, tol, consts))
+                    for patched in bounds:
+                        with monkeypatch.context() as m:
+                            m.setattr(qstate, "VERIFY_TOL", patched)
+                            got = outcome(verify_realization, name, kind, consts=consts)
+                        expected = outcome(refitted_check, name, kind, consts, tol=patched)
+                        assert_same(got, expected, (name, kind, "VERIFY_TOL", patched, consts))
 
     def test_prep_matches_the_program(self):
         def by_program(consts):
