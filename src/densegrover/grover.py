@@ -89,19 +89,10 @@ def build_U(c: UChoice) -> Operator4:
     return Operator4(kron2(rotation_2x2(c.axis, c.phi1), rotation_2x2(c.axis, c.phi2)))
 
 
-# I_t and I_s are fixed; Operator4 stores them read-only, so one copy is shared.
-_SIGN_FLIP_TARGET = Operator4(np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex))
-_PHASE_SHIFT_S = Operator4(np.diag([-1.0, 1.0, 1.0, 1.0]).astype(complex))
-
-
-def sign_flip_target() -> Operator4:
-    """Conditional sign flip diag(1, -1, -1, 1)."""
-    return _SIGN_FLIP_TARGET
-
-
-def phase_shift_s() -> Operator4:
-    """Conditional phase shift diag(-1, 1, 1, 1) marking the up-up state."""
-    return _PHASE_SHIFT_S
+# I_t, the conditional sign flip, and I_s, the phase shift marking the up-up state, are
+# fixed; Operator4 stores each read-only, so one copy is shared.
+SIGN_FLIP_TARGET = Operator4(np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex))
+PHASE_SHIFT_S = Operator4(np.diag([-1.0, 1.0, 1.0, 1.0]).astype(complex))
 
 
 # G's factors in time order, first applied first; the minus sign is a global phase.
@@ -134,7 +125,7 @@ def build_G_pair(c: UChoice) -> tuple[Operator4, Operator4]:
     """
     u = build_U(c).matrix
     factor = {"U": u, "U-inv": u.conj().T,
-              "I_t": _SIGN_FLIP_TARGET.matrix, "I_s": _PHASE_SHIFT_S.matrix}
+              "I_t": SIGN_FLIP_TARGET.matrix, "I_s": PHASE_SHIFT_S.matrix}
     return tuple(Operator4(-functools.reduce(np.matmul, [factor[f] for f in reversed(names)]))
                  for names in (G_FACTORS, G_INVERSE_FACTORS))
 

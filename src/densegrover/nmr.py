@@ -22,9 +22,11 @@ fold, of the state, not the map: the first run's population rows, then the
 
 The frame reads no constant but J, and an n/dJ delay turns the coupling
 by 2*pi*n/d at every J != 0, so a program with no delay in seconds
-(`reads_j` False) lowers alike at every J != 0.  `_j_key` is the one
-J = 0 check: there it raises the error of the program's first n/dJ
-delay (`j_delay`); otherwise it is J where the program reads J, else None.
+(`reads_j` False) lowers alike at every J != 0.  At J = 0 `_j_key` raises
+the error of the program's first n/dJ delay (`j_delay`); otherwise it is J
+where the program reads J, else None.  `verify_realization` is the second
+J = 0 check: it tests `j_delay` inline, since a `_j_key` call there costs
+about 1.1 us per 13-gate sweep op, about 4% of it (timeit).
 
 The programs of G and G^-1 join library gates in the time order of
 `grover.G_FACTORS` and `grover.G_INVERSE_FACTORS`, U read as preset j's `U{j}`.
@@ -81,8 +83,8 @@ IZIZ = kron2(_IZ, _IZ)
 _IZIZ_DIAGONAL = np.diag(IZIZ)
 
 # Bound of each memo.  The 16 protocol programs and their states fit at a
-# few sets of constants; a sweep that draws fresh constants cycles through
-# `equilibrium_state` instead.
+# few sets of constants; a sweep that draws fresh constants touches no memo,
+# because its prep reads `_thermal` and its verify calls read the stored fits.
 _PROGRAMS = 128
 
 
@@ -170,19 +172,15 @@ def _check_no_padding(what: str, expr: str) -> None:
         raise ValueError(f"{what} expression {expr!r} has surrounding whitespace")
 
 
-# The pulse dataclasses derive their values and their hash once, at
-# construction, and keep them beside the fields, so repr, == and the text
-# format do not see them: a program hashes every element each time it is a
-# memo key.  They pickle by their fields, so a load recomputes and revalidates
-# them; a stored hash would be stale under another PYTHONHASHSEED.
+# The pulse dataclasses derive their values once, at construction, and keep
+# them beside the fields, so repr, == and the text format do not see them; a
+# program also keeps its hash, because it is `_simulate`'s memo key.  They
+# pickle by their fields, so a load recomputes and revalidates them; a stored
+# hash would be stale under another PYTHONHASHSEED.
 
 def _store(obj, **values) -> None:
     # Into the instance dict, past the __setattr__ that a frozen dataclass refuses.
     obj.__dict__.update(values)
-
-
-def _stored_hash(obj) -> int:
-    return obj._hash
 
 
 def _j_fraction(duration: str) -> tuple | None:
@@ -211,7 +209,6 @@ class Rf:
     axis: str
     angle: str
 
-    __hash__ = _stored_hash
     __reduce__ = _by_fields
 
     def __post_init__(self):
@@ -223,7 +220,7 @@ class Rf:
         if not math.isfinite(angle_rad):
             raise ValueError(f"rf angle must be finite, got {self.angle!r}")
         _check_no_padding("rf angle", self.angle)
-        _store(self, angle_rad=angle_rad, _hash=hash((self.spin, self.axis, self.angle)))
+        _store(self, angle_rad=angle_rad)
 
 
 @dataclass(frozen=True)
@@ -236,7 +233,6 @@ class Delay:
 
     duration: str
 
-    __hash__ = _stored_hash
     __reduce__ = _by_fields
 
     def __post_init__(self):
@@ -249,7 +245,6 @@ class Delay:
         if not 0 <= seconds < np.inf:
             raise ValueError(f"delay must be nonnegative and finite, got {self.duration!r}")
         _check_no_padding("delay", self.duration)
-        _store(self, _hash=hash((self.duration,)))
 
     def _check_coupled(self, consts: PhysicalConstants) -> None:
         if self.j_fraction is not None and consts.j_hz == 0:
@@ -284,12 +279,10 @@ class Gradient:
 
     axis: str = "z"
 
-    __hash__ = _stored_hash
     __reduce__ = _by_fields
 
     def __post_init__(self):
         checked_member(self.axis, ("z",), "gradient axis")
-        _store(self, _hash=hash((self.axis,)))
 
 
 @dataclass(frozen=True)
@@ -305,8 +298,10 @@ class PulseSequence:
 
     elements: tuple
 
-    __hash__ = _stored_hash
     __reduce__ = _by_fields
+
+    def __hash__(self):
+        return self._hash
 
     def __post_init__(self):
         elements = tuple(self.elements)
@@ -534,6 +529,7 @@ class Gate:
     have no unitary target (`ideal` is None).  `fit`, derived at
     construction, is the program's (phase, distance) against the target,
     or None; every library program reads no J, so it holds at every J != 0.
+    A program with a target is one run, as its net unitary is what is fit.
     """
 
     pulses: PulseSequence | None
@@ -542,6 +538,8 @@ class Gate:
     __reduce__ = _by_fields
 
     def __post_init__(self):
+        if self.ideal is not None and len(self.pulses.segments) > 1:
+            raise ValueError("a gate with a target contains a gradient; no net unitary exists")
         fit = None if self.ideal is None else phase_fit(*lower(self.pulses), self.ideal.matrix)
         _store(self, fit=fit)
 
@@ -562,12 +560,12 @@ GATES = {
     **{f"U{j}-inv": Gate(u.pulses.inverse(), u.ideal.adjoint()) for j, u in _U_GATES.items()},
     "I_t": Gate(
         PulseSequence((Delay("1/2J"), _rf("both", "x", 1), Delay("1/2J"), _rf("both", "x", -1))),
-        grover.sign_flip_target(),
+        grover.SIGN_FLIP_TARGET,
     ),
     "I_s": Gate(
         PulseSequence((*_REFOCUSED_HALF_J,
                        _rf("both", "y", -1, 2), _rf("both", "x", -1, 2), _rf("both", "y", 1, 2))),
-        grover.phase_shift_s(),
+        grover.PHASE_SHIFT_S,
     ),
     "V2": Gate(PulseSequence((_rf(2, "x", 1), _rf(2, "y", -1, 2))), coding.encoder("y", 2)),
     "V3": Gate(PulseSequence((_rf(2, "x", 1), _rf(2, "y", 1, 2))), coding.encoder("y", 3)),
@@ -631,7 +629,7 @@ def verify_realization(
     elif not tol > 0:  # written so that NaN fails
         raise ValueError("tolerance must be positive")
     gate = _gate(name, kind)
-    if gate.fit is None:  # a fitted gate's program is one run: `phase_fit` takes one unitary
+    if gate.fit is None:  # a fitted gate's program is one run, as `Gate` checks
         seq = gate_library(name, kind, consts) if gate.pulses is None else gate.pulses
         if len(seq.segments) > 1:
             raise ValueError(f"gate {name!r} contains gradients; no net unitary exists")
@@ -821,16 +819,6 @@ def _program(factors, j: int, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> 
     names = {"U": f"U{j}", "U-inv": f"U{j}-inv"}
     programs = (gate_library(names.get(f, f), consts=consts) for f in factors)
     return PulseSequence(tuple(e for seq in programs for e in seq))
-
-
-def synthesis_sequence(j: int) -> PulseSequence:
-    """Pulse program for G (preset j): `grover.G_FACTORS`, in time order."""
-    return _program(grover.G_FACTORS, j)
-
-
-def decoding_sequence(j: int) -> PulseSequence:
-    """Pulse program for G^-1 (preset j): `grover.G_INVERSE_FACTORS`, in time order."""
-    return _program(grover.G_INVERSE_FACTORS, j)
 
 
 @functools.lru_cache(maxsize=_PROGRAMS, typed=True)

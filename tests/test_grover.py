@@ -13,10 +13,8 @@ from densegrover.grover import (
     build_G,
     build_G_inverse,
     build_U,
-    phase_shift_s,
     preset,
     preset_index,
-    sign_flip_target,
     table1,
 )
 from densegrover.qstate import (
@@ -183,27 +181,34 @@ class TestBuildU:
 
 class TestDiagonalOperators:
     def test_sign_flip_entries(self):
-        assert np.array_equal(sign_flip_target().matrix, np.diag([1, -1, -1, 1]))
+        assert np.array_equal(grover.SIGN_FLIP_TARGET.matrix, np.diag([1, -1, -1, 1]))
 
     def test_phase_shift_entries(self):
-        assert np.array_equal(phase_shift_s().matrix, np.diag([-1, 1, 1, 1]))
+        assert np.array_equal(grover.PHASE_SHIFT_S.matrix, np.diag([-1, 1, 1, 1]))
 
-    def test_shared_and_read_only(self):
-        for make in (sign_flip_target, phase_shift_s):
-            assert make() is make()
+    def test_shared_and_read_only(self, monkeypatch):
+        for op in (grover.SIGN_FLIP_TARGET, grover.PHASE_SHIFT_S):
+            assert isinstance(op, Operator4)
             with pytest.raises(ValueError):
-                make().matrix[0, 0] = 2.0
+                op.matrix[0, 0] = 2.0
+        # build_G_pair reads the one copy of each at the call: with both
+        # replaced by the identity, G = -U U^-1 U = -U.
+        identity = Operator4(np.eye(4, dtype=complex))
+        monkeypatch.setattr(grover, "SIGN_FLIP_TARGET", identity)
+        monkeypatch.setattr(grover, "PHASE_SHIFT_S", identity)
+        c = preset("y", 1)
+        assert np.abs(build_G(c).matrix + build_U(c).matrix).max() < 1e-12
 
     def test_involutions(self):
-        for op in (sign_flip_target(), phase_shift_s()):
+        for op in (grover.SIGN_FLIP_TARGET, grover.PHASE_SHIFT_S):
             assert np.array_equal(compose([op, op]).matrix, np.eye(4))
 
     def test_actions_on_basis_states(self):
-        it = sign_flip_target()
+        it = grover.SIGN_FLIP_TARGET
         assert np.array_equal(
             apply(it, ket_from_basis(BasisLabel.UD)).amplitudes, [0, -1, 0, 0]
         )
-        i_s = phase_shift_s()
+        i_s = grover.PHASE_SHIFT_S
         assert np.array_equal(
             apply(i_s, ket_from_basis(BasisLabel.UU)).amplitudes, [-1, 0, 0, 0]
         )

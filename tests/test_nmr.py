@@ -30,7 +30,6 @@ from densegrover.nmr import (
     Rf,
     alpha_angle,
     basis_pseudo_pure,
-    decoding_sequence,
     element_unitary,
     equilibrium_state,
     gate_library,
@@ -45,7 +44,6 @@ from densegrover.nmr import (
     pseudo_pure_fit,
     simulate_sequence,
     spectrum_fingerprint,
-    synthesis_sequence,
     target_pseudo_pure,
     verify_realization,
 )
@@ -332,7 +330,7 @@ class TestChannels:
 
     def test_sign_flip_sequence_matches_conjugation(self):
         rng = np.random.default_rng(RNG_SEED + 4)
-        it = grover.sign_flip_target().matrix
+        it = grover.SIGN_FLIP_TARGET.matrix
         for _ in range(10):
             rho = random_deviation(rng)
             out = simulate_sequence(gate_library("I_t"), rho)
@@ -368,8 +366,8 @@ class TestRefocusing:
         i_s = gate_library("I_s").elements
         assert i_s[:4] == nmr._REFOCUSED_HALF_J
         return [
-            ("I_s", grover.phase_shift_s().matrix, i_s, (Delay("1/2J"),) + i_s[4:]),
-            ("I_t", grover.sign_flip_target().matrix, gate_library("I_t").elements, (Delay("1/J"),)),
+            ("I_s", grover.PHASE_SHIFT_S.matrix, i_s, (Delay("1/2J"),) + i_s[4:]),
+            ("I_t", grover.SIGN_FLIP_TARGET.matrix, gate_library("I_t").elements, (Delay("1/J"),)),
         ]
 
     @pytest.mark.parametrize("offset_hz", [1.0, 10.0, 50.0])
@@ -938,7 +936,8 @@ class TestPulseProtocol:
 
     def test_synthesis_and_decoding_compose_to_identity_channel(self):
         rng = np.random.default_rng(RNG_SEED + 5)
-        seq = synthesis_sequence(2) + decoding_sequence(2)
+        g, g_inverse = g_gate_names(2)
+        seq = joined(g) + joined(g_inverse)
         for _ in range(5):
             rho = random_deviation(rng)
             out = simulate_sequence(seq, rho)
@@ -957,21 +956,32 @@ class TestPulseProtocol:
 COUPLED = PhysicalConstants(nu1_hz=90e6, nu2_hz=700e6, j_hz=37.5, gamma_ratio=0.6)
 
 
-def concatenated_protocol(j, k, consts):
-    """The protocol program joined from its parts, with G^-1 read off G's gates:
+def g_gate_names(j):
+    """G's library gates for preset j in time order, and G^-1's read off them:
     reversed, with U and U^-1 swapped (I_s and I_t are involutions)."""
     g = [f"U{j}", "I_t", f"U{j}-inv", "I_s", f"U{j}"]
     swap = {f"U{j}": f"U{j}-inv", f"U{j}-inv": f"U{j}"}
-    g_inverse = [swap.get(name, name) for name in reversed(g)]
-    seq = gate_library("pseudo-pure-prep", consts=consts) + synthesis_sequence(j)
+    return g, [swap.get(name, name) for name in reversed(g)]
+
+
+def joined(names):
+    """The library programs of `names`, one after another, as one program."""
+    return PulseSequence(tuple(e for name in names for e in gate_library(name)))
+
+
+def concatenated_protocol(j, k, consts):
+    """The protocol program joined from its parts."""
+    g, g_inverse = g_gate_names(j)
+    seq = gate_library("pseudo-pure-prep", consts=consts) + joined(g)
     if k > 1:
         seq = seq + gate_library(f"V{k}")
-    return seq + decoding_sequence(j), g, g_inverse
+    return seq + joined(g_inverse), g, g_inverse
 
 
 def built_target(name):
-    """A library gate's target, built again from grover and coding."""
-    builders = {"I_t": grover.sign_flip_target, "I_s": grover.phase_shift_s}
+    """A library gate's target, built again from its entries, grover and coding."""
+    builders = {"I_t": lambda: qstate.Operator4(np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)),
+                "I_s": lambda: qstate.Operator4(np.diag([-1.0, 1.0, 1.0, 1.0]).astype(complex))}
     for j in (1, 2, 3, 4):
         builders[f"U{j}"] = lambda j=j: grover.build_U(grover.preset("y", j))
         builders[f"U{j}-inv"] = lambda j=j: grover.build_U(grover.preset("y", j)).adjoint()
@@ -988,10 +998,9 @@ class TestOneDefinition:
                 expected, g, g_inverse = concatenated_protocol(j, k, consts)
                 seq = protocol_sequence(j, k, consts)
                 assert seq == expected and seq.to_text() == expected.to_text(), (j, k)
-            flat = [e for name in g for e in gate_library(name)]
-            assert synthesis_sequence(j).elements == tuple(flat)
-            flat = [e for name in g_inverse for e in gate_library(name)]
-            assert decoding_sequence(j).elements == tuple(flat)
+            # The test's own name lists are grover's factor lists, read as preset j's gates.
+            assert (library_names(grover.G_FACTORS, j), library_names(grover.G_INVERSE_FACTORS, j)) \
+                == (g, g_inverse)
 
     def test_each_target_is_stored_once_and_equals_its_builder(self):
         for name in UNITARY_GATES:
@@ -999,6 +1008,11 @@ class TestOneDefinition:
             assert target is GATES[name].ideal and isinstance(target, nmr.Operator4)
             assert target.matrix.tobytes() == built_target(name).matrix.tobytes(), name
         assert [name for name, gate in GATES.items() if gate.ideal is not None] == list(UNITARY_GATES)
+
+    def test_the_diagonal_targets_are_grovers_operators(self):
+        # One copy of I_t and I_s across the gate and pulse layers.
+        assert GATES["I_t"].ideal is grover.SIGN_FLIP_TARGET
+        assert GATES["I_s"].ideal is grover.PHASE_SHIFT_S
 
     @pytest.mark.parametrize("name", ["U1", "readout-carbon", "Q7"])
     def test_target_and_program_refuse_the_x_kind_alike(self, name):
@@ -1707,6 +1721,19 @@ class TestLibraryValues:
         with pytest.raises(dataclasses.FrozenInstanceError):
             gate.pulses = None
 
+    @pytest.mark.parametrize("elements", [
+        (Gradient(),),
+        (Gradient(), Rf(2, "y", "pi")),
+        (Rf(2, "y", "pi/2"), Gradient(), Rf(2, "y", "pi/2")),
+        (Rf(2, "y", "pi"), Gradient()),
+    ], ids=["alone", "leading", "middle", "trailing"])
+    def test_a_gate_with_a_target_refuses_a_gradient(self, elements):
+        # Its fit is of one net unitary, which a program with a crush does not have.
+        with pytest.raises(ValueError, match="^a gate with a target contains a gradient; "
+                                             "no net unitary exists$"):
+            Gate(PulseSequence(elements), GATES["V4"].ideal)
+        assert Gate(PulseSequence(elements)).fit is None
+
 
 def old_j_fraction(duration: str):
     m = re.fullmatch(r"(\d+)/(\d*)J", duration)
@@ -1758,6 +1785,14 @@ class TestBuildOnce:
             for e, r in zip(seq, rebuilt):
                 assert r == e and hash(r) == hash(e) and repr(r) == repr(e)
                 assert dataclasses.replace(e) == e and hash(dataclasses.replace(e)) == hash(e)
+
+    def test_elements_hash_their_fields_and_only_a_program_stores_its_hash(self):
+        # An element's hash is the dataclass's own, of its fields tuple; a program,
+        # `_simulate`'s memo key, keeps the hash of its elements beside its fields.
+        for seq in library_and_protocol_programs():
+            for e in seq:
+                assert hash(e) == hash(dataclasses.astuple(e)) and "_hash" not in vars(e)
+            assert hash(seq) == vars(seq)["_hash"] == hash(seq.elements)
 
     def test_replace_derives_and_validates_again(self):
         rf = dataclasses.replace(Rf(1, "x", "pi/2"), angle="-3pi/4")
