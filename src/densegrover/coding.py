@@ -6,11 +6,14 @@ first party decodes with G^-1 followed by a product-basis measurement.
 An ancilla bit extends the scheme to three bits by switching between
 the y-kind and x-kind encoder sets.
 
-Each kind's encoder set, each preset's four runs and outcomes (keyed on
-kind and (kind, j), each outcome map's bijection checked then) and the
-eight ancilla runs are values built at import; the entry points read them.
-The four y-set ancilla runs are preset y1's own runs, so `_pipeline` runs
-36 times per process: 32 preset runs and the four x-set ancilla runs.
+Each kind's encoder set and Table-2 grid, each preset's four runs and
+starting column (keyed on kind and (kind, j), each outcome map's
+bijection checked then), the eight ancilla messages and their runs are
+values built at import. An entry point checks its arguments and hands
+out a copy: a fresh grid dict, or a trace copied from the stored run's
+instance dict with its own probabilities. The four y-set ancilla runs
+are preset y1's own runs, so `_pipeline` runs 36 times per process: 32
+preset runs and the four x-set ancilla runs.
 """
 
 from __future__ import annotations
@@ -89,9 +92,14 @@ def run_protocol(c: UChoice, k: int) -> ProtocolTrace:
 
 
 def _handed_out(run: ProtocolTrace, c: UChoice) -> ProtocolTrace:
-    """A stored run under choice c; its own probabilities keep an edit from the stored run."""
-    return ProtocolTrace(c, run.message, run.starting_bell, run.encoded, run.output_label,
-                         dict(run.probabilities))
+    """A stored run under choice c; its own probabilities keep an edit from the stored run.
+
+    Copied from the run's instance dict, past the frozen `__setattr__`, as
+    `nmr._store` writes; ProtocolTrace has no `__post_init__` to skip.
+    """
+    trace = object.__new__(ProtocolTrace)
+    trace.__dict__.update(run.__dict__, u_choice=c, probabilities=dict(run.probabilities))
+    return trace
 
 
 def _pipeline(g: Operator4, v: Operator4, g_inv: Operator4, dec: UChoice, k: int) -> ProtocolTrace:
@@ -124,20 +132,17 @@ def _preset_runs(kind: str, j: int, encoders: tuple) -> tuple[ProtocolTrace, ...
 
 
 _RUNS = {(kind, j): _preset_runs(kind, j, _ENCODER_SETS[kind]) for kind, j in PRESETS}
-# Each preset's starting Bell index and the output labels of its runs k = 1..4.
-_OUTCOMES = {key: (_bell_column(runs[0].starting_bell.coords), tuple(run.output_label for run in runs))
-             for key, runs in _RUNS.items()}
+# Each preset's starting Bell index: its column of its kind's grid.
+_COLUMNS = {key: _bell_column(runs[0].starting_bell.coords) for key, runs in _RUNS.items()}
+# Each kind's outcome grid, keyed by (starting Bell index, k): the one copy of the outcomes.
+_GRIDS = {kind: {(_COLUMNS[kind, j], k): run.output_label
+                 for j in (1, 2, 3, 4) for k, run in enumerate(_RUNS[kind, j], start=1)}
+          for kind in _AXES}
 
 
 def table2(kind: str = "y") -> dict:
     """Outcome grid keyed by (starting Bell index, k) over all 16 runs."""
-    checked_member(kind, _AXES, "axis")
-    grid = {}
-    for j in (1, 2, 3, 4):
-        column, labels = _OUTCOMES[kind, j]
-        for k, label in enumerate(labels, start=1):
-            grid[(column, k)] = label
-    return grid
+    return dict(_GRIDS[checked_member(kind, _AXES, "axis")])
 
 
 def decode(output: BasisLabel, c: UChoice) -> int:
@@ -145,7 +150,11 @@ def decode(output: BasisLabel, c: UChoice) -> int:
     j = preset_index(c)
     if j is None:
         raise ValueError("decoding requires one of the eight named presets")
-    return _OUTCOMES[c.axis, j][1].index(output) + 1
+    grid, column = _GRIDS[c.axis], _COLUMNS[c.axis, j]
+    for k in (1, 2, 3, 4):
+        if grid[column, k] == output:
+            return k
+    raise ValueError(f"{output!r} is not an output of preset {j} ({c.axis})")
 
 
 @dataclass(frozen=True)
@@ -164,10 +173,10 @@ class AncillaMessage:
         """The packed 3-bit value: set bit high, k-1 low."""
         return self.set_bit * 4 + (self.v_index - 1)
 
-    @classmethod
-    def from_value(cls, value: int) -> "AncillaMessage":
-        checked_index(value, range(8), "ancilla message value")
-        return cls(value >> 2, (value & 3) + 1)
+    @staticmethod
+    def from_value(value: int) -> "AncillaMessage":
+        """The message built at import whose packed value is `value` (0..7)."""
+        return _MESSAGES[checked_index(value, range(8), "ancilla message value")]
 
 
 class AncillaResult(NamedTuple):
@@ -199,4 +208,6 @@ def _ancilla_run(m: AncillaMessage) -> AncillaResult:
     return AncillaResult(trace, AncillaMessage(m.set_bit, decode(trace.output_label, c_dec)))
 
 
-_ANCILLA_RUNS = tuple(_ancilla_run(AncillaMessage.from_value(value)) for value in range(8))
+# The eight messages, indexed by packed value, and their runs.
+_MESSAGES = tuple(AncillaMessage(value >> 2, (value & 3) + 1) for value in range(8))
+_ANCILLA_RUNS = tuple(_ancilla_run(m) for m in _MESSAGES)

@@ -186,6 +186,12 @@ def assert_same_run(run, other):
     assert pickle.dumps(run.probabilities) == pickle.dumps(other.probabilities)
 
 
+def stored_outcomes(kind, j):
+    """Preset (kind, j)'s starting column and labels k = 1..4, read from its kind's stored grid."""
+    column = coding._COLUMNS[kind, j]
+    return column, tuple(coding._GRIDS[kind][column, k] for k in (1, 2, 3, 4))
+
+
 def _assert_trace_equals_chain(trace, chain):
     starting, encoded, measurement = chain
     assert np.array_equal(trace.starting_bell.coords, starting.coords)
@@ -294,7 +300,7 @@ class TestOutcomeValues:
             psi0 = g.matrix[:, 0]
             outputs = (np.stack([v.matrix for v in encoder_set(kind)]) @ psi0) @ g_inv.matrix.T
             labels = tuple(BasisLabel(i) for i in np.abs(outputs).argmax(axis=1).tolist())
-            assert coding._OUTCOMES[kind, j] == (starting_bell_column(preset(kind, j)), labels)
+            assert stored_outcomes(kind, j) == (starting_bell_column(preset(kind, j)), labels)
 
     @pytest.mark.parametrize("kind,j", [(kind, j) for kind in ("x", "y") for j in (1, 2, 3, 4)])
     def test_values_equal_a_fresh_build(self, kind, j):
@@ -305,11 +311,15 @@ class TestOutcomeValues:
             assert_same_run(run, coding._pipeline(g, v, g_inv, c, k))
         labels = tuple(run.output_label for run in coding._preset_runs(kind, j, encoder_set(kind)))
         column = coding._bell_column(to_bell_coords(apply(g, ket_from_basis(BasisLabel.UU))).coords)
-        assert coding._OUTCOMES[kind, j] == (column, labels)
+        assert stored_outcomes(kind, j) == (column, labels)
 
     def test_values_hold_exactly_the_eight_presets(self):
-        assert list(coding._OUTCOMES) == list(coding._RUNS) == list(grover.PRESETS)
-        assert len(coding._OUTCOMES) == 8
+        assert list(coding._COLUMNS) == list(coding._RUNS) == list(grover.PRESETS)
+        assert len(coding._COLUMNS) == 8
+        # Each grid holds its four presets' 16 cells and nothing else.
+        assert list(coding._GRIDS) == ["x", "y"]
+        for kind, grid in coding._GRIDS.items():
+            assert list(grid) == [(coding._COLUMNS[kind, j], k) for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)]
         assert all(len(runs) == 4 for runs in coding._RUNS.values())
         assert table2(np.str_("y")) == table2("y")
         assert decode(BasisLabel.UU, preset("y", np.int64(2))) == 1
@@ -318,18 +328,26 @@ class TestOutcomeValues:
                 coding._preset_runs(kind, j, encoder_set("y"))
 
     def test_decoder_and_table_read_one_value(self, monkeypatch):
-        # A relabelled outcome map for preset x3 shows in both readers.
-        column, labels = coding._OUTCOMES["x", 3]
+        # Relabelling preset x3's cells in the stored x grid shows in both readers.
+        column, labels = stored_outcomes("x", 3)
         swapped = (labels[1], labels[0], labels[2], labels[3])
-        monkeypatch.setitem(coding._OUTCOMES, ("x", 3), (column, swapped))
+        for k, label in enumerate(swapped, start=1):
+            monkeypatch.setitem(coding._GRIDS["x"], (column, k), label)
         assert decode(labels[1], preset("x", 3)) == 1
+        assert decode(labels[0], preset("x", 3)) == 2
         assert [table2("x")[(column, k)] for k in (1, 2, 3, 4)] == list(swapped)
 
     def test_outcomes_are_an_immutable_tuple(self):
-        column, labels = coding._OUTCOMES["y", 2]
+        # The stored grid is the one value; no entry point hands it out, so no caller can edit it.
+        column, labels = stored_outcomes("y", 2)
         assert column == starting_bell_column(preset("y", 2))
-        assert isinstance(labels, tuple)
         assert labels == tuple(run_protocol(preset("y", 2), k).output_label for k in (1, 2, 3, 4))
+        stored = dict(coding._GRIDS["y"])
+        handed = table2("y")
+        assert handed is not coding._GRIDS["y"] and handed == stored
+        handed.clear()
+        assert coding._GRIDS["y"] == stored and stored_outcomes("y", 2) == (column, labels)
+        assert [decode(label, preset("y", 2)) for label in labels] == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("kind", ["x", "y"])
     def test_table_and_decode_build_no_u_choice(self, kind, monkeypatch):
@@ -470,6 +488,91 @@ class TestRunValues:
         result = run_ancilla_protocol(message)
         assert result.recovered is stored.recovered and result.trace is not stored.trace
         assert_same_run(result.trace, stored.trace)
+
+
+def handouts():
+    """(call, stored run, caller's choice) for all 40 runs; each choice equals its preset but is a new object."""
+    out = []
+    for kind, j in grover.PRESETS:
+        c = UChoice(kind, preset(kind, j).phi1, preset(kind, j).phi2)
+        out += [(lambda c=c, k=k: run_protocol(c, k), stored, c)
+                for k, stored in enumerate(coding._RUNS[kind, j], start=1)]
+    for value in range(8):
+        stored = coding._ANCILLA_RUNS[value].trace
+        out.append((lambda m=AncillaMessage.from_value(value): run_ancilla_protocol(m).trace, stored, stored.u_choice))
+    return out
+
+
+class TestHandedOutRecord:
+    """A handed-out trace is the record the constructor would build; a message is one of eight values."""
+
+    @staticmethod
+    def constructed(stored, c):
+        return coding.ProtocolTrace(c, stored.message, stored.starting_bell, stored.encoded, stored.output_label,
+                                    dict(stored.probabilities))
+
+    def test_each_call_returns_a_new_record_with_a_new_dict(self):
+        for call, stored, _ in handouts():
+            first, second = call(), call()
+            assert type(first) is coding.ProtocolTrace and type(first.probabilities) is dict
+            assert len({id(first), id(second), id(stored)}) == 3
+            assert len({id(first.probabilities), id(second.probabilities), id(stored.probabilities)}) == 3
+
+    def test_the_copy_is_the_constructors_record(self):
+        for call, stored, c in handouts():
+            trace, built = call(), self.constructed(stored, c)
+            assert trace.u_choice is c
+            assert repr(trace) == repr(built)
+            assert dataclasses.fields(trace) == dataclasses.fields(built)
+            assert list(vars(trace)) == list(vars(built))
+            assert pickle.dumps(trace) == pickle.dumps(built)
+            loaded = pickle.loads(pickle.dumps(trace))
+            assert type(loaded) is coding.ProtocolTrace and repr(loaded) == repr(built)
+            assert_same_run(loaded, built)
+
+    def test_a_handed_out_record_is_frozen(self):
+        for call, _, _ in handouts():
+            trace = call()
+            for field in dataclasses.fields(trace):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(trace, field.name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(trace, field.name)
+
+    def test_protocol_trace_has_no_post_init_for_the_copy_to_skip(self):
+        # The copy writes the instance dict and runs no constructor; a check added here would be skipped.
+        assert not hasattr(coding.ProtocolTrace, "__post_init__")
+        assert not hasattr(coding.ProtocolTrace, "__slots__")
+
+    def test_from_value_returns_the_one_message_of_each_value(self):
+        for value in range(8):
+            message = AncillaMessage.from_value(value)
+            assert message is AncillaMessage.from_value(value) is coding._MESSAGES[value]
+            assert message == AncillaMessage(value >> 2, (value & 3) + 1) and message.value == value
+        assert len(set(map(id, coding._MESSAGES))) == 8
+
+    def test_from_value_of_a_numpy_int_carries_python_ints(self):
+        message = AncillaMessage.from_value(np.int64(3))
+        assert message is AncillaMessage.from_value(3)
+        assert type(message.set_bit) is int and type(message.v_index) is int
+
+    @pytest.mark.parametrize("value", [True, 8, -1, 2.0])
+    def test_from_value_refuses_a_bad_value(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"ancilla message value must be 0..7, got {value!r}")):
+            AncillaMessage.from_value(value)
+
+    @pytest.mark.parametrize("fields, message", [
+        ((True, 1), "set_bit must be 0..1, got True"),
+        ((np.int64(1), 5), "v_index must be 1..4, got 5"),
+    ])
+    def test_direct_construction_keeps_its_checks(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AncillaMessage(*fields)
+
+    @pytest.mark.parametrize("output", ["uu", 0, 3, None, BasisLabel.DD.index])
+    def test_decode_refuses_an_output_that_is_not_a_label(self, output):
+        with pytest.raises(ValueError, match=re.escape(f"{output!r} is not an output of preset 2 (x)")):
+            decode(output, preset("x", 2))
 
 
 class TestDecode:
