@@ -556,20 +556,7 @@ class TestHandedOutRecord:
         assert message is AncillaMessage.from_value(3)
         assert type(message.set_bit) is int and type(message.v_index) is int
 
-    @pytest.mark.parametrize("value", [True, 8, -1, 2.0])
-    def test_from_value_refuses_a_bad_value(self, value):
-        with pytest.raises(ValueError, match=re.escape(f"ancilla message value must be 0..7, got {value!r}")):
-            AncillaMessage.from_value(value)
-
-    @pytest.mark.parametrize("fields, message", [
-        ((True, 1), "set_bit must be 0..1, got True"),
-        ((np.int64(1), 5), "v_index must be 1..4, got 5"),
-    ])
-    def test_direct_construction_keeps_its_checks(self, fields, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            AncillaMessage(*fields)
-
-    @pytest.mark.parametrize("output", ["uu", 0, 3, None, BasisLabel.DD.index])
+    @pytest.mark.parametrize("output", ["uu", 0, 3, None, 1.0])
     def test_decode_refuses_an_output_that_is_not_a_label(self, output):
         with pytest.raises(ValueError, match=re.escape(f"{output!r} is not an output of preset 2 (x)")):
             decode(output, preset("x", 2))
@@ -637,7 +624,7 @@ class TestAncilla:
         with pytest.raises(ValueError, match=re.escape(message)):
             AncillaMessage(*fields)
 
-    @pytest.mark.parametrize("value", [2.0, 7.0, np.float64(1.0), "3", None, -1, 8])
+    @pytest.mark.parametrize("value", [2.0, 7.0, np.float64(1.0), "3", None, -1, 8, True])
     def test_value_must_be_an_int_in_range(self, value):
         with pytest.raises(ValueError,
                            match=re.escape(f"ancilla message value must be 0..7, got {value!r}")):
