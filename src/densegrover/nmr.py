@@ -21,23 +21,21 @@ fold, of the state, not the map: the first run's population rows, then the
 16x16 map.  The prep, whose thermal start is diagonal, folds populations alone.
 
 The frame reads no constant but J, and an n/dJ delay turns the coupling
-by 2*pi*n/d at every J != 0, so a program with no delay in seconds
-(`reads_j` False) lowers alike at every J != 0.  At J = 0 `_j_key` raises
-the error of the program's first n/dJ delay (`j_delay`); otherwise it is J
-where the program reads J, else None.  `verify_realization` is the second
-J = 0 check: it tests `j_delay` inline, since a `_j_key` call there costs
-about 1.1 us per 13-gate sweep op, about 4% of it (timeit).
+by 2*pi*n/d at every J != 0.  At J = 0 lowering raises at the program's
+first n/dJ delay (`PulseSequence.j_delay`).  No library program holds a
+delay in seconds, so each lowers alike at every J != 0, and three library
+results are values built at import: each gate's phase fit (`Gate.fit`),
+the readout rows (`_READOUT_ROWS`) and the prep's map after its first
+crush (`_PREP_TAIL`).  The fits and `_PREP_TAIL` refuse J = 0 through
+`j_delay`, as lowering would.
 
 The programs of G and G^-1 join library gates in the time order of
 `grover.G_FACTORS` and `grover.G_INVERSE_FACTORS`, U read as preset j's `U{j}`.
 
-Every library program reads no J, so three library results are values
-built at import: each gate's phase fit (`Gate.fit`), the readout rows
-(`_READOUT_ROWS`) and the prep's map after its first crush (`_PREP_TAIL`).
 The three memos, each for a result that repeats across protocol runs:
 
-- `_simulate`: the simulated state, keyed on the program, its `_j_key`
-  and the starting state, by identity.  A memoised state is shared and
+- `_simulate`: the simulated state, keyed on the program, J and the
+  starting state, by identity.  A memoised state is shared and
   immutable; both spins' spectrum amplitudes, their lines at the J last
   asked and the state's fingerprint are read off it once and kept on it.
 - `protocol_sequence`: the assembled protocol program, whose building
@@ -291,9 +289,8 @@ class PulseSequence:
 
     Validated in one pass at construction, which also derives:
     `segments`, the gradient-free runs, n + 1 for n gradients, each a
-    tuple of elements; `reads_j`, whether the program holds a delay
-    given in seconds, so lowering it reads J; and `j_delay`, its first
-    n/dJ delay (None without one), which lowering it at J = 0 raises for.
+    tuple of elements; and `j_delay`, its first n/dJ delay (None without
+    one), which lowering it at J = 0 raises for.
     """
 
     elements: tuple
@@ -305,18 +302,17 @@ class PulseSequence:
 
     def __post_init__(self):
         elements = tuple(self.elements)
-        cuts, reads_j, j_delay = [], False, None
+        cuts, j_delay = [], None
         for i, e in enumerate(elements):
             if isinstance(e, Gradient):
                 cuts.append(i)
             elif isinstance(e, Delay):
-                reads_j = reads_j or e.j_fraction is None
                 if j_delay is None and e.j_fraction is not None:
                     j_delay = e
             elif not isinstance(e, Rf):
                 raise TypeError(f"unsupported pulse element {e!r}")
         bounds = zip([-1, *cuts], [*cuts, len(elements)])
-        _store(self, elements=elements, reads_j=reads_j, j_delay=j_delay, _hash=hash(elements),
+        _store(self, elements=elements, j_delay=j_delay, _hash=hash(elements),
                segments=tuple(elements[start + 1:stop] for start, stop in bounds))
 
     def __iter__(self):
@@ -415,17 +411,10 @@ def lower(seq: PulseSequence, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> 
 
     A full crush separates each pair, so a program with n gradients has
     n + 1 segments; a leading, trailing or doubled gradient gives an
-    identity segment.  Each array is read-only and checked unitary.  It
-    keeps no memo: `_simulate` is keyed on `_j_key`, and the library lowers once, at import.
+    identity segment.  Each array is read-only and checked unitary.  At
+    J = 0 it raises at the program's first n/dJ delay.  It keeps no memo.
     """
     return tuple(_lower_run(run, consts) for run in seq.segments)
-
-
-def _j_key(seq: PulseSequence, consts: PhysicalConstants) -> float | None:
-    """The J that lowering `seq` reads, or None; at J = 0 its first n/dJ delay raises."""
-    if consts.j_hz == 0 and seq.j_delay is not None:
-        seq.j_delay._check_coupled(consts)
-    return consts.j_hz if seq.reads_j else None
 
 
 def _lower_run(run: tuple, consts: PhysicalConstants) -> np.ndarray:
@@ -476,21 +465,20 @@ def simulate_sequence(
     runs keeps the 4 populations, vec entries 0, 5, 10 and 15, so only the
     first run's 4 population rows act where a crush follows it.
 
-    The result is memoised on (program, `_j_key`, rho0), with rho0 keyed
-    by identity (`DeviationMatrix` compares by identity; the memo holds
+    The result is memoised on (program, J, rho0), with rho0 keyed by
+    identity (`DeviationMatrix` compares by identity; the memo holds
     rho0, so its id is not reused while the entry lives).  A warm call
     lowers nothing and returns the same state, built and checked once,
     which is immutable and shared, as `equilibrium_state`'s is; an equal
-    rho0 built apart is a new key.  At J = 0 an n/dJ delay raises
-    before the memo is read (`_j_key`).
+    rho0 built apart is a new key.  At J = 0 lowering raises at the
+    program's first n/dJ delay, so no entry is stored and every call raises.
     """
-    return _simulate(seq, _j_key(seq, consts), rho0)
+    return _simulate(seq, consts.j_hz, rho0)
 
 
 @functools.lru_cache(maxsize=_PROGRAMS)
-def _simulate(seq: PulseSequence, j_hz: float | None, rho0: DeviationMatrix) -> DeviationMatrix:
-    # With no J in the key, the program reads no J (see `_j_key`).
-    consts = DEFAULT_CONSTANTS if j_hz is None else PhysicalConstants(j_hz=j_hz)
+def _simulate(seq: PulseSequence, j_hz: float, rho0: DeviationMatrix) -> DeviationMatrix:
+    consts = PhysicalConstants(j_hz=j_hz)  # the frame reads no constant but J
     first, *later = seq.segments
     u, tail = _lower_run(first, consts), _after_crush(later, consts) if later else None
     return DeviationMatrix(_fold(u, tail, rho0.entries.reshape(16)).reshape(4, 4))
@@ -513,7 +501,8 @@ def alpha_angle(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     return float(np.arccos(1.0 / (2.0 * consts.gamma_ratio)))
 
 
-# The prep after its alpha pulse; it reads no J, so one `_PREP_TAIL` serves every J != 0.
+# The prep after its alpha pulse; it holds no delay in seconds, so one `_PREP_TAIL`
+# serves every J != 0, and its `j_delay` refuses J = 0.
 _PREP_AFTER_ALPHA = PulseSequence((Gradient(), _rf(1, "x", 1, 4), *_REFOCUSED_HALF_J,
                                    _rf(1, "y", -1, 4), Gradient()))
 _PREP_TAIL = _frozen_array(_after_crush(_PREP_AFTER_ALPHA.segments[1:], DEFAULT_CONSTANTS), (16, 4))
@@ -528,8 +517,9 @@ class Gate:
     is built per call (`pulses` is None), and the prep and the readouts
     have no unitary target (`ideal` is None).  `fit`, derived at
     construction, is the program's (phase, distance) against the target,
-    or None; every library program reads no J, so it holds at every J != 0.
-    A program with a target is one run, as its net unitary is what is fit.
+    or None.  A program with a target is one run, as its net unitary is
+    what is fit, and holds no delay in seconds, so the fit holds at every
+    J != 0; its `j_delay` refuses J = 0.
     """
 
     pulses: PulseSequence | None
@@ -540,6 +530,10 @@ class Gate:
     def __post_init__(self):
         if self.ideal is not None and len(self.pulses.segments) > 1:
             raise ValueError("a gate with a target contains a gradient; no net unitary exists")
+        if self.ideal is not None and any(isinstance(e, Delay) and e.j_fraction is None
+                                          for e in self.pulses):
+            raise ValueError("a gate with a target holds a delay in seconds; its fit would hold "
+                             "at one J only")
         fit = None if self.ideal is None else phase_fit(*lower(self.pulses), self.ideal.matrix)
         _store(self, fit=fit)
 
@@ -633,7 +627,6 @@ def verify_realization(
         seq = gate_library(name, kind, consts) if gate.pulses is None else gate.pulses
         if len(seq.segments) > 1:
             raise ValueError(f"gate {name!r} contains gradients; no net unitary exists")
-        _j_key(seq, consts)
         ideal_gate_unitary(name, kind)  # raises: a gate without a fit has no target
     if consts.j_hz == 0 and gate.pulses.j_delay is not None:
         gate.pulses.j_delay._check_coupled(consts)
@@ -694,7 +687,7 @@ def prepare_pseudo_pure(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> Deviat
     `equilibrium_state`'s, so each call returns a new, checked state.
     """
     alpha = Operator4(_rf_unitary(2, "x", alpha_angle(consts))).matrix
-    _j_key(_PREP_AFTER_ALPHA, consts)
+    _PREP_AFTER_ALPHA.j_delay._check_coupled(consts)
     rho0 = _thermal(consts)
     check_hermitian(rho0, 0, "deviation matrix")
     populations = (alpha * alpha.conj()) @ rho0.diagonal()
@@ -785,23 +778,24 @@ def spectrum_fingerprint(rho: DeviationMatrix) -> Fingerprint:
     """Identify which basis pseudo-pure state produced the spectrum.
 
     A basis state shows one real line per spin, so a spin is refused if
-    its lines are all below `qstate.CLASSIFY_TOL`, or its weaker line, or
-    its dominant line's imaginary part, exceeds CLASSIFY_TOL times the
-    dominant line; these two tests are relative, so the fingerprint does
-    not depend on the state's scale.  A state is classified once and
+    its lines are all below `qstate.CLASSIFY_TOL` times the state's largest
+    entry, or its weaker line, or its dominant line's imaginary part,
+    exceeds CLASSIFY_TOL times the dominant line; all three tests are
+    relative, so the fingerprint does not depend on the state's scale, and
+    the zero state and NaN are refused.  A state is classified once and
     its fingerprint kept on it; a refused state keeps nothing, so each
     call raises the same error again.
     """
     fingerprint = getattr(rho, "_fingerprint", None)
     if fingerprint is not None:
         return fingerprint
-    signatures = []
+    signatures, scale = [], np.abs(rho.entries).max()
     for spin, amplitudes in zip((1, 2), _amplitudes(rho)):
         line = int(abs(amplitudes[1]) > abs(amplitudes[0]))
         dominant, weaker = amplitudes[line], abs(amplitudes[1 - line])
         problem = None
-        if abs(dominant) < CLASSIFY_TOL:
-            problem = "line amplitudes are all below 1e-9"
+        if not abs(dominant) > CLASSIFY_TOL * scale:
+            problem = "line amplitudes are all below 1e-9 of the state's largest entry"
         elif weaker > CLASSIFY_TOL * abs(dominant):
             problem = f"shows both doublet lines ({abs(dominant):.3g} and {weaker:.3g})"
         elif abs(dominant.imag) > CLASSIFY_TOL * abs(dominant):

@@ -609,8 +609,8 @@ class TestStoredCheck:
 
     def test_a_unitary_gate_reads_no_program(self, monkeypatch):
         # The fit and the program's first n/dJ delay were derived at import, so
-        # a call neither assembles nor walks the gate's program, at any J.
-        assembled, keyed = recorded(monkeypatch, "gate_library"), recorded(monkeypatch, "_j_key")
+        # a call neither assembles nor lowers the gate's program, at any J.
+        assembled, lowered = recorded(monkeypatch, "gate_library"), recorded(monkeypatch, "_lower_run")
         uncoupled = PhysicalConstants(j_hz=0.0)
         first_delays = {"I_t": "1/2J", "I_s": "1/4J"}
         for consts in (DEFAULT_CONSTANTS, *fresh_prep_constants(5, RNG_SEED + 81), uncoupled):
@@ -621,7 +621,7 @@ class TestStoredCheck:
                                      "for an uncoupled pair (j_hz = 0)")
                 else:
                     assert check.ok
-        assert assembled == [] and keyed == []
+        assert assembled == [] and lowered == []
 
     def test_each_call_gets_the_ok_of_its_own_tolerance(self, monkeypatch):
         consts = PhysicalConstants(nu1_hz=90e6, nu2_hz=700e6, j_hz=37.5, gamma_ratio=0.6)
@@ -752,12 +752,14 @@ class TestSpectra:
         assert fingerprints[BasisLabel.DD] == Fingerprint(("partner_down", -1), ("partner_down", -1))
 
     def test_fingerprint_is_scale_invariant(self):
-        rho = basis_pseudo_pure(BasisLabel.DU)
-        scaled = DeviationMatrix(0.3 * rho.entries)
-        assert spectrum_fingerprint(scaled) == spectrum_fingerprint(rho)
+        # The zero-line test is relative to the state's largest entry, as the other two are.
+        for label in BasisLabel:
+            rho = basis_pseudo_pure(label)
+            for scale in (0.3, 1e-10, 1e-200):
+                assert spectrum_fingerprint(DeviationMatrix(scale * rho.entries)) == spectrum_fingerprint(rho)
 
     def test_featureless_state_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line amplitudes are all below"):
             spectrum_fingerprint(DeviationMatrix(np.zeros((4, 4), dtype=complex)))
 
     @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.6, 0.4), (0.4, 0.6), (1.0, 1e-6)],
@@ -1159,24 +1161,25 @@ class TestLowering:
             self.assert_matches_fold(seq, rho, consts)
 
     def test_j_is_keyed_once_per_program(self):
-        # A delay in seconds anywhere puts J in the key of the whole program.
-        seconds = PulseSequence((Rf(1, "x", "pi/2"), Delay("0.001"), Gradient(),
+        # Every program's state is kept per J; only a delay in seconds makes two J differ.
+        seconds = PulseSequence((Rf(1, "x", "pi/2"), Delay("0.001"), Rf(1, "y", "pi/2"), Gradient(),
                                  Delay("1/4J"), Rf(2, "y", "pi/3")))
-        relative = PulseSequence(seconds.elements[3:])
-        assert seconds.reads_j and not relative.reads_j
+        relative = PulseSequence(seconds.elements[4:])
         a, b = PhysicalConstants(j_hz=215.0), PhysicalConstants(j_hz=300.0)
+        rho = equilibrium_state()
+        states = {seq: [simulate_sequence(seq, rho, c) for c in (a, b)] for seq in (seconds, relative)}
+        assert np.abs(states[seconds][0].entries - states[seconds][1].entries).max() > 1e-3
+        at_a, at_b = states[relative]
+        assert at_a is not at_b and at_a.entries.tobytes() == at_b.entries.tobytes()
+        for seq, pair in states.items():
+            assert all(simulate_sequence(seq, rho, c) is state for c, state in zip((a, b), pair))
+        # At J = 0 the first n/dJ delay raises; a program without one simulates.
         uncoupled = PhysicalConstants(j_hz=0.0)
-        assert [nmr._j_key(seconds, c) for c in (a, b)] == [215.0, 300.0]
-        assert [nmr._j_key(relative, c) for c in (a, b)] == [None, None]
-        # At J = 0 the key is the first n/dJ delay's error, or J where no such delay reads it.
         for seq in (seconds, relative):
             with pytest.raises(ValueError, match=re.escape("delay 1/4J is undefined")):
-                nmr._j_key(seq, uncoupled)
-        assert nmr._j_key(PulseSequence(seconds.elements[:3]), uncoupled) == 0.0
-        assert nmr._j_key(PulseSequence(seconds.elements[:1]), uncoupled) is None
-        rho = equilibrium_state()
-        assert simulate_sequence(seconds, rho, a) is not simulate_sequence(seconds, rho, b)
-        assert simulate_sequence(relative, rho, a) is simulate_sequence(relative, rho, b)
+                simulate_sequence(seq, rho, uncoupled)
+        for seq in (PulseSequence(seconds.elements[:4]), PulseSequence(seconds.elements[:1])):
+            self.assert_matches_fold(seq, rho, uncoupled)
 
     def test_cache_hit_builds_no_element_unitaries(self, monkeypatch):
         calls = []
@@ -1207,7 +1210,9 @@ class TestLowering:
             if name == "pseudo-pure-prep":
                 continue  # its first pulse turns by an angle that reads gamma_ratio
             seq = gate_library(name)
-            assert simulate_sequence(seq, rho, other) is simulate_sequence(seq, rho)
+            assert [u.tobytes() for u in lower(seq, other)] == [u.tobytes() for u in lower(seq)]
+            at_other, at_default = simulate_sequence(seq, rho, other), simulate_sequence(seq, rho)
+            assert at_other.entries.tobytes() == at_default.entries.tobytes()
 
     @pytest.mark.parametrize("name", ["I_t", "pseudo-pure-prep"])
     def test_uncoupled_pair_raises_after_a_cache_hit(self, name):
@@ -1290,7 +1295,6 @@ def superoperator_reference(seq, consts=DEFAULT_CONSTANTS):
 def transfer_of(seq, consts=DEFAULT_CONSTANTS):
     """The 16x16 transfer matrix of `seq` under `consts`: column k is the
     k-th basis vector of vec(rho) taken through `_fold`, the fold the simulator uses."""
-    nmr._j_key(seq, consts)  # raises at J = 0 for an n/dJ delay, as the simulator does
     first, *later = seq.segments
     u, tail = nmr._lower_run(first, consts), nmr._after_crush(later, consts) if later else None
     return np.stack([nmr._fold(u, tail, basis) for basis in np.eye(16)], axis=1)
@@ -1448,6 +1452,18 @@ class TestStateMemo:
             simulate_sequence(seq, random_deviation(rng))
         assert nmr._simulate.cache_info().currsize <= nmr._PROGRAMS
 
+    def test_uncoupled_pair_stores_no_state(self):
+        # At J = 0 lowering raises at the first n/dJ delay, so no J = 0 entry is stored.
+        uncoupled = PhysicalConstants(j_hz=0.0)
+        seq, rho0 = protocol_sequence(2, 3, uncoupled), equilibrium_state(uncoupled)
+        nmr._simulate.cache_clear()
+        simulate_sequence(seq, rho0)
+        assert nmr._simulate.cache_info().currsize == 1
+        for _ in range(3):
+            with pytest.raises(ValueError, match=re.escape("delay 1/4J is undefined for an uncoupled")):
+                simulate_sequence(seq, rho0, uncoupled)
+            assert nmr._simulate.cache_info().currsize == 1
+
     def test_uncoupled_pair_raises_on_every_call_after_a_warm_coupled_call(self):
         seq, rho0 = protocol_sequence(2, 3), equilibrium_state()
         warm = simulate_sequence(seq, rho0)
@@ -1538,8 +1554,8 @@ class TestFold:
             assert got.tobytes() == by_superoperator(runs, DEFAULT_CONSTANTS).tobytes()
 
     def test_uncoupled_pair_raises_what_the_element_fold_raises_first(self):
-        # `_j_key` checks J = 0 before any run is lowered, so it must name the
-        # program's first n/dJ delay, the one an element-by-element fold meets first.
+        # Lowering raises at J = 0, so it must name the program's first n/dJ
+        # delay, the one an element-by-element fold meets first.
         rng = random.Random(RNG_SEED + 67)
         uncoupled = PhysicalConstants(j_hz=0.0)
         rho = equilibrium_state(uncoupled)
@@ -1659,10 +1675,14 @@ class TestLibraryValues:
     """Gate fits and the prep tail, built once, against the work they stand for."""
 
     def test_library_programs_read_no_j(self):
-        # The condition under which one lowering serves every J != 0.
+        # No delay in seconds, the condition under which one lowering serves every J != 0.
         programs = [gate.pulses for gate in GATES.values() if gate.pulses is not None]
         assert len(programs) == len(GATES) - 1
-        assert not any(seq.reads_j for seq in [*programs, nmr._PREP_AFTER_ALPHA])
+        programs.append(nmr._PREP_AFTER_ALPHA)
+        assert not any(isinstance(e, Delay) and e.j_fraction is None for seq in programs for e in seq)
+        for consts in sweep_constants(20, RNG_SEED + 83):
+            for seq in programs:
+                assert [u.tobytes() for u in lower(seq, consts)] == [u.tobytes() for u in lower(seq)]
 
     def test_verify_matches_a_fit_made_on_every_call(self, monkeypatch):
         def assert_same(got, expected, case):
@@ -1734,6 +1754,21 @@ class TestLibraryValues:
             Gate(PulseSequence(elements), GATES["V4"].ideal)
         assert Gate(PulseSequence(elements)).fit is None
 
+    @pytest.mark.parametrize("elements", [
+        (Delay("0.001"),),
+        (Rf(1, "x", "pi/2"), Delay("1/4J"), Delay("0.001"), Rf(1, "x", "-pi/2")),
+    ], ids=["alone", "after an n/dJ delay"])
+    def test_a_gate_with_a_target_refuses_a_delay_in_seconds(self, elements):
+        # Its fit is taken once, at the default J, and would be returned at every J,
+        # though the program's unitary at 300 Hz is far from that target.
+        seq = PulseSequence(elements)
+        target = qstate.Operator4(lower(seq)[0])
+        (at_300,) = lower(seq, PhysicalConstants(j_hz=300.0))
+        assert phase_fit(at_300, target.matrix)[1] > 0.1
+        with pytest.raises(ValueError, match="^a gate with a target holds a delay in seconds"):
+            Gate(seq, target)
+        assert Gate(seq).fit is None
+
 
 def old_j_fraction(duration: str):
     m = re.fullmatch(r"(\d+)/(\d*)J", duration)
@@ -1766,8 +1801,8 @@ class TestBuildOnce:
     def test_derived_values_equal_their_old_derivations(self):
         for seq in library_and_protocol_programs():
             assert seq.segments == old_segments(seq)
-            assert seq.reads_j is any(isinstance(e, Delay) and old_j_fraction(e.duration) is None
-                                      for e in seq)
+            relative = [e for e in seq if isinstance(e, Delay) and old_j_fraction(e.duration)]
+            assert seq.j_delay is (relative[0] if relative else None)
             for e in seq:
                 if isinstance(e, Rf):
                     assert e.angle_rad == parse_angle(e.angle)
@@ -1839,7 +1874,7 @@ print(nmr.simulate_sequence(pickle.loads(pickle.dumps(seq)), nmr.equilibrium_sta
     def test_a_load_derives_and_validates_again(self):
         seq = protocol_sequence(1, 2)
         loaded = pickle.loads(pickle.dumps(seq))
-        assert loaded == seq and loaded.segments == seq.segments and loaded.reads_j == seq.reads_j
+        assert loaded == seq and loaded.segments == seq.segments and loaded.j_delay == seq.j_delay
         rf = pickle.loads(pickle.dumps(Rf(2, "x", "0.25")))
         assert rf.angle_rad == 0.25
         # A payload that names a bad field value fails where the constructor would.
