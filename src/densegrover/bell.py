@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import Ket4, _by_fields, _frozen_array, checked_index, checked_member
+from .qstate import Ket4, _by_fields, _finite_vector, checked_index, checked_member
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -42,7 +42,7 @@ class BellVector:
     __reduce__ = _by_fields
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _frozen_array(self.coords, (4,)))
+        object.__setattr__(self, "coords", _finite_vector(self.coords, "Bell coordinates"))
 
     @property
     def norm(self) -> float:

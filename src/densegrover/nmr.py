@@ -18,7 +18,8 @@ unitary U is kron(U, conj U), and a full crush keeps only the 4 population
 entries vec(rho)[0, 5, 10, 15].  `_fold`, with no memo, is the one general
 fold, of the state, not the map: the first run's population rows, then the
 16x4 map of the runs after the first crush; with no crush, the first run's
-16x16 map.  The prep, whose thermal start is diagonal, folds populations alone.
+16x16 map.  The prep, whose thermal start is diagonal, folds populations alone,
+through spin 2's 2x2 population map: it builds no 4x4 before `_PREP_TAIL`.
 
 The frame reads no constant but J, and an n/dJ delay turns the coupling
 by 2*pi*n/d at every J != 0.  At J = 0 lowering raises at the program's
@@ -82,7 +83,7 @@ _IZIZ_DIAGONAL = np.diag(IZIZ)
 
 # Bound of each memo.  The 16 protocol programs and their states fit at a
 # few sets of constants; a sweep that draws fresh constants touches no memo,
-# because its prep reads `_thermal` and its verify calls read the stored fits.
+# because its prep reads 4 thermal floats and its verify calls read the stored fits.
 _PROGRAMS = 128
 
 
@@ -391,15 +392,11 @@ class DeviationMatrix:
         check_hermitian(self.entries, 0, "deviation matrix")
 
 
-def _rf_unitary(spin, axis: str, angle: float) -> np.ndarray:
-    r = rotation_2x2(axis, angle)  # the rotating frame makes a pulse read no constant
-    return kron2(_EYE2 if spin == 2 else r, _EYE2 if spin == 1 else r)
-
-
 def element_unitary(e, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
     """Unitary matrix of one rf pulse or delay; gradients have none."""
     if isinstance(e, Rf):
-        return _rf_unitary(e.spin, e.axis, e.angle_rad)
+        r = rotation_2x2(e.axis, e.angle_rad)  # the rotating frame makes a pulse read no constant
+        return kron2(_EYE2 if e.spin == 2 else r, _EYE2 if e.spin == 1 else r)
     if isinstance(e, Delay):
         # exp(-i tau H) with H = 2*pi*J*Iz1*Iz2 diagonal: entrywise in the coupling phase.
         return np.diag(np.exp(-1j * e.coupling_phase(consts) * _IZIZ_DIAGONAL))
@@ -644,11 +641,7 @@ def equilibrium_state(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> Deviatio
 
     Memoised per constants; the result is immutable.
     """
-    return DeviationMatrix(_thermal(consts))
-
-
-def _thermal(consts: PhysicalConstants) -> np.ndarray:
-    return IZ1 + consts.gamma_ratio * IZ2
+    return DeviationMatrix(IZ1 + consts.gamma_ratio * IZ2)
 
 
 def target_pseudo_pure() -> np.ndarray:
@@ -679,19 +672,28 @@ def basis_pseudo_pure(label: BasisLabel) -> DeviationMatrix:
 def prepare_pseudo_pure(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> DeviationMatrix:
     """Run the spatial-averaging prep sequence on the equilibrium state.
 
-    Byte for byte `simulate_sequence` of the program, folded on populations:
-    the thermal state is diagonal and a crush follows the alpha pulse (built
-    from its angle and checked unitary), so the crush keeps the sums over k
-    of |alpha[i, k]|^2 rho0[k, k], which `_PREP_TAIL` maps to the result.
-    It checks the thermal entries but adds no memo entry, not even
-    `equilibrium_state`'s, so each call returns a new, checked state.
+    Byte for byte `simulate_sequence` of the program, with no 4x4 before
+    `_PREP_TAIL`: the thermal start is the diagonal of `equilibrium_state`,
+    and the alpha pulse kron(I, r), r = `rotation_2x2("x", alpha)`, maps it to
+    the populations a crush keeps by kron(I, [[c^2, s^2], [s^2, c^2]]), for
+    c, s = cos, sin(alpha / 2).  In the program's order it checks the
+    gamma_ratio domain, r unitary (kron(I, r) has r's defect), J != 0, the
+    thermal entries as `check_hermitian` would and the result; it adds no
+    memo entry, so each call returns a new, checked state.
     """
-    alpha = Operator4(_rf_unitary(2, "x", alpha_angle(consts))).matrix
+    r = rotation_2x2("x", alpha_angle(consts))
+    qstate._check_unitary(r)
     _PREP_AFTER_ALPHA.j_delay._check_coupled(consts)
-    rho0 = _thermal(consts)
-    check_hermitian(rho0, 0, "deviation matrix")
-    populations = (alpha * alpha.conj()) @ rho0.diagonal()
-    return DeviationMatrix((_PREP_TAIL @ populations).reshape(4, 4))
+    half = 0.5 * consts.gamma_ratio
+    d0, d1, d2, d3 = 0.5 + half, 0.5 - half, -0.5 + half, -0.5 - half  # diag(Iz1 + g Iz2)
+    if not all(map(math.isfinite, (d0, d1, d2, d3))):  # a real diagonal is Hermitian if finite
+        raise ValueError("deviation matrix must be Hermitian")
+    if not abs((d0 + d1) + (d2 + d3)) < qstate.EXACT_TOL:
+        raise ValueError("deviation matrix must have trace 0")
+    (c, s), _ = r.tolist()
+    c2, s2 = c.real * c.real, s.imag * s.imag  # products, as in |alpha|^2; c ** 2 may round apart
+    populations = [c2 * d0 + s2 * d1, s2 * d0 + c2 * d1, c2 * d2 + s2 * d3, s2 * d2 + c2 * d3]
+    return DeviationMatrix(_PREP_TAIL.dot(populations).reshape(4, 4))
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,14 @@ def _frozen_array(data, shape) -> np.ndarray:
     return arr
 
 
+def _finite_vector(data, name: str) -> np.ndarray:
+    """A frozen 4-vector; a ValueError naming `name` if an entry is NaN or infinite."""
+    arr = _frozen_array(data, (4,))
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def _by_fields(obj) -> tuple:
     """A dataclass's pickle reduction: its constructor and field values.
 
@@ -131,6 +139,16 @@ def check_hermitian(m: np.ndarray, trace: int, name: str) -> None:
         raise ValueError(f"{name} must have trace {trace}")
 
 
+def _check_unitary(m: np.ndarray) -> None:
+    """Raise a ValueError unless each entry of m m^dagger - I (m 2x2 or 4x4) is below EXACT_TOL."""
+    # dot() dispatches faster than @; a complex identity, subtracted in place, is not cast.
+    gram = m.dot(m.conj().T)
+    gram -= _EYE4 if len(m) == 4 else _EYE2
+    skews = np.abs(gram)
+    if not all(map(EXACT_TOL.__gt__, skews.ravel().tolist())):  # NaN fails; cheaper than max()
+        raise ValueError(f"operator deviates from unitarity by {skews.max():.3e}")
+
+
 def checked_index(value, allowed: range, name: str) -> int:
     """value if it is an integer in `allowed`, else a ValueError naming it.
 
@@ -160,7 +178,7 @@ class Ket4:
     __reduce__ = _by_fields
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _frozen_array(self.amplitudes, (4,)))
+        object.__setattr__(self, "amplitudes", _finite_vector(self.amplitudes, "ket amplitudes"))
 
     @property
     def norm(self) -> float:
@@ -178,12 +196,7 @@ class Operator4:
     def __post_init__(self):
         m = _frozen_array(self.matrix, (4, 4))
         object.__setattr__(self, "matrix", m)
-        # m m^dagger - I in place; a float identity would be cast to complex on every call.
-        gram = m @ m.conj().T
-        gram -= _EYE4
-        defect = np.abs(gram).max()
-        if not defect < EXACT_TOL:  # written so that a NaN defect fails
-            raise ValueError(f"operator deviates from unitarity by {defect:.3e}")
+        _check_unitary(m)
 
     def adjoint(self) -> "Operator4":
         return Operator4(self.matrix.conj().T)

@@ -1,5 +1,7 @@
 """The memos in `src/`: exactly the three `nmr` keeps for repeated protocol
 runs, and the four values `nmr` stores on an object after it is built.
+Beside them, the work a fresh-constants `verify --all` does: it builds no
+`Operator4` and adds no memo entry.
 
 A new `lru_cache` (or `functools.cache`), or a new `_store` outside a
 `__post_init__`, changes this inventory, so it has to change this test
@@ -10,6 +12,7 @@ import ast
 from pathlib import Path
 
 import densegrover
+from densegrover import nmr, qstate
 
 SOURCES = sorted(Path(densegrover.__file__).resolve().parent.glob("*.py"))
 
@@ -100,3 +103,18 @@ def test_the_store_scan_sees_each_call_form():
     )
     assert lazy_stores(source) == {("later", "b"), ("f", "c"), ("f", "d"), ("inner", "e"),
                                    ("f", None), (None, "i")}
+
+
+def test_fresh_constants_verify_all_builds_no_operator_and_no_memo_entry(monkeypatch):
+    # The 13 checks read their stored fits, and the prep folds spin 2's
+    # populations with no 4x4 before its tail, so nothing is checked unitary as a 4x4.
+    built, post_init = [], qstate.Operator4.__post_init__
+    monkeypatch.setattr(qstate.Operator4, "__post_init__", lambda op: built.append(op) or post_init(op))
+    memos = (nmr._simulate, nmr.protocol_sequence, nmr.equilibrium_state)
+    before = [memo.cache_info() for memo in memos]
+    consts = nmr.PhysicalConstants(nu1_hz=71e6, nu2_hz=433e6, j_hz=181.5, gamma_ratio=6.125)
+    for name, gate in nmr.GATES.items():
+        if gate.ideal is not None:
+            assert nmr.verify_realization(name, consts=consts).ok
+    assert isinstance(nmr.prepare_pseudo_pure(consts), nmr.DeviationMatrix)
+    assert built == [] and [memo.cache_info() for memo in memos] == before

@@ -556,17 +556,16 @@ class TestVerifierMemo:
 
     def test_fresh_constants_make_no_phase_fits(self, monkeypatch):
         # A sweep op: the 13 checks and the prep.  Every fit was made at
-        # import, so the op fits nothing, lowers no element and builds only
-        # the unitary of the prep program's alpha pulse.
+        # import, so the op fits nothing and lowers no element, not even the
+        # prep's alpha pulse, and its prep is the prep program's state.
         fitted, built = recorded(monkeypatch, "phase_fit"), recorded(monkeypatch, "element_unitary")
-        pulses = recorded(monkeypatch, "_rf_unitary")
         for consts in fresh_prep_constants(20, RNG_SEED + 21):
             for name in UNITARY_GATES:
                 assert verify_realization(name, consts=consts).ok
-            prepare_pseudo_pure(consts)
+            prep = prepare_pseudo_pure(consts)
             assert fitted == [] and built == []
-            assert pulses == [rf_arguments(gate_library("pseudo-pure-prep", consts=consts).elements[0])]
-            pulses.clear()
+            assert prep.entries.tobytes() == prep_by_program(consts).entries.tobytes()
+            built.clear()
 
     def test_fresh_constants_lower_and_fit_nothing(self, monkeypatch):
         for name in UNITARY_GATES:
@@ -1272,11 +1271,11 @@ class TestLowering:
 
         verify_all(DEFAULT_CONSTANTS)
         monkeypatch.setattr(nmr, "element_unitary", counted)
-        pulses = recorded(monkeypatch, "_rf_unitary")
         fresh = PhysicalConstants(nu1_hz=77e6, nu2_hz=333e6, j_hz=123.25, gamma_ratio=2.345)
-        verify_all(fresh)
+        prep = verify_all(fresh)
+        # The prep pulse is folded as spin 2's rotation: no element is built.
         assert calls == []
-        assert pulses == [rf_arguments(gate_library("pseudo-pure-prep", consts=fresh).elements[0])]
+        assert prep.entries.tobytes() == prep_by_program(fresh).entries.tobytes()
 
 
 def superoperator_reference(seq, consts=DEFAULT_CONSTANTS):
@@ -1311,9 +1310,10 @@ def map_product(seq, rho, consts=DEFAULT_CONSTANTS):
     return ((nmr._after_crush(later, consts) @ rows) @ rho.entries.reshape(16)).reshape(4, 4)
 
 
-def rf_arguments(pulse):
-    """The (spin, axis, angle) that `_rf_unitary` takes for an `Rf`."""
-    return pulse.spin, pulse.axis, pulse.angle_rad
+def prep_by_program(consts):
+    """The prep as its program simulated from the equilibrium state."""
+    program = gate_library("pseudo-pure-prep", consts=consts)
+    return simulate_sequence(program, equilibrium_state(consts), consts)
 
 
 def recorded(monkeypatch, name) -> list:
@@ -1383,15 +1383,15 @@ class TestTransfer:
         memos = (nmr._simulate, equilibrium_state)
         before = [memo.cache_info() for memo in memos]
         runs, tails = recorded(monkeypatch, "_lower_run"), recorded(monkeypatch, "_after_crush")
-        maps, pulses = recorded(monkeypatch, "_superoperator"), recorded(monkeypatch, "_rf_unitary")
+        maps, built = recorded(monkeypatch, "_superoperator"), recorded(monkeypatch, "element_unitary")
         fresh = PhysicalConstants(nu1_hz=61e6, nu2_hz=377e6, j_hz=97.5, gamma_ratio=4.125)
-        prepare_pseudo_pure(fresh)
-        alpha = gate_library("pseudo-pure-prep", consts=fresh).elements[0]
-        # The prep builds the unitary of its alpha pulse alone, lowers no run,
+        prep = prepare_pseudo_pure(fresh)
+        # The prep builds no element, not even its alpha pulse, lowers no run,
         # reads the tail value, builds no 16x16 map and touches no memo.
-        assert pulses == [rf_arguments(alpha)]
-        assert runs == [] and tails == [] and maps == []
+        assert built == [] and runs == [] and tails == [] and maps == []
         assert [memo.cache_info() for memo in memos] == before
+        monkeypatch.undo()
+        assert prep.entries.tobytes() == prep_by_program(fresh).entries.tobytes()
 
     def test_equal_programs_built_apart_hash_and_compare_equal(self):
         seq = protocol_sequence(2, 3)
@@ -1504,6 +1504,14 @@ def random_program(rng: random.Random, index: int) -> PulseSequence:
     return PulseSequence(tuple(elements))
 
 
+def forged_constants(**fields) -> PhysicalConstants:
+    """Constants with the given fields set past `__post_init__`'s domain checks."""
+    consts = object.__new__(PhysicalConstants)
+    for name, value in {**dataclasses.asdict(DEFAULT_CONSTANTS), **fields}.items():
+        object.__setattr__(consts, name, value)
+    return consts
+
+
 def fresh_prep_constants(count: int, seed: int) -> list:
     rng = random.Random(seed)
     return [PhysicalConstants(nu1_hz=rng.uniform(20e6, 200e6), nu2_hz=rng.uniform(200e6, 900e6),
@@ -1591,11 +1599,15 @@ class TestPrepBlock:
     """`prepare_pseudo_pure` against the program path it stands for."""
 
     def test_block_is_byte_identical_to_the_program(self):
-        edges = [PhysicalConstants(gamma_ratio=g) for g in (0.5, 12.0, 1e3, 1e4, 1e5)]
+        # Up to 1e15 both give one state, so the FAIL band of `verify pseudo-pure-prep`
+        # (gamma_ratio 1e8 to 1e10) is the program's own answer; at 1e100 both refuse it alike.
+        ratios = (0.5, np.nextafter(0.5, 1.0), 1.0, 12.0, 1e3, 1e4, 1e5, 1e7, 1e8, 1e10, 1e12, 1e15)
+        edges = [PhysicalConstants(gamma_ratio=float(g)) for g in ratios]
         for consts in fresh_prep_constants(500, RNG_SEED + 53) + edges:
-            program = gate_library("pseudo-pure-prep", consts=consts)
-            expected = simulate_sequence(program, equilibrium_state(consts), consts)
-            assert prepare_pseudo_pure(consts).entries.tobytes() == expected.entries.tobytes()
+            assert prepare_pseudo_pure(consts).entries.tobytes() == prep_by_program(consts).entries.tobytes()
+        far = PhysicalConstants(gamma_ratio=1e100)
+        assert outcome(prepare_pseudo_pure, far) == outcome(prep_by_program, far)
+        assert outcome(prepare_pseudo_pure, far) == "ValueError: deviation matrix must be Hermitian"
 
     def test_uncoupled_pair_raises_as_the_program_does(self):
         consts = PhysicalConstants(j_hz=0.0, gamma_ratio=3.97)
@@ -1611,18 +1623,41 @@ class TestPrepBlock:
             prepare_pseudo_pure(PhysicalConstants(gamma_ratio=0.45))
 
     def test_alpha_run_is_checked_unitary(self, monkeypatch):
-        monkeypatch.setattr(nmr, "_rf_unitary", lambda spin, axis, angle: 2 * np.eye(4))
-        with pytest.raises(ValueError, match="unitarity"):
-            prepare_pseudo_pure(PhysicalConstants(gamma_ratio=2.0))
+        # The alpha pulse kron(I, r) has the defect of its rotation r, which is checked
+        # with `Operator4`'s bound and message, after the gamma_ratio domain and before J.
+        r = qstate.rotation_2x2("x", 0.3)
+        factors = {"3.000e+00": 2 * np.eye(2, dtype=complex), "1.000e+00": np.array([[1, 1], [0, 1j]]),
+                   "nan": np.full((2, 2), complex(np.nan, 0.0)), "2.000e-12": r * (1 + 1e-12)}
+        for defect, factor in factors.items():
+            monkeypatch.setattr(nmr, "rotation_2x2", lambda axis, angle: np.array(factor, dtype=complex))
+            for j_hz in (215.0, 0.0):
+                with pytest.raises(ValueError, match=f"^operator deviates from unitarity by {re.escape(defect)}$"):
+                    prepare_pseudo_pure(PhysicalConstants(j_hz=j_hz, gamma_ratio=2.0))
+            with pytest.raises(ValueError, match="gamma_ratio >= 0.5"):
+                prepare_pseudo_pure(PhysicalConstants(gamma_ratio=0.45))
+        monkeypatch.setattr(nmr, "rotation_2x2", lambda axis, angle: r * (1 + 1e-13))
+        assert isinstance(prepare_pseudo_pure(PhysicalConstants(gamma_ratio=2.0)), DeviationMatrix)
 
     def test_equilibrium_state_and_result_are_checked_deviation_matrices(self, monkeypatch):
         consts = PhysicalConstants(nu1_hz=61e6, nu2_hz=377e6, j_hz=97.5, gamma_ratio=4.125)
-        equilibrium = (IZ1 + consts.gamma_ratio * IZ2).tobytes()
-        checks = recorded(monkeypatch, "check_hermitian")
         out = prepare_pseudo_pure(consts)
         assert isinstance(out, DeviationMatrix) and not out.entries.flags.writeable
-        # One check of the equilibrium state, one of the result.
-        assert [entries.tobytes() for entries, *_ in checks] == [equilibrium, out.entries.tobytes()]
+        # The thermal start, gamma_ratio forged past `PhysicalConstants`' check, is refused
+        # as a deviation matrix with a non-finite entry is, after J and before the tail is read.
+        with monkeypatch.context() as m:
+            m.setattr(nmr, "_PREP_TAIL", None)
+            with pytest.raises(ValueError, match="^deviation matrix must be Hermitian$"):
+                prepare_pseudo_pure(forged_constants(j_hz=97.5, gamma_ratio=np.inf))
+            with pytest.raises(ValueError, match="uncoupled pair"):
+                prepare_pseudo_pure(forged_constants(j_hz=0.0, gamma_ratio=np.inf))
+        # The result is checked: a tail that skews it, or moves its trace, is refused.
+        tail = nmr._PREP_TAIL
+        for (row, col), problem in (((1, 0), "be Hermitian"), ((0, 0), "have trace 0")):
+            skewed = np.array(tail)
+            skewed[row, col] += 1.0
+            monkeypatch.setattr(nmr, "_PREP_TAIL", skewed)
+            with pytest.raises(ValueError, match=f"^deviation matrix must {problem}$"):
+                prepare_pseudo_pure(consts)
 
     def test_fresh_constants_leave_the_equilibrium_memo_alone(self):
         before = equilibrium_state.cache_info()

@@ -78,6 +78,23 @@ class TestKetConstruction:
         with pytest.raises(ValueError):
             Ket4(np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("make, name", [(Ket4, "ket amplitudes"), (BellVector, "Bell coordinates")],
+                             ids=["Ket4", "BellVector"])
+    def test_non_finite_entry_is_refused(self, make, name, index, bad):
+        for entry in (complex(bad, 0.5), complex(0.5, bad)):  # in the real part, then the imaginary
+            entries = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
+            entries[index] = entry
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                make(entries)
+
+    @pytest.mark.parametrize("make, field", [(Ket4, "amplitudes"), (BellVector, "coords")],
+                             ids=["Ket4", "BellVector"])
+    def test_finite_entries_need_no_unit_norm(self, make, field):
+        for entries in (np.zeros(4), np.full(4, 2.0 + 1j), np.array([1e300, 0, 0, -1e-300])):
+            assert np.array_equal(getattr(make(entries), field), entries)
+
 
 class TestRotations:
     def test_y_rotation_matches_closed_form(self):
