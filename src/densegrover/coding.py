@@ -120,18 +120,18 @@ def _bell_column(coords: np.ndarray) -> int:
     return idx + 1
 
 
-def _preset_runs(kind: str, j: int, encoders: tuple) -> tuple[ProtocolTrace, ...]:
-    """Runs k = 1..4 of preset (kind, j): `_pipeline` of its `PRESETS` G and G^-1, encoders[k - 1]."""
+def _preset_runs(kind: str, j: int) -> tuple[ProtocolTrace, ...]:
+    """Runs k = 1..4 of preset (kind, j): `_pipeline` of its `PRESETS` G and G^-1, encoder k."""
     c = preset(kind, j)
     g, g_inv, _ = PRESETS[kind, j]
-    runs = tuple(_pipeline(g, v, g_inv, c, k) for k, v in enumerate(encoders, start=1))
+    runs = tuple(_pipeline(g, v, g_inv, c, k) for k, v in enumerate(_ENCODER_SETS[kind], start=1))
     # Injectivity of k -> label is what makes two-bit transmission work.
     if len({run.output_label for run in runs}) != 4:
         raise AssertionError(f"outcome map for preset {j} ({kind}) is not a bijection")
     return runs
 
 
-_RUNS = {(kind, j): _preset_runs(kind, j, _ENCODER_SETS[kind]) for kind, j in PRESETS}
+_RUNS = {(kind, j): _preset_runs(kind, j) for kind, j in PRESETS}
 # Each preset's starting Bell index: its column of its kind's grid.
 _COLUMNS = {key: _bell_column(runs[0].starting_bell.coords) for key, runs in _RUNS.items()}
 # Each kind's outcome grid, keyed by (starting Bell index, k): the one copy of the outcomes.

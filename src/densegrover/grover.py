@@ -1,11 +1,12 @@
 """Amplitude-amplification operator for Bell-state synthesis.
 
-The composite operator G = -U * I_s * U^-1 * I_t * U, with U a pair of
-single-spin rotations by arbitrary angles, maps each product-basis
-state to a Bell state or an equal-weight superposition of two Bell
-states.  Eight named angle presets (four per rotation axis) make G
-produce exactly the four Bell states from the up-up input.  The factor
-order is written once, in time order, as `G_FACTORS`; `build_G_pair`
+The composite operator G = -U * I_s * U^-1 * I_t * U takes U, a pair
+of single-spin rotations, at arbitrary angles.  At the eight named angle
+presets (four per rotation axis) G maps each product-basis state to a
+Bell state or an equal-weight superposition of two Bell states (Table 1),
+and produces exactly the four Bell states from the up-up input; at other
+angles a column of G is in general an unequal mix of more Bell states.
+The factor order is written once, in time order, as `G_FACTORS`; `build_G_pair`
 and `nmr`'s pulse programs read it and its inverse, `G_INVERSE_FACTORS`.
 
 The builders take arbitrary angles and compute on every call; each

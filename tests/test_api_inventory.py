@@ -10,6 +10,10 @@ The scan reads the AST, not the text: a name in a docstring, a comment
 or a string is no reference.  `module.name` counts as a read of `name`
 in `module`, and a bare name as a read of what it is bound to, through
 the module's own `from .x import` lines.
+
+Tests check `src/` through that surface.  Only the inventory files
+(`test_*_inventory.py`), which pin mechanisms that are themselves the
+contract, may read a private name of the package.
 """
 
 import ast
@@ -18,6 +22,7 @@ from pathlib import Path
 import densegrover
 
 PACKAGE = Path(densegrover.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def package_sources() -> dict:
@@ -104,3 +109,78 @@ def test_the_scan_sees_definitions_reads_and_exports():
         ("a", "unused_function"), ("a", "UnusedClass"), ("a", "in_docstring"),
         ("a", "in_comment"), ("a", "IN_STRING"), ("b", "x"),
     }
+
+
+def private(name: str) -> bool:
+    """A leading underscore, dunder names exempt."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_src_names(sources: dict) -> set:
+    """Each private top-level name of `src/`, and each name a `_store` call writes."""
+    names = set()
+    for text in sources.values():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        names.update(keyword.arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", None) == "_store" for keyword in node.keywords)
+    return set(filter(private, filter(None, names)))
+
+
+def private_reads(source: str, modules: set, names: set) -> list:
+    """(line, text) of each private read of the package in a test's source.
+
+    The three forms: `module._name` on a package module, by a name it is
+    bound to or as `densegrover.module`, `from densegrover[.x] import _name`,
+    and a string equal to one of `names`.
+    """
+    tree, bound, found = ast.parse(source), {f"densegrover.{module}" for module in modules}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "densegrover":
+            for alias in node.names:
+                if node.module == "densegrover" and alias.name in modules:
+                    bound.add(alias.asname or alias.name)
+                elif private(alias.name):
+                    found.append((node.lineno, f"from {node.module} import {alias.name}"))
+        elif isinstance(node, ast.Import):
+            bound.update(alias.asname for alias in node.names
+                         if alias.asname and alias.name.startswith("densegrover."))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in bound and private(node.attr):
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Constant) and node.value in names:
+            found.append((node.lineno, repr(node.value)))
+    return sorted(found)
+
+
+def test_no_test_outside_the_inventories_reads_a_private_name():
+    sources = package_sources()
+    modules, names = set(sources) - {"__init__"}, private_src_names(sources)
+    found = [f"{path.name}:{line}: {text}" for path in sorted(TESTS.glob("test_*.py"))
+             if not path.stem.endswith("_inventory")
+             for line, text in private_reads(path.read_text("utf-8"), modules, names)]
+    assert found == []
+
+
+def test_the_private_read_scan_sees_each_form():
+    sources = {"m": ("_TABLE = 1\ndef _helper(): pass\nclass K:\n"
+                     "    def __post_init__(self): _store(self, _built=1)\n"
+                     "    def f(self): _store(self, _kept=1, shown=2)\n")}
+    names = private_src_names(sources)
+    assert names == {"_TABLE", "_helper", "_built", "_kept"}
+    source = (
+        "import densegrover.m as alias\nfrom densegrover import m, other as o\n"
+        "from densegrover.m import _helper, K\nfrom densegrover import _TABLE\n"
+        "x = m._TABLE, o._kept, alias._helper, m.__file__, m.K, obj._TABLE, 'shown'\n"
+        "y = getattr(m, '_helper'), vars(obj)['_kept'], '_other', '__init__', densegrover.m._built\n"
+    )
+    assert private_reads(source, {"m", "other"}, names) == [
+        (3, "from densegrover.m import _helper"), (4, "from densegrover import _TABLE"),
+        (5, "alias._helper"), (5, "m._TABLE"), (5, "o._kept"),
+        (6, "'_helper'"), (6, "'_kept'"), (6, "densegrover.m._built"),
+    ]

@@ -7,7 +7,7 @@ import pytest
 
 import densegrover
 from densegrover import nmr, qstate
-from densegrover.cli import TABLE2_Y_REFERENCE, _fmt_csv_number, main
+from densegrover.cli import TABLE2_Y_REFERENCE, main
 from densegrover.nmr import gate_library, parse_sequence
 
 SRC_DIR = Path(densegrover.__file__).resolve().parents[1]
@@ -240,9 +240,9 @@ class TestSpectra:
             assert expect_usage_error(capsys, "spectra", *argv).out == "", argv
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_csv_number_rejected(self, value):
-        with pytest.raises(ValueError, match="non-finite"):
-            _fmt_csv_number(value)
+    def test_non_finite_csv_number_rejected(self, value, capsys, monkeypatch):
+        monkeypatch.setattr(nmr, "predict_spectrum", lambda *args: [nmr.SpectrumLine(1, "partner_up", value, 1j)])
+        assert "non-finite CSV value" in expect_usage_error(capsys, "spectra", "uu").err
 
     def test_non_finite_amplitude_is_a_one_line_usage_error(self, capsys, monkeypatch):
         def nan_lines(rho, spin, consts=nmr.DEFAULT_CONSTANTS):

@@ -1,10 +1,6 @@
 import dataclasses
-import os
 import pickle
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,12 +160,6 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             run_protocol(UChoice("y", 0.1, 0.2), 1)
 
-    def test_builds_no_u(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
-        run_protocol(preset("y", 2), 3)
-        assert calls == []
-
 
 def _checked_chain(g, v, g_inv):
     """Starting and encoded Bell coordinates and the measurement, one checked object per step."""
@@ -187,9 +177,15 @@ def assert_same_run(run, other):
 
 
 def stored_outcomes(kind, j):
-    """Preset (kind, j)'s starting column and labels k = 1..4, read from its kind's stored grid."""
-    column = coding._COLUMNS[kind, j]
-    return column, tuple(coding._GRIDS[kind][column, k] for k in (1, 2, 3, 4))
+    """Preset (kind, j)'s starting column and labels k = 1..4, read from its kind's table2 grid."""
+    column, grid = starting_bell_column(preset(kind, j)), table2(kind)
+    return column, tuple(grid[column, k] for k in (1, 2, 3, 4))
+
+
+def chain_run(c, k, chain):
+    """The run `run_protocol(c, k)` stands for, built from a checked chain."""
+    starting, encoded, measurement = chain
+    return coding.ProtocolTrace(c, k - 1, starting, encoded, measurement.argmax, measurement.probabilities)
 
 
 def _assert_trace_equals_chain(trace, chain):
@@ -244,19 +240,16 @@ class TestTable2:
 
     @pytest.mark.parametrize("kind", ["x", "y"])
     def test_outcomes_run_each_presets_one_g_and_its_inverse(self, kind, monkeypatch):
-        # Building a preset's runs uses the G and G^-1 built at import
-        # and builds no U; neither does table2.
-        calls, seen = [], []
+        # Each run is its preset's G and G^-1 built at import, bit for bit; a table or a run builds no U.
+        calls = []
         monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
-        monkeypatch.setattr(coding, "_pipeline",
-                            lambda g, v, g_inv, *rest, p=coding._pipeline: seen.append((g, g_inv))
-                            or p(g, v, g_inv, *rest))
         table2(kind)
         for j in (1, 2, 3, 4):
-            coding._preset_runs(kind, j, encoder_set(kind))
+            g, g_inv, _ = grover.PRESETS[kind, j]
+            for k in (1, 2, 3, 4):
+                assert_same_run(run_protocol(preset(kind, j), k),
+                                chain_run(preset(kind, j), k, _checked_chain(g, encoder(kind, k), g_inv)))
         assert calls == []
-        presets = [grover.PRESETS[kind, j] for j in (1, 2, 3, 4)]
-        assert seen == [(p.g, p.g_inverse) for p in presets for _ in range(4)]
 
     @pytest.mark.parametrize("kind", ["x", "y"])
     def test_stacked_outcomes_equal_single_runs(self, kind):
@@ -270,16 +263,6 @@ class TestTable2:
 
 
 class TestOutcomeValues:
-    @pytest.mark.parametrize("kind", ["x", "y"])
-    def test_a_table_builds_no_u_and_classifies_nothing(self, kind, monkeypatch):
-        built, classified = [], []
-        monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: built.append(c) or b(c))
-        monkeypatch.setattr(coding, "_bell_column",
-                            lambda psi0, b=coding._bell_column: classified.append(psi0) or b(psi0))
-        first = table2(kind)
-        assert table2(kind) == first
-        assert built == [] and classified == []
-
     @pytest.mark.parametrize("kind", ["x", "y"])
     def test_mutating_a_returned_grid_changes_no_later_result(self, kind):
         expected = dict(table2(kind))
@@ -304,49 +287,35 @@ class TestOutcomeValues:
 
     @pytest.mark.parametrize("kind,j", [(kind, j) for kind in ("x", "y") for j in (1, 2, 3, 4)])
     def test_values_equal_a_fresh_build(self, kind, j):
-        # Each stored run is bit-identical to a fresh _pipeline run, and the outcomes read them.
+        # Each run is bit-identical to a fresh checked chain, and the outcomes read them.
         c = preset(kind, j)
         g, g_inv, _ = grover.PRESETS[kind, j]
-        for k, (run, v) in enumerate(zip(coding._RUNS[kind, j], encoder_set(kind)), start=1):
-            assert_same_run(run, coding._pipeline(g, v, g_inv, c, k))
-        labels = tuple(run.output_label for run in coding._preset_runs(kind, j, encoder_set(kind)))
-        column = coding._bell_column(to_bell_coords(apply(g, ket_from_basis(BasisLabel.UU))).coords)
-        assert stored_outcomes(kind, j) == (column, labels)
+        chains = [_checked_chain(g, v, g_inv) for v in encoder_set(kind)]
+        for k, chain in enumerate(chains, start=1):
+            assert_same_run(run_protocol(c, k), chain_run(c, k, chain))
+        column = int(np.argmax(np.abs(chains[0][0].coords))) + 1
+        assert stored_outcomes(kind, j) == (column, tuple(chain[2].argmax for chain in chains))
 
     def test_values_hold_exactly_the_eight_presets(self):
-        assert list(coding._COLUMNS) == list(coding._RUNS) == list(grover.PRESETS)
-        assert len(coding._COLUMNS) == 8
+        assert len(grover.PRESETS) == 8
         # Each grid holds its four presets' 16 cells and nothing else.
-        assert list(coding._GRIDS) == ["x", "y"]
-        for kind, grid in coding._GRIDS.items():
-            assert list(grid) == [(coding._COLUMNS[kind, j], k) for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)]
-        assert all(len(runs) == 4 for runs in coding._RUNS.values())
+        for kind in ("x", "y"):
+            assert list(table2(kind)) == [(starting_bell_column(preset(kind, j)), k)
+                                          for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)]
         assert table2(np.str_("y")) == table2("y")
         assert decode(BasisLabel.UU, preset("y", np.int64(2))) == 1
         for kind, j in [("q", 1), ("", 2), ("Y", 1), ("y", 0), ("y", 5), ("x", -1)]:
             with pytest.raises(ValueError):
-                coding._preset_runs(kind, j, encoder_set("y"))
-
-    def test_decoder_and_table_read_one_value(self, monkeypatch):
-        # Relabelling preset x3's cells in the stored x grid shows in both readers.
-        column, labels = stored_outcomes("x", 3)
-        swapped = (labels[1], labels[0], labels[2], labels[3])
-        for k, label in enumerate(swapped, start=1):
-            monkeypatch.setitem(coding._GRIDS["x"], (column, k), label)
-        assert decode(labels[1], preset("x", 3)) == 1
-        assert decode(labels[0], preset("x", 3)) == 2
-        assert [table2("x")[(column, k)] for k in (1, 2, 3, 4)] == list(swapped)
+                preset(kind, j)
 
     def test_outcomes_are_an_immutable_tuple(self):
         # The stored grid is the one value; no entry point hands it out, so no caller can edit it.
         column, labels = stored_outcomes("y", 2)
-        assert column == starting_bell_column(preset("y", 2))
         assert labels == tuple(run_protocol(preset("y", 2), k).output_label for k in (1, 2, 3, 4))
-        stored = dict(coding._GRIDS["y"])
-        handed = table2("y")
-        assert handed is not coding._GRIDS["y"] and handed == stored
+        expected, handed = table2("y"), table2("y")
+        assert handed is not expected and handed == expected
         handed.clear()
-        assert coding._GRIDS["y"] == stored and stored_outcomes("y", 2) == (column, labels)
+        assert table2("y") == expected and stored_outcomes("y", 2) == (column, labels)
         assert [decode(label, preset("y", 2)) for label in labels] == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("kind", ["x", "y"])
@@ -372,27 +341,14 @@ class TestOutcomeValues:
         with pytest.raises(ValueError):
             decode("uu", preset("y", 1))
 
-    @pytest.mark.parametrize("kind", ["x", "y"])
-    def test_the_builder_checks_the_bijection(self, kind):
-        ops = encoder_set(kind)
-        for j in (1, 2, 3, 4):
-            with pytest.raises(AssertionError, match=re.escape(f"preset {j} ({kind}) is not a bijection")):
-                coding._preset_runs(kind, j, (ops[0], ops[0], ops[2], ops[3]))
-
 
 class TestGValues:
-    def test_ancilla_reads_g_from_y1_and_its_inverse_from_the_decoding_preset(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(coding, "_pipeline",
-                            lambda g, v, g_inv, *rest, p=coding._pipeline: seen.append((g, g_inv))
-                            or p(g, v, g_inv, *rest))
-        built = coding._ancilla_run(AncillaMessage(1, 2))
-        # Operator4 compares by identity, so these are the preset values themselves.
-        assert seen == [(grover.PRESETS["y", 1].g, grover.PRESETS["x", 1].g_inverse)]
-        stored = coding._ANCILLA_RUNS[AncillaMessage(1, 2).value]
-        assert_same_run(stored.trace, built.trace)
-        assert stored.recovered == built.recovered
-        assert run_ancilla_protocol(AncillaMessage(1, 2)).trace.encoded is stored.trace.encoded
+    def test_ancilla_reads_g_from_y1_and_its_inverse_from_the_decoding_preset(self):
+        chain = _checked_chain(grover.PRESETS["y", 1].g, encoder("x", 2), grover.PRESETS["x", 1].g_inverse)
+        result = run_ancilla_protocol(AncillaMessage(1, 2))
+        assert_same_run(result.trace, chain_run(preset("x", 1), 2, chain))
+        assert result.recovered == AncillaMessage(1, 2)
+        assert run_ancilla_protocol(AncillaMessage(1, 2)).trace.encoded is result.trace.encoded
 
     @pytest.mark.parametrize("run", [
         lambda: run_protocol(preset("y", 2), 3),
@@ -408,20 +364,6 @@ class TestGValues:
         assert calls == []
 
 
-PIPELINE_COUNT = """
-import sys
-import numpy
-runs = []
-def count(frame, event, arg):
-    if event == "call" and frame.f_code.co_name == "_pipeline":
-        runs.append(frame.f_code.co_filename)
-sys.setprofile(count)
-import densegrover
-sys.setprofile(None)
-print(len(runs), all(name.endswith("coding.py") for name in runs))
-"""
-
-
 class TestRunValues:
     """Every gate-level run is a value built at import; a call hands out a copy."""
 
@@ -432,29 +374,13 @@ class TestRunValues:
         *[lambda m=AncillaMessage.from_value(value): run_ancilla_protocol(m).trace for value in range(8)],
     ]
 
-    def test_a_call_runs_no_pipeline_measurement_or_ket(self, monkeypatch):
-        seen = []
-        for name in ("_pipeline", "measure_basis", "Ket4"):
-            monkeypatch.setattr(coding, name, lambda *args, n=name, f=getattr(coding, name):
-                                seen.append(n) or f(*args))
-        for trace_of in self.TRACES:
-            trace_of()
-        assert seen == []
-
-    def test_import_runs_the_pipeline_thirty_six_times(self):
-        # The 32 preset runs and the four x-set ancilla runs; the y-set ancilla runs are preset y1's.
-        src = Path(coding.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", PIPELINE_COUNT], env=env, capture_output=True, text=True,
-                             check=True, timeout=60).stdout
-        assert out == "36 True\n"
-
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_y_set_ancilla_runs_are_preset_y1s_runs(self, k):
-        trace = coding._ANCILLA_RUNS[AncillaMessage(0, k).value].trace
-        run = coding._RUNS["y", 1][k - 1]
+        trace = run_ancilla_protocol(AncillaMessage(0, k)).trace
+        run = run_protocol(preset("y", 1), k)
         assert ([pickle.dumps(getattr(trace, f.name)) for f in dataclasses.fields(trace)]
                 == [pickle.dumps(getattr(run, f.name)) for f in dataclasses.fields(run)])
+        assert trace.starting_bell is run.starting_bell and trace.encoded is run.encoded
         assert run_ancilla_protocol(AncillaMessage(0, k)).recovered == AncillaMessage(0, k)
 
     def test_mutating_returned_probabilities_changes_no_later_run(self):
@@ -470,8 +396,8 @@ class TestRunValues:
     def test_a_run_is_the_stored_value_under_the_callers_choice(self):
         for kind, j in grover.PRESETS:
             c = UChoice(kind, preset(kind, j).phi1, preset(kind, j).phi2)
-            for k, stored in enumerate(coding._RUNS[kind, j], start=1):
-                trace = run_protocol(c, k)
+            for k in (1, 2, 3, 4):
+                trace, stored = run_protocol(c, k), run_protocol(preset(kind, j), k)
                 assert trace is not stored and trace.u_choice is c and stored.u_choice is preset(kind, j)
                 assert trace.starting_bell is stored.starting_bell and trace.encoded is stored.encoded
                 assert_same_run(trace, stored)
@@ -480,10 +406,10 @@ class TestRunValues:
     def test_ancilla_values_equal_a_fresh_build(self, value):
         message = AncillaMessage.from_value(value)
         kind = "y" if message.set_bit == 0 else "x"
-        stored = coding._ANCILLA_RUNS[value]
-        fresh = coding._pipeline(grover.PRESETS["y", 1].g, encoder(kind, message.v_index),
-                                 grover.PRESETS[kind, 1].g_inverse, preset(kind, 1), message.v_index)
-        assert_same_run(stored.trace, fresh)
+        stored = run_ancilla_protocol(message)
+        chain = _checked_chain(grover.PRESETS["y", 1].g, encoder(kind, message.v_index),
+                               grover.PRESETS[kind, 1].g_inverse)
+        assert_same_run(stored.trace, chain_run(preset(kind, 1), message.v_index, chain))
         assert stored.recovered == message
         result = run_ancilla_protocol(message)
         assert result.recovered is stored.recovered and result.trace is not stored.trace
@@ -491,14 +417,14 @@ class TestRunValues:
 
 
 def handouts():
-    """(call, stored run, caller's choice) for all 40 runs; each choice equals its preset but is a new object."""
+    """(call, the run under its preset's own choice, caller's choice) for all 40 runs; each caller's
+    choice equals its preset but is a new object."""
     out = []
     for kind, j in grover.PRESETS:
         c = UChoice(kind, preset(kind, j).phi1, preset(kind, j).phi2)
-        out += [(lambda c=c, k=k: run_protocol(c, k), stored, c)
-                for k, stored in enumerate(coding._RUNS[kind, j], start=1)]
+        out += [(lambda c=c, k=k: run_protocol(c, k), run_protocol(preset(kind, j), k), c) for k in (1, 2, 3, 4)]
     for value in range(8):
-        stored = coding._ANCILLA_RUNS[value].trace
+        stored = run_ancilla_protocol(AncillaMessage.from_value(value)).trace
         out.append((lambda m=AncillaMessage.from_value(value): run_ancilla_protocol(m).trace, stored, stored.u_choice))
     return out
 
@@ -547,9 +473,9 @@ class TestHandedOutRecord:
     def test_from_value_returns_the_one_message_of_each_value(self):
         for value in range(8):
             message = AncillaMessage.from_value(value)
-            assert message is AncillaMessage.from_value(value) is coding._MESSAGES[value]
+            assert message is AncillaMessage.from_value(value)
             assert message == AncillaMessage(value >> 2, (value & 3) + 1) and message.value == value
-        assert len(set(map(id, coding._MESSAGES))) == 8
+        assert len({id(AncillaMessage.from_value(value)) for value in range(8)}) == 8
 
     def test_from_value_of_a_numpy_int_carries_python_ints(self):
         message = AncillaMessage.from_value(np.int64(3))

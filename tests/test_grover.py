@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from densegrover.bell import BellVector, bell_state, rotate_epr, to_bell_coords
+from densegrover.bell import BELL_ADJOINT, BellVector, bell_state, rotate_epr, to_bell_coords
 from densegrover import coding, grover
 from densegrover.grover import (
     Table1Entry,
@@ -340,6 +340,19 @@ class TestTable1:
         for entry, target in zip(entries, expected):
             assert equal_up_to_phase(entry.output, target, tol=1e-9).equal
 
+    def test_presets_make_bell_states_or_equal_pairs_and_other_angles_do_not(self):
+        def bell_or_equal_pair(coords):
+            weights = np.sort(np.abs(coords) ** 2)[::-1]
+            return any(np.abs(weights - w).max() < 1e-9 for w in ([1, 0, 0, 0], [0.5, 0.5, 0, 0]))
+
+        for axis, j in PRESETS:
+            assert all(bell_or_equal_pair(entry.output.coords) for entry in table1(preset(axis, j)))
+        rng = np.random.default_rng(RNG_SEED + 1)
+        for axis in ("x", "y"):
+            for phi1, phi2 in rng.uniform(0, 2 * np.pi, size=(200, 2)):
+                columns = (BELL_ADJOINT @ build_G(UChoice(axis, phi1, phi2)).matrix).T
+                assert not all(map(bell_or_equal_pair, columns)), (axis, phi1, phi2)
+
     def test_corner_entries(self):
         down_down = table1(preset("y", 4))[3]
         assert equal_up_to_phase(down_down.output, bell_coords(-1, 0, 0, 0), tol=1e-9).equal
@@ -445,36 +458,23 @@ class TestPresetValues:
     @pytest.mark.parametrize("axis,j", PRESETS)
     def test_values_equal_a_fresh_build_bit_for_bit(self, axis, j):
         values = grover.PRESETS[axis, j]
-        fresh = grover._build_preset(axis, j)
         g, g_inv = grover.build_G_pair(preset(axis, j))
-        for built in (fresh.g, g):
-            assert np.array_equal(values.g.matrix, built.matrix)
-        for built in (fresh.g_inverse, g_inv):
-            assert np.array_equal(values.g_inverse.matrix, built.matrix)
+        assert np.array_equal(values.g.matrix, g.matrix)
+        assert np.array_equal(values.g_inverse.matrix, g_inv.matrix)
         assert len(values.table1) == 4
-        for entry, other in zip(values.table1, fresh.table1):
-            assert entry.input is other.input
-            assert np.array_equal(entry.output.coords, other.output.coords)
-            assert entry.display == other.display
         assert_entries_equal_reference(list(values.table1), preset(axis, j))
 
     @pytest.mark.parametrize("c", [preset("y", 1)] + NEAR_Y1, ids=["y1", "near-y1-phi1", "near-y1-phi2"])
-    def test_every_preset_entry_point_hands_out_the_presets_objects(self, c, monkeypatch):
+    def test_every_preset_entry_point_hands_out_the_presets_objects(self, c):
         y1 = grover.PRESETS["y", 1]
         assert all(a is b for a, b in zip(table1(c), y1.table1))
-        seen = []
-        monkeypatch.setattr(coding, "_pipeline",
-                            lambda g, v, g_inv, *rest, p=coding._pipeline: seen.append((g, g_inv))
-                            or p(g, v, g_inv, *rest))
-        # The runs are built at import, from y1's G and G^-1; a call hands out y1's runs.
-        coding._preset_runs("y", 1, coding.encoder_set("y"))
-        assert all(g is y1.g and g_inv is y1.g_inverse for g, g_inv in seen) and len(seen) == 4
-        for k, stored in enumerate(coding._RUNS["y", 1], start=1):
-            trace = coding.run_protocol(c, k)
+        # The runs are built at import, from y1's G; a call hands out y1's runs.
+        for k in (1, 2, 3, 4):
+            trace, stored = coding.run_protocol(c, k), coding.run_protocol(preset("y", 1), k)
             assert trace.u_choice is c
             assert coding.decode(trace.output_label, c) == k
-            assert trace.encoded is stored.encoded
-        assert len(seen) == 4
+            assert trace.encoded is stored.encoded and trace.starting_bell is stored.starting_bell
+            assert np.array_equal(trace.starting_bell.coords, BELL_ADJOINT @ y1.g.matrix[:, 0])
 
     @pytest.mark.parametrize("axis,j", PRESETS)
     def test_preset_hands_out_one_choice_built_at_import(self, axis, j, monkeypatch):
@@ -544,4 +544,3 @@ class TestDisplayStrings:
 
     def test_no_tolerance_parameter(self):
         assert list(inspect.signature(bell_combination_str).parameters) == ["v"]
-        assert list(inspect.signature(grover._format_coefficient).parameters) == ["value"]

@@ -1,18 +1,29 @@
-"""The memos in `src/`: exactly the three `nmr` keeps for repeated protocol
-runs, and the four values `nmr` stores on an object after it is built.
-Beside them, the work a fresh-constants `verify --all` does: it builds no
-`Operator4` and adds no memo entry.
+"""Mechanisms that are themselves the contract, pinned by private name:
+the three `nmr` memos (`_simulate` bounded, keeping no failed call) and the
+four values `nmr` stores on an object after it is built; the work a fresh-
+constants `verify --all` or a second call of an entry point skips (`WARM_CALLS`);
+and values built at import: `_pipeline`'s 36 runs and 12 `U`s, the bijection
+check, the one Table-2 grid, the prep tail and a state's one read-out.
 
 A new `lru_cache` (or `functools.cache`), or a new `_store` outside a
 `__post_init__`, changes this inventory, so it has to change this test
 and say why.
 """
-
 import ast
+import itertools
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import densegrover
-from densegrover import nmr, qstate
+from densegrover import coding, grover, nmr, qstate
+from densegrover.coding import AncillaMessage
+from densegrover.qstate import BasisLabel
 
 SOURCES = sorted(Path(densegrover.__file__).resolve().parent.glob("*.py"))
 
@@ -105,16 +116,165 @@ def test_the_store_scan_sees_each_call_form():
                                    ("f", None), (None, "i")}
 
 
-def test_fresh_constants_verify_all_builds_no_operator_and_no_memo_entry(monkeypatch):
-    # The 13 checks read their stored fits, and the prep folds spin 2's
-    # populations with no 4x4 before its tail, so nothing is checked unitary as a 4x4.
-    built, post_init = [], qstate.Operator4.__post_init__
-    monkeypatch.setattr(qstate.Operator4, "__post_init__", lambda op: built.append(op) or post_init(op))
+def recorded(monkeypatch, targets) -> list:
+    """Patch each (owner, name) of targets to record the name on each call."""
+    ran = []
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, lambda *args, n=name, f=getattr(owner, name), **kw:
+                            ran.append(n) or f(*args, **kw))
+    return ran
+
+
+def assert_runs_none(monkeypatch, call, targets):
+    """call() builds no Operator4, misses no memo and runs none of targets."""
     memos = (nmr._simulate, nmr.protocol_sequence, nmr.equilibrium_state)
-    before = [memo.cache_info() for memo in memos]
-    consts = nmr.PhysicalConstants(nu1_hz=71e6, nu2_hz=433e6, j_hz=181.5, gamma_ratio=6.125)
-    for name, gate in nmr.GATES.items():
-        if gate.ideal is not None:
-            assert nmr.verify_realization(name, consts=consts).ok
+    before = [memo.cache_info()[1:] for memo in memos]  # misses, maxsize, currsize
+    ran = recorded(monkeypatch, [(qstate.Operator4, "__post_init__"), *targets])
+    call()
+    monkeypatch.undo()
+    assert ran == [] and [memo.cache_info()[1:] for memo in memos] == before
+
+
+UNITARY_GATES = [name for name, gate in nmr.GATES.items() if gate.ideal is not None]
+FRESH = (nmr.PhysicalConstants(nu1_hz=71e6, nu2_hz=433e6, j_hz=181.5, gamma_ratio=6.125 + n / 8)
+         for n in itertools.count())
+
+
+def verify_all():
+    """`verify --all` under constants no call has used before: the 13 checks and the prep."""
+    consts = next(FRESH)
+    assert all(nmr.verify_realization(name, consts=consts).ok for name in UNITARY_GATES)
     assert isinstance(nmr.prepare_pseudo_pure(consts), nmr.DeviationMatrix)
-    assert built == [] and [memo.cache_info() for memo in memos] == before
+
+
+def test_fresh_constants_verify_all_builds_no_operator_and_no_memo_entry(monkeypatch):
+    # The 13 checks read their stored fits, and the prep folds spin 2's populations
+    # with no 4x4 before its tail: nothing is lowered, fitted or checked unitary as a 4x4.
+    assert_runs_none(monkeypatch, verify_all, [(nmr, name) for name in (
+        "_lower_run", "_after_crush", "_superoperator", "_fold", "element_unitary", "lower", "phase_fit")])
+
+
+READ_OUT = nmr.basis_pseudo_pure(BasisLabel.DU)
+PAIRS = [(grover.preset(kind, j), k) for kind, j in grover.PRESETS for k in (1, 2, 3, 4)]
+
+# Each entry point, called once and then again: the second call runs none of these.
+WARM_CALLS = {
+    "simulate_sequence": (
+        lambda: [nmr.simulate_sequence(nmr.protocol_sequence(j, k), nmr.equilibrium_state())
+                 for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)],
+        [(nmr, name) for name in ("lower", "_lower_run", "_after_crush", "_fold", "element_unitary",
+                                  "check_hermitian")]),
+    "verify_realization": (
+        lambda: [nmr.verify_realization(name) for name in UNITARY_GATES],
+        [(nmr, name) for name in ("_lower_run", "gate_library", "phase_fit", "GateCheck")]),
+    "read-out": (
+        lambda: [nmr.predict_spectrum(READ_OUT, 1), nmr.predict_spectrum(READ_OUT, 2),
+                 nmr.spectrum_fingerprint(READ_OUT)],
+        [(nmr, name) for name in ("_amplitudes", "SpectrumLine", "Fingerprint", "lower")]),
+    "run_protocol": (
+        lambda: ([coding.run_protocol(c, k) for c, k in PAIRS]
+                 + [coding.run_ancilla_protocol(AncillaMessage.from_value(value)) for value in range(8)]),
+        [(coding, name) for name in ("_pipeline", "_bell_column", "measure_basis", "Ket4")] + [(grover, "build_U")]),
+    "tables": (
+        lambda: ([grover.table1(c) for c, _ in PAIRS] + [coding.table2(kind) for kind in ("x", "y")]
+                 + [coding.decode(BasisLabel.DU, c) for c, _ in PAIRS]),
+        [(grover, name) for name in ("_build_preset", "build_G_pair", "build_U", "bell_combination_str")]
+        + [(coding, "_bell_column"), (coding, "_pipeline"), (grover.UChoice, "__post_init__")]),
+}
+
+
+@pytest.mark.parametrize("entry", WARM_CALLS)
+def test_a_warm_call_runs_none_of_its_listed_functions(entry, monkeypatch):
+    call, targets = WARM_CALLS[entry]
+    call()
+    assert_runs_none(monkeypatch, call, targets)
+
+
+IMPORT_COUNT = """
+import sys
+runs = []
+def count(frame, event, arg):
+    if event == "call" and frame.f_code.co_name in ("_pipeline", "build_U"):
+        runs.append(frame.f_code.co_name)
+sys.setprofile(count)
+import densegrover
+sys.setprofile(None)
+print(runs.count("_pipeline"), runs.count("build_U"))
+"""
+
+
+def test_import_runs_the_pipeline_thirty_six_times():
+    # The 32 preset runs and the four x-set ancilla runs, the y-set ancilla runs being
+    # preset y1's; and 12 Us: one per preset's G pair, which every run reads, and one per U gate.
+    src = Path(densegrover.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", IMPORT_COUNT], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "36 12\n"
+
+
+@pytest.mark.parametrize("kind", ["x", "y"])
+def test_the_builder_checks_the_bijection(kind, monkeypatch):
+    # The import-time check, reached through a duplicated encoder in the kind's set.
+    ops = coding._ENCODER_SETS[kind]
+    monkeypatch.setitem(coding._ENCODER_SETS, kind, (ops[0], ops[0], ops[2], ops[3]))
+    for j in (1, 2, 3, 4):
+        with pytest.raises(AssertionError, match=re.escape(f"preset {j} ({kind}) is not a bijection")):
+            coding._preset_runs(kind, j)
+
+
+def test_decoder_and_table_read_one_value(monkeypatch):
+    # Swapping preset x3's first two cells in the stored x grid shows in both readers.
+    grid, column = coding._GRIDS["x"], coding._COLUMNS["x", 3]
+    first, second = grid[column, 1], grid[column, 2]
+    monkeypatch.setitem(grid, (column, 1), second)
+    monkeypatch.setitem(grid, (column, 2), first)
+    assert [coding.decode(label, grover.preset("x", 3)) for label in (second, first)] == [1, 2]
+    assert [coding.table2("x")[column, k] for k in (1, 2)] == [second, first]
+
+
+def test_one_state_is_read_out_once(monkeypatch):
+    # Each product with a spin's readout rows records the rows; a second read-out reads none.
+    reads = []
+
+    class Rows(np.ndarray):
+        def __matmul__(self, v):
+            return reads.append(self) or np.asarray(self) @ v
+
+    rows = tuple(np.asarray(r).view(Rows) for r in nmr._READOUT_ROWS)
+    monkeypatch.setattr(nmr, "_READOUT_ROWS", rows)
+    rho = nmr.basis_pseudo_pure(BasisLabel.DU)
+    for _ in range(2):
+        nmr.predict_spectrum(rho, 1), nmr.predict_spectrum(rho, 2), nmr.spectrum_fingerprint(rho)
+    assert [id(r) for r in reads] == [id(r) for r in rows]
+
+
+def test_the_prep_tail_is_one_read_only_value_at_every_gamma_ratio():
+    # The prep's runs after its first crush read no gamma_ratio and no J != 0.
+    tail = nmr._PREP_TAIL
+    assert tail.shape == (16, 4) and not tail.flags.writeable
+    with pytest.raises(ValueError):
+        tail[0, 0] = 0.0
+    for consts in (nmr.PhysicalConstants(gamma_ratio=0.75), nmr.PhysicalConstants(gamma_ratio=9.0),
+                   nmr.PhysicalConstants(j_hz=37.5)):
+        _, *rest = nmr.gate_library("pseudo-pure-prep", consts=consts).segments
+        assert rest == list(nmr._PREP_AFTER_ALPHA.segments[1:])
+        assert nmr._after_crush(tuple(rest), consts).tobytes() == tail.tobytes()
+
+
+def test_each_memo_is_bounded_and_keeps_no_failed_call():
+    rng = np.random.default_rng(4747)
+    seq = nmr.protocol_sequence(1, 4)
+    for _ in range(2 * nmr._PROGRAMS):
+        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        nmr.simulate_sequence(seq, nmr.DeviationMatrix(raw + raw.conj().T - np.trace(raw).real / 2 * np.eye(4)))
+    assert nmr._simulate.cache_info().currsize <= nmr._PROGRAMS
+    # At J = 0 lowering raises at the first n/dJ delay, so no J = 0 entry is stored.
+    uncoupled = nmr.PhysicalConstants(j_hz=0.0)
+    seq, rho0 = nmr.protocol_sequence(2, 3, uncoupled), nmr.equilibrium_state(uncoupled)
+    nmr._simulate.cache_clear()
+    for _ in range(3):
+        nmr.simulate_sequence(seq, rho0)
+        with pytest.raises(ValueError, match=re.escape("delay 1/4J is undefined for an uncoupled")):
+            nmr.simulate_sequence(seq, rho0, uncoupled)
+        assert nmr._simulate.cache_info().currsize == 1

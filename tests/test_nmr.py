@@ -364,7 +364,7 @@ class TestRefocusing:
     def programs(self):
         # (gate, its ideal, the library program, the same gate with one bare delay)
         i_s = gate_library("I_s").elements
-        assert i_s[:4] == nmr._REFOCUSED_HALF_J
+        assert i_s[:4] == (Delay("1/4J"), Rf("both", "x", "pi"), Delay("1/4J"), Rf("both", "x", "-pi"))
         return [
             ("I_s", grover.PHASE_SHIFT_S.matrix, i_s, (Delay("1/2J"),) + i_s[4:]),
             ("I_t", grover.SIGN_FLIP_TARGET.matrix, gate_library("I_t").elements, (Delay("1/J"),)),
@@ -567,17 +567,6 @@ class TestVerifierMemo:
             assert prep.entries.tobytes() == prep_by_program(consts).entries.tobytes()
             built.clear()
 
-    def test_fresh_constants_lower_and_fit_nothing(self, monkeypatch):
-        for name in UNITARY_GATES:
-            assert verify_realization(name).ok
-        lowered, fitted = [], []
-        monkeypatch.setattr(nmr, "lower", lambda *args: lowered.append(args) or lower(*args))
-        monkeypatch.setattr(nmr, "phase_fit", lambda *args: fitted.append(args) or phase_fit(*args))
-        fresh = PhysicalConstants(nu1_hz=81e6, nu2_hz=402e6, j_hz=151.125, gamma_ratio=1.875)
-        for name in UNITARY_GATES:
-            assert verify_realization(name, consts=fresh).ok
-        assert lowered == [] and fitted == []
-
     def test_domain_errors_survive_a_warm_memo(self):
         for name in UNITARY_GATES:
             assert verify_realization(name, consts=PhysicalConstants(j_hz=300.0)).ok
@@ -609,7 +598,7 @@ class TestStoredCheck:
     def test_a_unitary_gate_reads_no_program(self, monkeypatch):
         # The fit and the program's first n/dJ delay were derived at import, so
         # a call neither assembles nor lowers the gate's program, at any J.
-        assembled, lowered = recorded(monkeypatch, "gate_library"), recorded(monkeypatch, "_lower_run")
+        assembled, lowered = recorded(monkeypatch, "gate_library"), recorded(monkeypatch, "lower")
         uncoupled = PhysicalConstants(j_hz=0.0)
         first_delays = {"I_t": "1/2J", "I_s": "1/4J"}
         for consts in (DEFAULT_CONSTANTS, *fresh_prep_constants(5, RNG_SEED + 81), uncoupled):
@@ -648,11 +637,13 @@ class TestStoredCheck:
             verify_realization("I_s", tol=tol)
         assert verify_realization("I_s") is check
 
-    def test_a_pickled_gate_carries_no_check(self):
-        verify_realization("V2")
+    def test_a_pickled_gate_carries_no_check(self, monkeypatch):
+        check = verify_realization("V2")
         loaded = pickle.loads(pickle.dumps(GATES["V2"]))
-        assert hasattr(GATES["V2"], "_check") and not hasattr(loaded, "_check")
-        assert loaded.fit == GATES["V2"].fit
+        assert set(vars(loaded)) == {"pulses", "ideal", "fit"} and loaded.fit == GATES["V2"].fit
+        monkeypatch.setitem(GATES, "V2", loaded)
+        again = verify_realization("V2")
+        assert again is not check and again == check and verify_realization("V2") is again
 
 
 class TestPseudoPure:
@@ -815,30 +806,20 @@ class TestSpectra:
         # The lines are the state's stored ones, which carry the int spin.
         assert all(type(line.spin) is int and line.spin == 2 for line in lines)
 
-    def test_warm_spectrum_lowers_nothing(self, monkeypatch):
-        rho = basis_pseudo_pure(BasisLabel.UD)
-        expected = [predict_spectrum(rho, spin) for spin in (1, 2)]
-        calls = []
-        monkeypatch.setattr(nmr, "lower", lambda *args: calls.append(args) or lower(*args))
-        assert [predict_spectrum(rho, spin) for spin in (1, 2)] == expected
-        assert calls == []
-
-
-    def test_one_state_is_read_out_once(self, monkeypatch):
-        rho = basis_pseudo_pure(BasisLabel.DU)
-        reads = recorded_readouts(monkeypatch)
-        predict_spectrum(rho, 1)
-        predict_spectrum(rho, 2)
-        spectrum_fingerprint(rho)
-        assert reads == [1, 2]
-
     def test_stored_amplitudes_are_bitwise_each_spins_readout(self):
+        # Per spin, the (partner-up, partner-down) coherence rows of its readout gate's map,
+        # rho[2, 0], rho[3, 1] (spin 1) or rho[1, 0], rho[3, 2] (spin 2), over the uu reference's.
+        rows = []
+        for name, coherences in (("readout-carbon", [8, 13]), ("readout-proton", [4, 14])):
+            (u,) = lower(GATES[name].pulses)
+            readout = np.kron(u, u.conj())[coherences]
+            rows.append(readout / (readout[0] @ basis_pseudo_pure(BasisLabel.UU).entries.reshape(16)))
         states = [basis_pseudo_pure(label) for label in BasisLabel]
         states += [simulate_sequence(protocol_sequence(j, k), equilibrium_state())
                    for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)]
         for rho in states:
             for spin in (1, 2):
-                expected = (nmr._READOUT_ROWS[spin - 1] @ rho.entries.reshape(16)).tolist()
+                expected = (rows[spin - 1] @ rho.entries.reshape(16)).tolist()
                 assert [line.amplitude for line in predict_spectrum(rho, spin)] == expected
 
     def test_each_call_returns_a_fresh_list(self):
@@ -859,11 +840,10 @@ class TestSpectra:
         rho = simulate_sequence(protocol_sequence(3, 2), equilibrium_state())
         lines = [predict_spectrum(rho, spin) for spin in (1, 2)]
         fingerprint = spectrum_fingerprint(rho)
-        reads = recorded_readouts(monkeypatch)
         built = recorded(monkeypatch, "SpectrumLine") + recorded(monkeypatch, "Fingerprint")
         assert spectrum_fingerprint(rho) is fingerprint
         assert [predict_spectrum(rho, spin) for spin in (1, 2)] == lines
-        assert reads == [] and built == []
+        assert built == []
 
     def test_lines_follow_the_j_last_asked(self):
         rho = simulate_sequence(protocol_sequence(1, 4), equilibrium_state())
@@ -1250,32 +1230,9 @@ class TestLowering:
         prep_b = gate_library("pseudo-pure-prep", consts=b)
         first_a, *rest_a = prep_a.segments
         first_b, *rest_b = prep_b.segments
-        assert first_a != first_b and rest_a == rest_b == list(nmr._PREP_AFTER_ALPHA.segments[1:])
-        # One read-only tail, the map of those runs at either constants, serves both.
-        for rest, consts in ((rest_a, a), (rest_b, b)):
-            assert nmr._after_crush(tuple(rest), consts).tobytes() == nmr._PREP_TAIL.tobytes()
-        assert not nmr._PREP_TAIL.flags.writeable
+        assert first_a != first_b and rest_a == rest_b == list(gate_library("pseudo-pure-prep").segments[1:])
         assert np.abs(transfer_of(prep_a, a) - transfer_of(prep_b, b)).max() > 1e-3
 
-    def test_fresh_constants_build_only_the_prep_pulse(self, monkeypatch):
-        calls = []
-
-        def counted(e, consts=DEFAULT_CONSTANTS):
-            calls.append(e)
-            return element_unitary(e, consts)
-
-        def verify_all(consts):
-            for name in UNITARY_GATES:
-                assert verify_realization(name, consts=consts).ok
-            return prepare_pseudo_pure(consts)
-
-        verify_all(DEFAULT_CONSTANTS)
-        monkeypatch.setattr(nmr, "element_unitary", counted)
-        fresh = PhysicalConstants(nu1_hz=77e6, nu2_hz=333e6, j_hz=123.25, gamma_ratio=2.345)
-        prep = verify_all(fresh)
-        # The prep pulse is folded as spin 2's rotation: no element is built.
-        assert calls == []
-        assert prep.entries.tobytes() == prep_by_program(fresh).entries.tobytes()
 
 
 def superoperator_reference(seq, consts=DEFAULT_CONSTANTS):
@@ -1291,23 +1248,40 @@ def superoperator_reference(seq, consts=DEFAULT_CONSTANTS):
     return t
 
 
+# I and 15 traceless Hermitian matrices: a basis of the 4x4 matrices.
+UNITS = np.eye(16, dtype=complex).reshape(16, 4, 4)
+HERMITIAN_BASIS = [np.eye(4, dtype=complex)] + [UNITS[5 * k] - UNITS[5 * k + 5] for k in range(3)] + [
+    c * UNITS[4 * a + b] + np.conj(c) * UNITS[4 * b + a] for a in range(4) for b in range(a + 1, 4) for c in (1, 1j)]
+
+
 def transfer_of(seq, consts=DEFAULT_CONSTANTS):
-    """The 16x16 transfer matrix of `seq` under `consts`: column k is the
-    k-th basis vector of vec(rho) taken through `_fold`, the fold the simulator uses."""
-    first, *later = seq.segments
-    u, tail = nmr._lower_run(first, consts), nmr._after_crush(later, consts) if later else None
-    return np.stack([nmr._fold(u, tail, basis) for basis in np.eye(16)], axis=1)
+    """The 16x16 transfer matrix of `seq` under `consts`, read off `simulate_sequence`: the
+    map is linear and unital, so its images of I and 15 traceless Hermitian states fix it."""
+    images = [HERMITIAN_BASIS[0]] + [simulate_sequence(seq, DeviationMatrix(m), consts).entries
+                                     for m in HERMITIAN_BASIS[1:]]
+    return np.stack(images).reshape(16, 16).T @ np.linalg.inv(np.stack(HERMITIAN_BASIS).reshape(16, 16).T)
+
+
+POPULATIONS = [0, 5, 10, 15]  # the row-major vec indices of rho[i, i], all a crush keeps
+
+
+def population_map(units):
+    """The 16x4 map from the populations a crush leaves through runs with net unitaries
+    `units`, crushed between each pair, by the population columns of kron(u, conj u)."""
+    t = np.eye(16)[:, POPULATIONS]
+    for u in units:
+        t = np.kron(u, u.conj())[:, POPULATIONS] @ t[POPULATIONS]
+    return t
 
 
 def map_product(seq, rho, consts=DEFAULT_CONSTANTS):
     """The state by the map fold the state fold replaced: the 16x16 map
     `tail @ rows` of a program whose first run a crush follows, then that
     map times vec(rho)."""
-    first, *later = seq.segments
+    first, *later = lower(seq, consts)
     assert later, "a crush follows the first run"
-    u = nmr._lower_run(first, consts)
-    rows = (u[:, :, None] * u.conj()[:, None, :]).reshape(4, 16)
-    return ((nmr._after_crush(later, consts) @ rows) @ rho.entries.reshape(16)).reshape(4, 4)
+    rows = (first[:, :, None] * first.conj()[:, None, :]).reshape(4, 16)
+    return ((population_map(later) @ rows) @ rho.entries.reshape(16)).reshape(4, 4)
 
 
 def prep_by_program(consts):
@@ -1321,23 +1295,6 @@ def recorded(monkeypatch, name) -> list:
     calls, original = [], getattr(nmr, name)
     monkeypatch.setattr(nmr, name, lambda *args: calls.append(args) or original(*args))
     return calls
-
-
-def recorded_readouts(monkeypatch) -> list:
-    """Patch nmr._READOUT_ROWS so each product with a spin's rows records the spin."""
-    reads = []
-
-    class Rows:
-        def __init__(self, spin, rows):
-            self.spin, self.rows = spin, rows
-
-        def __matmul__(self, v):
-            reads.append(self.spin)
-            return self.rows @ v
-
-    monkeypatch.setattr(nmr, "_READOUT_ROWS", tuple(
-        Rows(spin, rows) for spin, rows in enumerate(nmr._READOUT_ROWS, start=1)))
-    return reads
 
 
 class TestTransfer:
@@ -1360,38 +1317,11 @@ class TestTransfer:
     def test_prep_tail_and_memoised_state_are_read_only(self):
         seq = protocol_sequence(1, 2)
         assert transfer_of(seq).shape == (16, 16)
-        tail = nmr._PREP_TAIL
         state = simulate_sequence(seq, equilibrium_state()).entries
-        assert tail.shape == (16, 4)
-        for shared in (tail, state):
+        for shared in (prepare_pseudo_pure(COUPLED).entries, state):
             assert not shared.flags.writeable
             with pytest.raises(ValueError):
                 shared[0, 0] = 0.0
-
-    def test_warm_simulation_lowers_nothing(self, monkeypatch):
-        rho = equilibrium_state()
-        expected = {(j, k): simulate_sequence(protocol_sequence(j, k), rho).entries
-                    for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)}
-        lowered, runs = recorded(monkeypatch, "lower"), recorded(monkeypatch, "_lower_run")
-        for (j, k), entries in expected.items():
-            out = simulate_sequence(protocol_sequence(j, k), rho)
-            assert np.array_equal(out.entries, entries)
-        assert lowered == [] and runs == []
-
-    def test_fresh_constants_prep_lowers_only_its_alpha_pulse(self, monkeypatch):
-        prepare_pseudo_pure(DEFAULT_CONSTANTS)
-        memos = (nmr._simulate, equilibrium_state)
-        before = [memo.cache_info() for memo in memos]
-        runs, tails = recorded(monkeypatch, "_lower_run"), recorded(monkeypatch, "_after_crush")
-        maps, built = recorded(monkeypatch, "_superoperator"), recorded(monkeypatch, "element_unitary")
-        fresh = PhysicalConstants(nu1_hz=61e6, nu2_hz=377e6, j_hz=97.5, gamma_ratio=4.125)
-        prep = prepare_pseudo_pure(fresh)
-        # The prep builds no element, not even its alpha pulse, lowers no run,
-        # reads the tail value, builds no 16x16 map and touches no memo.
-        assert built == [] and runs == [] and tails == [] and maps == []
-        assert [memo.cache_info() for memo in memos] == before
-        monkeypatch.undo()
-        assert prep.entries.tobytes() == prep_by_program(fresh).entries.tobytes()
 
     def test_equal_programs_built_apart_hash_and_compare_equal(self):
         seq = protocol_sequence(2, 3)
@@ -1444,25 +1374,6 @@ class TestStateMemo:
         assert second.entries.tobytes() == first.entries.tobytes()
         assert len(checks) == 1
         assert simulate_sequence(seq, twin) is second and len(checks) == 1
-
-    def test_memo_is_bounded(self):
-        rng = np.random.default_rng(RNG_SEED + 47)
-        seq = protocol_sequence(1, 4)
-        for _ in range(2 * nmr._PROGRAMS):
-            simulate_sequence(seq, random_deviation(rng))
-        assert nmr._simulate.cache_info().currsize <= nmr._PROGRAMS
-
-    def test_uncoupled_pair_stores_no_state(self):
-        # At J = 0 lowering raises at the first n/dJ delay, so no J = 0 entry is stored.
-        uncoupled = PhysicalConstants(j_hz=0.0)
-        seq, rho0 = protocol_sequence(2, 3, uncoupled), equilibrium_state(uncoupled)
-        nmr._simulate.cache_clear()
-        simulate_sequence(seq, rho0)
-        assert nmr._simulate.cache_info().currsize == 1
-        for _ in range(3):
-            with pytest.raises(ValueError, match=re.escape("delay 1/4J is undefined for an uncoupled")):
-                simulate_sequence(seq, rho0, uncoupled)
-            assert nmr._simulate.cache_info().currsize == 1
 
     def test_uncoupled_pair_raises_on_every_call_after_a_warm_coupled_call(self):
         seq, rho0 = protocol_sequence(2, 3), equilibrium_state()
@@ -1533,33 +1444,32 @@ class TestFold:
             assert np.abs(t - superoperator_reference(seq, consts)).max() < 1e-12, seq.to_text()
 
     def test_after_crush_is_byte_identical_to_the_superoperator_columns(self, monkeypatch):
-        # The map after a crush, built from each run's population columns, against
-        # the full 16x16 `_superoperator` of each run cut to those columns.
-        def by_superoperator(runs, consts):
-            t = np.eye(16)[:, nmr._POPULATIONS]
-            for run in runs:
-                u = nmr._lower_run(run, consts)
-                t = nmr._superoperator(u)[:, nmr._POPULATIONS] @ t[nmr._POPULATIONS]
-            return t
+        # A program that opens with a crush is the map of its later runs, built from each run's
+        # population columns, times the populations: byte for byte the kron columns' product.
+        gen = np.random.default_rng(RNG_SEED + 80)
+
+        def assert_bytes(elements, consts):
+            rho = random_deviation(gen)
+            got = simulate_sequence(PulseSequence((Gradient(), *elements)), rho, consts).entries
+            expected = population_map(lower(PulseSequence(elements), consts)) @ np.diag(rho.entries)
+            assert got.tobytes() == expected.reshape(4, 4).tobytes(), elements
 
         rng = random.Random(RNG_SEED + 79)
         tails = 0
         for j_hz in (215.0, 37.5):
-            consts = PhysicalConstants(j_hz=j_hz)
             for index in range(200):
-                _, *later = random_program(rng, index).segments
-                tails += len(later) > 1
-                got = nmr._after_crush(later, consts)
-                assert got.tobytes() == by_superoperator(later, consts).tobytes(), later
+                seq = random_program(rng, index)
+                tails += len(seq.segments) > 1
+                assert_bytes(seq.elements, PhysicalConstants(j_hz=j_hz))
         assert tails > 200
-        # On 200 random unitaries, two runs at a time; each run stands for its own unitary.
-        gen = np.random.default_rng(RNG_SEED + 80)
-        monkeypatch.setattr(nmr, "_lower_run", lambda run, consts: run)
-        for _ in range(100):
-            runs = [np.linalg.qr(gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4)))[0]
-                    for _ in range(2)]
-            got = nmr._after_crush(runs, DEFAULT_CONSTANTS)
-            assert got.tobytes() == by_superoperator(runs, DEFAULT_CONSTANTS).tobytes()
+        # On 200 random unitaries, two runs at a time; each run is one pulse standing for its unitary.
+        unitaries = {}
+        monkeypatch.setattr(nmr, "element_unitary", lambda e, consts=DEFAULT_CONSTANTS: unitaries[e])
+        for index in range(100):
+            pulses = [Rf(1, "x", f"{2 * index + n + 1}e-200") for n in range(2)]
+            for e in pulses:
+                unitaries[e] = np.linalg.qr(gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4)))[0]
+            assert_bytes((pulses[0], Gradient(), pulses[1]), DEFAULT_CONSTANTS)
 
     def test_uncoupled_pair_raises_what_the_element_fold_raises_first(self):
         # Lowering raises at J = 0, so it must name the program's first n/dJ
@@ -1592,7 +1502,7 @@ class TestFold:
     def test_every_run_is_checked_unitary(self, monkeypatch, run):
         monkeypatch.setattr(nmr, "element_unitary", lambda e, consts=DEFAULT_CONSTANTS: 2 * np.eye(4))
         with pytest.raises(ValueError, match="unitarity"):
-            nmr._lower_run(run, DEFAULT_CONSTANTS)
+            lower(PulseSequence(run))
 
 
 class TestPrepBlock:
@@ -1643,20 +1553,15 @@ class TestPrepBlock:
         out = prepare_pseudo_pure(consts)
         assert isinstance(out, DeviationMatrix) and not out.entries.flags.writeable
         # The thermal start, gamma_ratio forged past `PhysicalConstants`' check, is refused
-        # as a deviation matrix with a non-finite entry is, after J and before the tail is read.
-        with monkeypatch.context() as m:
-            m.setattr(nmr, "_PREP_TAIL", None)
-            with pytest.raises(ValueError, match="^deviation matrix must be Hermitian$"):
-                prepare_pseudo_pure(forged_constants(j_hz=97.5, gamma_ratio=np.inf))
-            with pytest.raises(ValueError, match="uncoupled pair"):
-                prepare_pseudo_pure(forged_constants(j_hz=0.0, gamma_ratio=np.inf))
-        # The result is checked: a tail that moves its trace is refused (one that skews
-        # it, by test_result_is_checked_hermitian).
-        shifted = np.array(nmr._PREP_TAIL)
-        shifted[0, 0] += 1.0
-        monkeypatch.setattr(nmr, "_PREP_TAIL", shifted)
-        with pytest.raises(ValueError, match="^deviation matrix must have trace 0$"):
-            prepare_pseudo_pure(consts)
+        # as a deviation matrix with a non-finite entry is, after J.
+        with pytest.raises(ValueError, match="^deviation matrix must be Hermitian$"):
+            prepare_pseudo_pure(forged_constants(j_hz=97.5, gamma_ratio=np.inf))
+        with pytest.raises(ValueError, match="uncoupled pair"):
+            prepare_pseudo_pure(forged_constants(j_hz=0.0, gamma_ratio=np.inf))
+        # The result is checked, for trace 0 and Hermiticity, as a deviation matrix.
+        checked = recorded(monkeypatch, "check_hermitian")
+        out = prepare_pseudo_pure(consts)
+        assert [(m.tobytes(), rest) for m, *rest in checked] == [(out.entries.tobytes(), [0, "deviation matrix"])]
 
     def test_fresh_constants_leave_the_equilibrium_memo_alone(self):
         before = equilibrium_state.cache_info()
@@ -1671,10 +1576,9 @@ class TestPrepBlock:
             assert np.abs(prepare_pseudo_pure(consts).entries - expected).max() < 1e-15
 
     def test_result_is_checked_hermitian(self, monkeypatch):
-        # Feeds the first population into rho[0, 1] alone: trace kept, Hermiticity lost.
-        skewed = np.array(nmr._PREP_TAIL)
-        skewed[1, 0] += 1.0
-        monkeypatch.setattr(nmr, "_PREP_TAIL", skewed)
+        # The result's check refuses it once rho[0, 1] is skewed: trace kept, Hermiticity lost.
+        skew = np.triu(np.ones((4, 4)), 1)
+        monkeypatch.setattr(nmr, "check_hermitian", lambda m, *rest: qstate.check_hermitian(m + skew, *rest))
         with pytest.raises(ValueError, match="deviation matrix must be Hermitian"):
             prepare_pseudo_pure(PhysicalConstants(gamma_ratio=2.0))
 
@@ -1712,7 +1616,7 @@ class TestLibraryValues:
         # No delay in seconds, the condition under which one lowering serves every J != 0.
         programs = [gate.pulses for gate in GATES.values() if gate.pulses is not None]
         assert len(programs) == len(GATES) - 1
-        programs.append(nmr._PREP_AFTER_ALPHA)
+        programs.append(PulseSequence(gate_library("pseudo-pure-prep").elements[1:]))
         assert not any(isinstance(e, Delay) and e.j_fraction is None for seq in programs for e in seq)
         for consts in sweep_constants(20, RNG_SEED + 83):
             for seq in programs:
@@ -1855,13 +1759,19 @@ class TestBuildOnce:
                 assert r == e and hash(r) == hash(e) and repr(r) == repr(e)
                 assert dataclasses.replace(e) == e and hash(dataclasses.replace(e)) == hash(e)
 
-    def test_elements_hash_their_fields_and_only_a_program_stores_its_hash(self):
-        # An element's hash is the dataclass's own, of its fields tuple; a program,
-        # `_simulate`'s memo key, keeps the hash of its elements beside its fields.
-        for seq in library_and_protocol_programs():
+    def test_elements_hash_their_fields_and_only_a_program_stores_its_hash(self, monkeypatch):
+        # An element's hash is the dataclass's own, of its fields tuple, and it stores only its
+        # derived value; a program, the simulation memo's key, keeps the hash of its elements.
+        programs = library_and_protocol_programs()
+        for seq in programs:
             for e in seq:
-                assert hash(e) == hash(dataclasses.astuple(e)) and "_hash" not in vars(e)
-            assert hash(seq) == vars(seq)["_hash"] == hash(seq.elements)
+                assert hash(e) == hash(dataclasses.astuple(e))
+                assert set(vars(e)) - {f.name for f in dataclasses.fields(e)} <= {"angle_rad", "j_fraction"}
+            assert hash(seq) == hash(seq.elements)
+        hashed = []
+        for cls in (Rf, Delay, Gradient):
+            monkeypatch.setattr(cls, "__hash__", lambda e, h=cls.__hash__: hashed.append(e) or h(e))
+        assert [hash(seq) for seq in programs] and hashed == []
 
     def test_replace_derives_and_validates_again(self):
         rf = dataclasses.replace(Rf(1, "x", "pi/2"), angle="-3pi/4")
@@ -1925,10 +1835,8 @@ print(nmr.simulate_sequence(pickle.loads(pickle.dumps(seq)), nmr.equilibrium_sta
         assert not loaded.entries.flags.writeable
         # None of the read-out stored on rho (amplitudes, lines, fingerprint) travels with it.
         assert set(vars(loaded)) == {"entries"}
-        reads = recorded_readouts(monkeypatch)
         assert predict_spectrum(loaded, 1) == spectrum
         assert spectrum_fingerprint(loaded) == fingerprint and spectrum_fingerprint(loaded) is not fingerprint
-        assert reads == [1, 2]
 
         class Forged:
             def __reduce__(self):

@@ -55,6 +55,12 @@ def test_qstate_names_exactly_the_expected_tolerances():
     assert {name: getattr(qstate, name) for name in TOLERANCES} == TOLERANCES
 
 
+def test_only_the_phase_match_and_the_verifier_take_a_tolerance():
+    takes = {(path.stem, node.name) for path in SOURCES for node in ast.walk(ast.parse(path.read_text("utf-8")))
+             if isinstance(node, ast.FunctionDef) and "tol" in [a.arg for a in node.args.args + node.args.kwonlyargs]}
+    assert takes == {("qstate", "equal_up_to_phase"), ("nmr", "verify_realization")}
+
+
 def test_the_scan_sees_each_literal_form():
     tree = ast.parse(
         "A = 1e-9\nB: float = 2e-12\nC = 0.5\nZERO = 0.0\nN = 7\n"

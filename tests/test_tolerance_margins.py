@@ -65,7 +65,7 @@ def display_terms(coords) -> tuple:
 def line_ratios(rho) -> list:
     """Per spin, spectrum_fingerprint's (dominant line, weaker/dominant, imaginary/dominant)."""
     ratios = []
-    for amplitudes in nmr._amplitudes(rho):
+    for amplitudes in ([line.amplitude for line in nmr.predict_spectrum(rho, spin)] for spin in (1, 2)):
         line = int(abs(amplitudes[1]) > abs(amplitudes[0]))
         dominant = amplitudes[line]
         ratios.append((abs(dominant), abs(amplitudes[1 - line]) / abs(dominant),
