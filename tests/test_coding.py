@@ -160,6 +160,12 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             run_protocol(UChoice("y", 0.1, 0.2), 1)
 
+    def test_builds_no_u(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
+        run_protocol(preset("y", 2), 3)
+        assert calls == []
+
 
 def _checked_chain(g, v, g_inv):
     """Starting and encoded Bell coordinates and the measurement, one checked object per step."""
@@ -263,6 +269,16 @@ class TestTable2:
 
 
 class TestOutcomeValues:
+    @pytest.mark.parametrize("kind", ["x", "y"])
+    def test_a_table_builds_no_u_and_classifies_nothing(self, kind, monkeypatch):
+        # At CLASSIFY_TOL = -1 no start classifies as a pure Bell state, so a table that classified would raise.
+        built = []
+        monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: built.append(c) or b(c))
+        monkeypatch.setattr(coding, "CLASSIFY_TOL", -1.0)
+        first = table2(kind)
+        assert table2(kind) == first
+        assert built == []
+
     @pytest.mark.parametrize("kind", ["x", "y"])
     def test_mutating_a_returned_grid_changes_no_later_result(self, kind):
         expected = dict(table2(kind))
@@ -373,6 +389,16 @@ class TestRunValues:
           for kind in ("x", "y") for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)],
         *[lambda m=AncillaMessage.from_value(value): run_ancilla_protocol(m).trace for value in range(8)],
     ]
+
+    def test_a_call_runs_no_pipeline_measurement_or_ket(self, monkeypatch):
+        # A run measures a Ket4 and reads its two Bell vectors once, at import.
+        seen = []
+        for owner, name in ((coding, "measure_basis"), (coding, "Ket4"), (coding.bell, "BellVector")):
+            monkeypatch.setattr(owner, name, lambda *args, n=name, f=getattr(owner, name):
+                                seen.append(n) or f(*args))
+        for trace_of in self.TRACES:
+            trace_of()
+        assert seen == []
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_y_set_ancilla_runs_are_preset_y1s_runs(self, k):

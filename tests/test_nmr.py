@@ -567,6 +567,13 @@ class TestVerifierMemo:
             assert prep.entries.tobytes() == prep_by_program(consts).entries.tobytes()
             built.clear()
 
+    def test_fresh_constants_lower_and_fit_nothing(self, monkeypatch):
+        assert all(verify_realization(name).ok for name in UNITARY_GATES)
+        lowered, fitted = recorded(monkeypatch, "lower"), recorded(monkeypatch, "phase_fit")
+        fresh = PhysicalConstants(nu1_hz=81e6, nu2_hz=402e6, j_hz=151.125, gamma_ratio=1.875)
+        assert all(verify_realization(name, consts=fresh).ok for name in UNITARY_GATES)
+        assert lowered == [] and fitted == []
+
     def test_domain_errors_survive_a_warm_memo(self):
         for name in UNITARY_GATES:
             assert verify_realization(name, consts=PhysicalConstants(j_hz=300.0)).ok
@@ -1233,6 +1240,15 @@ class TestLowering:
         assert first_a != first_b and rest_a == rest_b == list(gate_library("pseudo-pure-prep").segments[1:])
         assert np.abs(transfer_of(prep_a, a) - transfer_of(prep_b, b)).max() > 1e-3
 
+    def test_fresh_constants_build_only_the_prep_pulse(self, monkeypatch):
+        assert all(verify_realization(name).ok for name in UNITARY_GATES)
+        built = recorded(monkeypatch, "element_unitary")
+        fresh = PhysicalConstants(nu1_hz=77e6, nu2_hz=333e6, j_hz=123.25, gamma_ratio=2.345)
+        assert all(verify_realization(name, consts=fresh).ok for name in UNITARY_GATES)
+        prep = prepare_pseudo_pure(fresh)
+        # The prep pulse is folded as spin 2's rotation: no element is built.
+        assert built == []
+        assert prep.entries.tobytes() == prep_by_program(fresh).entries.tobytes()
 
 
 def superoperator_reference(seq, consts=DEFAULT_CONSTANTS):
@@ -1323,6 +1339,21 @@ class TestTransfer:
             with pytest.raises(ValueError):
                 shared[0, 0] = 0.0
 
+    def test_fresh_constants_prep_lowers_only_its_alpha_pulse(self, monkeypatch):
+        prepare_pseudo_pure(DEFAULT_CONSTANTS)
+        memos = (protocol_sequence, equilibrium_state)
+        before = [memo.cache_info() for memo in memos]
+        built, lowered = recorded(monkeypatch, "element_unitary"), recorded(monkeypatch, "lower")
+        simulated = recorded(monkeypatch, "simulate_sequence")
+        fresh = PhysicalConstants(nu1_hz=61e6, nu2_hz=377e6, j_hz=97.5, gamma_ratio=4.125)
+        prep = prepare_pseudo_pure(fresh)
+        # The prep builds no element, not even its alpha pulse, lowers and
+        # simulates no program and touches no memo.
+        assert built == [] and lowered == [] and simulated == []
+        assert [memo.cache_info() for memo in memos] == before
+        monkeypatch.undo()
+        assert prep.entries.tobytes() == prep_by_program(fresh).entries.tobytes()
+
     def test_equal_programs_built_apart_hash_and_compare_equal(self):
         seq = protocol_sequence(2, 3)
         rebuilt = parse_sequence(seq.to_text())
@@ -1374,6 +1405,24 @@ class TestStateMemo:
         assert second.entries.tobytes() == first.entries.tobytes()
         assert len(checks) == 1
         assert simulate_sequence(seq, twin) is second and len(checks) == 1
+
+    def test_memo_is_bounded(self):
+        # Far more starts than the memo keeps: the last is a hit, the first is built again.
+        rng = np.random.default_rng(RNG_SEED + 47)
+        seq, starts = protocol_sequence(1, 4), [random_deviation(rng) for _ in range(1024)]
+        states = [simulate_sequence(seq, rho) for rho in starts]
+        assert simulate_sequence(seq, starts[-1]) is states[-1]
+        assert simulate_sequence(seq, starts[0]) is not states[0]
+
+    def test_uncoupled_pair_stores_no_state(self):
+        # At J = 0 lowering raises at the first n/dJ delay, so no J = 0 entry is stored.
+        uncoupled = PhysicalConstants(j_hz=0.0)
+        seq, rho0 = protocol_sequence(2, 3, uncoupled), equilibrium_state(uncoupled)
+        warm = simulate_sequence(seq, rho0)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=re.escape("delay 1/4J is undefined for an uncoupled")):
+                simulate_sequence(seq, rho0, uncoupled)
+            assert simulate_sequence(seq, rho0) is warm
 
     def test_uncoupled_pair_raises_on_every_call_after_a_warm_coupled_call(self):
         seq, rho0 = protocol_sequence(2, 3), equilibrium_state()
