@@ -161,7 +161,7 @@ def private_reads(source: str, modules: set, names: set) -> list:
 def test_no_test_outside_the_inventories_reads_a_private_name():
     sources = package_sources()
     modules, names = set(sources) - {"__init__"}, private_src_names(sources)
-    found = [f"{path.name}:{line}: {text}" for path in sorted(TESTS.glob("test_*.py"))
+    found = [f"{path.name}:{line}: {text}" for path in sorted(TESTS.glob("*.py"))
              if not path.stem.endswith("_inventory")
              for line, text in private_reads(path.read_text("utf-8"), modules, names)]
     assert found == []

@@ -160,9 +160,8 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             run_protocol(UChoice("y", 0.1, 0.2), 1)
 
-    def test_builds_no_u(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
+    def test_builds_no_u(self, recorded):
+        calls = recorded((grover, "build_U"))
         run_protocol(preset("y", 2), 3)
         assert calls == []
 
@@ -245,10 +244,9 @@ class TestTable2:
         assert outputs == [BasisLabel.UU, BasisLabel.UD, BasisLabel.DU, BasisLabel.DD]
 
     @pytest.mark.parametrize("kind", ["x", "y"])
-    def test_outcomes_run_each_presets_one_g_and_its_inverse(self, kind, monkeypatch):
+    def test_outcomes_run_each_presets_one_g_and_its_inverse(self, kind, recorded):
         # Each run is its preset's G and G^-1 built at import, bit for bit; a table or a run builds no U.
-        calls = []
-        monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
+        calls = recorded((grover, "build_U"))
         table2(kind)
         for j in (1, 2, 3, 4):
             g, g_inv, _ = grover.PRESETS[kind, j]
@@ -270,10 +268,9 @@ class TestTable2:
 
 class TestOutcomeValues:
     @pytest.mark.parametrize("kind", ["x", "y"])
-    def test_a_table_builds_no_u_and_classifies_nothing(self, kind, monkeypatch):
+    def test_a_table_builds_no_u_and_classifies_nothing(self, kind, monkeypatch, recorded):
         # At CLASSIFY_TOL = -1 no start classifies as a pure Bell state, so a table that classified would raise.
-        built = []
-        monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: built.append(c) or b(c))
+        built = recorded((grover, "build_U"))
         monkeypatch.setattr(coding, "CLASSIFY_TOL", -1.0)
         first = table2(kind)
         assert table2(kind) == first
@@ -335,11 +332,9 @@ class TestOutcomeValues:
         assert [decode(label, preset("y", 2)) for label in labels] == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("kind", ["x", "y"])
-    def test_table_and_decode_build_no_u_choice(self, kind, monkeypatch):
+    def test_table_and_decode_build_no_u_choice(self, kind, recorded):
         c = preset(kind, 3)
-        built = []
-        monkeypatch.setattr(grover.UChoice, "__post_init__",
-                            lambda self, p=grover.UChoice.__post_init__: built.append(self) or p(self))
+        built = recorded((grover.UChoice, "__post_init__"))
         table2(kind)
         decode(BasisLabel.DU, c)
         assert built == []
@@ -373,9 +368,8 @@ class TestGValues:
         lambda: decode(BasisLabel.UU, preset("y", 4)),
         lambda: run_ancilla_protocol(AncillaMessage(1, 2)),
     ], ids=["run_protocol", "table1", "table2", "decode", "run_ancilla_protocol"])
-    def test_no_run_builds_a_u(self, run, monkeypatch):
-        calls = []
-        monkeypatch.setattr(grover, "build_U", lambda c, b=grover.build_U: calls.append(c) or b(c))
+    def test_no_run_builds_a_u(self, run, recorded):
+        calls = recorded((grover, "build_U"))
         run()
         assert calls == []
 
@@ -390,12 +384,9 @@ class TestRunValues:
         *[lambda m=AncillaMessage.from_value(value): run_ancilla_protocol(m).trace for value in range(8)],
     ]
 
-    def test_a_call_runs_no_pipeline_measurement_or_ket(self, monkeypatch):
+    def test_a_call_runs_no_pipeline_measurement_or_ket(self, recorded):
         # A run measures a Ket4 and reads its two Bell vectors once, at import.
-        seen = []
-        for owner, name in ((coding, "measure_basis"), (coding, "Ket4"), (coding.bell, "BellVector")):
-            monkeypatch.setattr(owner, name, lambda *args, n=name, f=getattr(owner, name):
-                                seen.append(n) or f(*args))
+        seen = recorded((coding, "measure_basis"), (coding, "Ket4"), (coding.bell, "BellVector"))
         for trace_of in self.TRACES:
             trace_of()
         assert seen == []

@@ -288,12 +288,11 @@ class TestOneCheckedProduct:
         assert np.array_equal(build_G_inverse(c).matrix, g_inv.matrix)
 
     @pytest.mark.parametrize("c", CHOICES, ids=lambda c: f"{c.axis}-{c.phi1:.3f}-{c.phi2:.3f}")
-    def test_pair_builds_one_u_and_equals_the_reference_chain(self, c, monkeypatch):
+    def test_pair_builds_one_u_and_equals_the_reference_chain(self, c, recorded):
         _, g, g_inv = reference_chain(c)
-        calls = []
-        monkeypatch.setattr(grover, "build_U", lambda c, b=build_U: calls.append(c) or b(c))
+        calls = recorded((grover, "build_U"))
         pair = grover.build_G_pair(c)
-        assert calls == [c]
+        assert calls == [("build_U", c)]
         assert np.array_equal(pair[0].matrix, g.matrix)
         assert np.array_equal(pair[1].matrix, g_inv.matrix)
 
@@ -304,14 +303,13 @@ class TestOneCheckedProduct:
         assert np.array_equal(build_G_inverse(c).matrix, g_inv.matrix)
         assert not g.matrix.flags.writeable and not g_inv.matrix.flags.writeable
 
-    def test_every_pair_is_built_afresh(self, monkeypatch):
+    def test_every_pair_is_built_afresh(self, recorded):
         # The builders take arbitrary angles, so they keep nothing between calls.
         c = preset("x", 2)
         first = grover.build_G_pair(c)
-        calls = []
-        monkeypatch.setattr(grover, "build_U", lambda c, b=build_U: calls.append(c) or b(c))
+        calls = recorded((grover, "build_U"))
         second = grover.build_G_pair(c)
-        assert calls == [c]
+        assert calls == [("build_U", c)]
         assert second[0] is not first[0] and second[1] is not first[1]
         assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(first, second))
 
@@ -388,14 +386,6 @@ def assert_entries_equal_reference(entries, c):
         assert entry.display == bell_combination_str(reference)
 
 
-def counted(monkeypatch, name) -> list:
-    """Record each call of grover.<name> while still running it."""
-    calls = []
-    original = getattr(grover, name)
-    monkeypatch.setattr(grover, name, lambda *args: calls.append(args) or original(*args))
-    return calls
-
-
 # Within preset_index's tolerance of y1.  A one-ulp step of phi1 leaves
 # G's bits as they are; one of phi2 changes them.
 NEAR_Y1 = [
@@ -415,10 +405,10 @@ PRESET_ANGLES = {
 class TestTable1Values:
     @pytest.mark.parametrize("c", [preset("x", 3), preset("y", 1)] + NEAR_Y1,
                              ids=["x3", "y1", "near-y1-phi1", "near-y1-phi2"])
-    def test_a_call_builds_no_u_and_formats_nothing(self, c, monkeypatch):
-        built, formatted = counted(monkeypatch, "build_U"), counted(monkeypatch, "bell_combination_str")
+    def test_a_call_builds_no_u_and_formats_nothing(self, c, recorded):
+        ran = recorded((grover, "build_U"), (grover, "bell_combination_str"))
         first, second = table1(c), table1(c)
-        assert built == [] and formatted == []
+        assert ran == []
         assert second is not first
         assert all(a is b for a, b in zip(second, first)) and len(second) == 4
 
@@ -477,11 +467,9 @@ class TestPresetValues:
             assert np.array_equal(trace.starting_bell.coords, BELL_ADJOINT @ y1.g.matrix[:, 0])
 
     @pytest.mark.parametrize("axis,j", PRESETS)
-    def test_preset_hands_out_one_choice_built_at_import(self, axis, j, monkeypatch):
+    def test_preset_hands_out_one_choice_built_at_import(self, axis, j, recorded):
         expected = UChoice(axis, *PRESET_ANGLES[axis, j])
-        built = []
-        monkeypatch.setattr(UChoice, "__post_init__",
-                            lambda self, p=UChoice.__post_init__: built.append(self) or p(self))
+        built = recorded((UChoice, "__post_init__"))
         first = preset(axis, j)
         assert first == expected and type(first) is UChoice
         assert all(preset(axis, j) is first for _ in range(3))

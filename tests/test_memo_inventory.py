@@ -1,16 +1,16 @@
 """Mechanisms that are themselves the contract, pinned by private name:
-the three `nmr` memos (`_simulate` bounded, keeping no failed call) and the
-four values `nmr` stores on an object after it is built; the work a fresh-
-constants `verify --all` or a second call of an entry point skips (`WARM_CALLS`);
-and values built at import: `_pipeline`'s 36 runs and 12 `U`s, the bijection
-check, the one Table-2 grid, the prep tail and a state's one read-out.
+the three `nmr` memos and the four values `nmr` stores on an object after
+it is built; what a fresh-constants `verify --all` or a second call of an
+entry point (`WARM_CALLS`) skips where no public name shows it; and values
+built at import: `_pipeline`'s 36 runs and 12 `U`s, the bijection check, the
+one Table-2 grid, the prep tail, read only after the prep's thermal checks,
+and a state's one read-out.
 
 A new `lru_cache` (or `functools.cache`), or a new `_store` outside a
 `__post_init__`, changes this inventory, so it has to change this test
 and say why.
 """
 import ast
-import itertools
 import os
 import re
 import subprocess
@@ -22,7 +22,6 @@ import pytest
 
 import densegrover
 from densegrover import coding, grover, nmr, qstate
-from densegrover.coding import AncillaMessage
 from densegrover.qstate import BasisLabel
 
 SOURCES = sorted(Path(densegrover.__file__).resolve().parent.glob("*.py"))
@@ -116,78 +115,50 @@ def test_the_store_scan_sees_each_call_form():
                                    ("f", None), (None, "i")}
 
 
-def recorded(monkeypatch, targets) -> list:
-    """Patch each (owner, name) of targets to record the name on each call."""
-    ran = []
-    for owner, name in targets:
-        monkeypatch.setattr(owner, name, lambda *args, n=name, f=getattr(owner, name), **kw:
-                            ran.append(n) or f(*args, **kw))
-    return ran
-
-
-def assert_runs_none(monkeypatch, call, targets):
+def assert_runs_none(recorded, call, targets):
     """call() builds no Operator4, misses no memo and runs none of targets."""
     memos = (nmr._simulate, nmr.protocol_sequence, nmr.equilibrium_state)
     before = [memo.cache_info()[1:] for memo in memos]  # misses, maxsize, currsize
-    ran = recorded(monkeypatch, [(qstate.Operator4, "__post_init__"), *targets])
+    ran = recorded((qstate.Operator4, "__post_init__"), *targets)
     call()
-    monkeypatch.undo()
     assert ran == [] and [memo.cache_info()[1:] for memo in memos] == before
 
 
 UNITARY_GATES = [name for name, gate in nmr.GATES.items() if gate.ideal is not None]
-FRESH = (nmr.PhysicalConstants(nu1_hz=71e6, nu2_hz=433e6, j_hz=181.5, gamma_ratio=6.125 + n / 8)
-         for n in itertools.count())
 
 
-def verify_all():
-    """`verify --all` under constants no call has used before: the 13 checks and the prep."""
-    consts = next(FRESH)
-    assert all(nmr.verify_realization(name, consts=consts).ok for name in UNITARY_GATES)
-    assert isinstance(nmr.prepare_pseudo_pure(consts), nmr.DeviationMatrix)
+def test_fresh_constants_verify_all_builds_no_operator_and_no_memo_entry(recorded):
+    # The 13 checks read their stored fits, and the prep folds spin 2's
+    # populations with no 4x4 before its tail, so nothing is checked unitary as a 4x4.
+    def verify_all():
+        consts = nmr.PhysicalConstants(nu1_hz=71e6, nu2_hz=433e6, j_hz=181.5, gamma_ratio=6.125)
+        assert all(nmr.verify_realization(name, consts=consts).ok for name in UNITARY_GATES)
+        assert isinstance(nmr.prepare_pseudo_pure(consts), nmr.DeviationMatrix)
 
-
-def test_fresh_constants_verify_all_builds_no_operator_and_no_memo_entry(monkeypatch):
-    # The 13 checks read their stored fits, and the prep folds spin 2's populations
-    # with no 4x4 before its tail: nothing is lowered, fitted or checked unitary as a 4x4.
-    assert_runs_none(monkeypatch, verify_all, [(nmr, name) for name in (
-        "_lower_run", "_after_crush", "_superoperator", "_fold", "element_unitary", "lower", "phase_fit")])
+    assert_runs_none(recorded, verify_all, [])
 
 
 READ_OUT = nmr.basis_pseudo_pure(BasisLabel.DU)
-PAIRS = [(grover.preset(kind, j), k) for kind, j in grover.PRESETS for k in (1, 2, 3, 4)]
 
 # Each entry point, called once and then again: the second call runs none of these.
 WARM_CALLS = {
     "simulate_sequence": (
         lambda: [nmr.simulate_sequence(nmr.protocol_sequence(j, k), nmr.equilibrium_state())
                  for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)],
-        [(nmr, name) for name in ("lower", "_lower_run", "_after_crush", "_fold", "element_unitary",
-                                  "check_hermitian")]),
-    "verify_realization": (
-        lambda: [nmr.verify_realization(name) for name in UNITARY_GATES],
-        [(nmr, name) for name in ("_lower_run", "gate_library", "phase_fit", "GateCheck")]),
+        [(nmr, name) for name in ("lower", "_lower_run", "_after_crush", "_fold")]),
+    "verify_realization": (lambda: [nmr.verify_realization(name) for name in UNITARY_GATES], [(nmr, "_lower_run")]),
     "read-out": (
         lambda: [nmr.predict_spectrum(READ_OUT, 1), nmr.predict_spectrum(READ_OUT, 2),
                  nmr.spectrum_fingerprint(READ_OUT)],
-        [(nmr, name) for name in ("_amplitudes", "SpectrumLine", "Fingerprint", "lower")]),
-    "run_protocol": (
-        lambda: ([coding.run_protocol(c, k) for c, k in PAIRS]
-                 + [coding.run_ancilla_protocol(AncillaMessage.from_value(value)) for value in range(8)]),
-        [(coding, name) for name in ("_pipeline", "_bell_column", "measure_basis", "Ket4")] + [(grover, "build_U")]),
-    "tables": (
-        lambda: ([grover.table1(c) for c, _ in PAIRS] + [coding.table2(kind) for kind in ("x", "y")]
-                 + [coding.decode(BasisLabel.DU, c) for c, _ in PAIRS]),
-        [(grover, name) for name in ("_build_preset", "build_G_pair", "build_U", "bell_combination_str")]
-        + [(coding, "_bell_column"), (coding, "_pipeline"), (grover.UChoice, "__post_init__")]),
+        [(nmr, "_amplitudes"), (nmr, "lower")]),
 }
 
 
 @pytest.mark.parametrize("entry", WARM_CALLS)
-def test_a_warm_call_runs_none_of_its_listed_functions(entry, monkeypatch):
+def test_a_warm_call_runs_none_of_its_listed_functions(entry, recorded):
     call, targets = WARM_CALLS[entry]
     call()
-    assert_runs_none(monkeypatch, call, targets)
+    assert_runs_none(recorded, call, targets)
 
 
 IMPORT_COUNT = """
@@ -262,19 +233,12 @@ def test_the_prep_tail_is_one_read_only_value_at_every_gamma_ratio():
         assert nmr._after_crush(tuple(rest), consts).tobytes() == tail.tobytes()
 
 
-def test_each_memo_is_bounded_and_keeps_no_failed_call():
-    rng = np.random.default_rng(4747)
-    seq = nmr.protocol_sequence(1, 4)
-    for _ in range(2 * nmr._PROGRAMS):
-        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        nmr.simulate_sequence(seq, nmr.DeviationMatrix(raw + raw.conj().T - np.trace(raw).real / 2 * np.eye(4)))
-    assert nmr._simulate.cache_info().currsize <= nmr._PROGRAMS
-    # At J = 0 lowering raises at the first n/dJ delay, so no J = 0 entry is stored.
-    uncoupled = nmr.PhysicalConstants(j_hz=0.0)
-    seq, rho0 = nmr.protocol_sequence(2, 3, uncoupled), nmr.equilibrium_state(uncoupled)
-    nmr._simulate.cache_clear()
-    for _ in range(3):
-        nmr.simulate_sequence(seq, rho0)
-        with pytest.raises(ValueError, match=re.escape("delay 1/4J is undefined for an uncoupled")):
-            nmr.simulate_sequence(seq, rho0, uncoupled)
-        assert nmr._simulate.cache_info().currsize == 1
+def test_the_prep_checks_its_thermal_start_before_reading_its_tail(monkeypatch):
+    # gamma_ratio = inf, forged past `PhysicalConstants`' check, is refused as a deviation
+    # matrix with a non-finite entry is: after J, and with no tail to read.
+    monkeypatch.setattr(nmr, "_PREP_TAIL", None)
+    for j_hz, message in ((97.5, "^deviation matrix must be Hermitian$"), (0.0, "uncoupled pair")):
+        consts = object.__new__(nmr.PhysicalConstants)
+        vars(consts).update(vars(nmr.DEFAULT_CONSTANTS), j_hz=j_hz, gamma_ratio=np.inf)
+        with pytest.raises(ValueError, match=message):
+            nmr.prepare_pseudo_pure(consts)

@@ -541,9 +541,9 @@ class TestVerifierMemo:
                     assert same_bits(check, phase, distance), (name, consts)
                     assert check.ok is (distance < 1e-9)
 
-    def test_second_tolerance_refits_nothing_and_ok_flips_at_the_distance(self, monkeypatch):
+    def test_second_tolerance_refits_nothing_and_ok_flips_at_the_distance(self, recorded):
         warm = {name: verify_realization(name) for name in UNITARY_GATES}
-        lowered, fitted = recorded(monkeypatch, "lower"), recorded(monkeypatch, "phase_fit")
+        ran = recorded((nmr, "lower"), (nmr, "phase_fit"))
         for name, check in warm.items():
             # tol = distance is refused where the distance is exactly 0.
             tols = [t for t in (check.distance, np.nextafter(check.distance, 1.0), 0.5) if t > 0]
@@ -552,27 +552,27 @@ class TestVerifierMemo:
                 assert same_bits(again, check.phase, check.distance)
                 assert again.ok is (check.distance < tol)
         assert warm["I_t"].distance > 0  # so the loop checks tol = distance at least once
-        assert lowered == [] and fitted == []
+        assert ran == []
 
-    def test_fresh_constants_make_no_phase_fits(self, monkeypatch):
+    def test_fresh_constants_make_no_phase_fits(self, recorded):
         # A sweep op: the 13 checks and the prep.  Every fit was made at
         # import, so the op fits nothing and lowers no element, not even the
         # prep's alpha pulse, and its prep is the prep program's state.
-        fitted, built = recorded(monkeypatch, "phase_fit"), recorded(monkeypatch, "element_unitary")
+        ran = recorded((nmr, "phase_fit"), (nmr, "element_unitary"))
         for consts in fresh_prep_constants(20, RNG_SEED + 21):
             for name in UNITARY_GATES:
                 assert verify_realization(name, consts=consts).ok
             prep = prepare_pseudo_pure(consts)
-            assert fitted == [] and built == []
+            assert ran == []
             assert prep.entries.tobytes() == prep_by_program(consts).entries.tobytes()
-            built.clear()
+            ran.clear()
 
-    def test_fresh_constants_lower_and_fit_nothing(self, monkeypatch):
+    def test_fresh_constants_lower_and_fit_nothing(self, recorded):
         assert all(verify_realization(name).ok for name in UNITARY_GATES)
-        lowered, fitted = recorded(monkeypatch, "lower"), recorded(monkeypatch, "phase_fit")
+        ran = recorded((nmr, "lower"), (nmr, "phase_fit"))
         fresh = PhysicalConstants(nu1_hz=81e6, nu2_hz=402e6, j_hz=151.125, gamma_ratio=1.875)
         assert all(verify_realization(name, consts=fresh).ok for name in UNITARY_GATES)
-        assert lowered == [] and fitted == []
+        assert ran == []
 
     def test_domain_errors_survive_a_warm_memo(self):
         for name in UNITARY_GATES:
@@ -591,21 +591,20 @@ class TestVerifierMemo:
 class TestStoredCheck:
     """Each gate keeps the check of the tolerance it was last asked for."""
 
-    def test_a_warm_call_builds_no_check(self, monkeypatch):
+    def test_a_warm_call_builds_no_check(self, recorded):
         fresh = PhysicalConstants(nu1_hz=81e6, nu2_hz=402e6, j_hz=151.125, gamma_ratio=1.875)
         warm = {name: verify_realization(name) for name in UNITARY_GATES}
-        built = []
-        monkeypatch.setattr(nmr, "GateCheck", lambda *args: built.append(args))
+        built = recorded((nmr, "GateCheck"))
         for consts in (DEFAULT_CONSTANTS, fresh):
             for name, check in warm.items():
                 assert verify_realization(name, consts=consts) is check
                 assert verify_realization(name, tol=qstate.VERIFY_TOL, consts=consts) is check
         assert built == []
 
-    def test_a_unitary_gate_reads_no_program(self, monkeypatch):
+    def test_a_unitary_gate_reads_no_program(self, recorded):
         # The fit and the program's first n/dJ delay were derived at import, so
         # a call neither assembles nor lowers the gate's program, at any J.
-        assembled, lowered = recorded(monkeypatch, "gate_library"), recorded(monkeypatch, "lower")
+        ran = recorded((nmr, "gate_library"), (nmr, "lower"))
         uncoupled = PhysicalConstants(j_hz=0.0)
         first_delays = {"I_t": "1/2J", "I_s": "1/4J"}
         for consts in (DEFAULT_CONSTANTS, *fresh_prep_constants(5, RNG_SEED + 81), uncoupled):
@@ -616,7 +615,7 @@ class TestStoredCheck:
                                      "for an uncoupled pair (j_hz = 0)")
                 else:
                     assert check.ok
-        assert assembled == [] and lowered == []
+        assert ran == []
 
     def test_each_call_gets_the_ok_of_its_own_tolerance(self, monkeypatch):
         consts = PhysicalConstants(nu1_hz=90e6, nu2_hz=700e6, j_hz=37.5, gamma_ratio=0.6)
@@ -843,11 +842,11 @@ class TestSpectra:
         with pytest.raises(dataclasses.FrozenInstanceError):
             again[0].amplitude = 0.0
 
-    def test_a_warm_read_out_builds_no_line_or_fingerprint(self, monkeypatch):
+    def test_a_warm_read_out_builds_no_line_or_fingerprint(self, recorded):
         rho = simulate_sequence(protocol_sequence(3, 2), equilibrium_state())
         lines = [predict_spectrum(rho, spin) for spin in (1, 2)]
         fingerprint = spectrum_fingerprint(rho)
-        built = recorded(monkeypatch, "SpectrumLine") + recorded(monkeypatch, "Fingerprint")
+        built = recorded((nmr, "SpectrumLine"), (nmr, "Fingerprint"))
         assert spectrum_fingerprint(rho) is fingerprint
         assert [predict_spectrum(rho, spin) for spin in (1, 2)] == lines
         assert built == []
@@ -1167,23 +1166,17 @@ class TestLowering:
         for seq in (PulseSequence(seconds.elements[:4]), PulseSequence(seconds.elements[:1])):
             self.assert_matches_fold(seq, rho, uncoupled)
 
-    def test_cache_hit_builds_no_element_unitaries(self, monkeypatch):
-        calls = []
-
-        def counted(e, consts=DEFAULT_CONSTANTS):
-            calls.append(e)
-            return element_unitary(e, consts)
-
+    def test_cache_hit_builds_no_element_unitaries(self, recorded):
         seq = protocol_sequence(4, 2)
         rho = equilibrium_state()
         expected = simulate_sequence(seq, rho)
-        monkeypatch.setattr(nmr, "element_unitary", counted)
+        calls = recorded((nmr, "element_unitary"))
         out = simulate_sequence(protocol_sequence(4, 2), rho)
         assert calls == []
         assert np.array_equal(out.entries, expected.entries)
         fresh = PulseSequence((Rf(1, "x", "0.123"), Gradient(), Delay("1/3J")))
         simulate_sequence(fresh, rho)
-        assert calls == [fresh.elements[0], fresh.elements[2]]
+        assert [e for _, e, *_ in calls] == [fresh.elements[0], fresh.elements[2]]
 
     def test_gradient_program_has_no_net_unitary(self):
         with pytest.raises(ValueError, match="contains gradients"):
@@ -1240,9 +1233,9 @@ class TestLowering:
         assert first_a != first_b and rest_a == rest_b == list(gate_library("pseudo-pure-prep").segments[1:])
         assert np.abs(transfer_of(prep_a, a) - transfer_of(prep_b, b)).max() > 1e-3
 
-    def test_fresh_constants_build_only_the_prep_pulse(self, monkeypatch):
+    def test_fresh_constants_build_only_the_prep_pulse(self, recorded):
         assert all(verify_realization(name).ok for name in UNITARY_GATES)
-        built = recorded(monkeypatch, "element_unitary")
+        built = recorded((nmr, "element_unitary"))
         fresh = PhysicalConstants(nu1_hz=77e6, nu2_hz=333e6, j_hz=123.25, gamma_ratio=2.345)
         assert all(verify_realization(name, consts=fresh).ok for name in UNITARY_GATES)
         prep = prepare_pseudo_pure(fresh)
@@ -1306,13 +1299,6 @@ def prep_by_program(consts):
     return simulate_sequence(program, equilibrium_state(consts), consts)
 
 
-def recorded(monkeypatch, name) -> list:
-    """Patch nmr.<name> with a wrapper that records each call's arguments."""
-    calls, original = [], getattr(nmr, name)
-    monkeypatch.setattr(nmr, name, lambda *args: calls.append(args) or original(*args))
-    return calls
-
-
 class TestTransfer:
     def test_matches_the_kron_reference(self):
         programs = [protocol_sequence(j, k) for j in (1, 2, 3, 4) for k in (1, 2, 3, 4)]
@@ -1339,17 +1325,16 @@ class TestTransfer:
             with pytest.raises(ValueError):
                 shared[0, 0] = 0.0
 
-    def test_fresh_constants_prep_lowers_only_its_alpha_pulse(self, monkeypatch):
+    def test_fresh_constants_prep_lowers_only_its_alpha_pulse(self, monkeypatch, recorded):
         prepare_pseudo_pure(DEFAULT_CONSTANTS)
         memos = (protocol_sequence, equilibrium_state)
         before = [memo.cache_info() for memo in memos]
-        built, lowered = recorded(monkeypatch, "element_unitary"), recorded(monkeypatch, "lower")
-        simulated = recorded(monkeypatch, "simulate_sequence")
+        ran = recorded((nmr, "element_unitary"), (nmr, "lower"), (nmr, "simulate_sequence"))
         fresh = PhysicalConstants(nu1_hz=61e6, nu2_hz=377e6, j_hz=97.5, gamma_ratio=4.125)
         prep = prepare_pseudo_pure(fresh)
         # The prep builds no element, not even its alpha pulse, lowers and
         # simulates no program and touches no memo.
-        assert built == [] and lowered == [] and simulated == []
+        assert ran == []
         assert [memo.cache_info() for memo in memos] == before
         monkeypatch.undo()
         assert prep.entries.tobytes() == prep_by_program(fresh).entries.tobytes()
@@ -1387,19 +1372,19 @@ class TestTransfer:
 
 
 class TestStateMemo:
-    def test_warm_call_returns_the_same_state_and_builds_none(self, monkeypatch):
+    def test_warm_call_returns_the_same_state_and_builds_none(self, recorded):
         seq, rho0 = protocol_sequence(3, 2), equilibrium_state()
         first = simulate_sequence(seq, rho0)
-        checks = recorded(monkeypatch, "check_hermitian")
+        checks = recorded((nmr, "check_hermitian"))
         assert simulate_sequence(seq, rho0) is first
         assert checks == []
         assert not first.entries.flags.writeable
 
-    def test_equal_start_built_apart_is_built_and_checked_on_its_own(self, monkeypatch):
+    def test_equal_start_built_apart_is_built_and_checked_on_its_own(self, recorded):
         seq, rho0 = protocol_sequence(3, 2), equilibrium_state()
         first = simulate_sequence(seq, rho0)
         twin = DeviationMatrix(np.array(rho0.entries))
-        checks = recorded(monkeypatch, "check_hermitian")
+        checks = recorded((nmr, "check_hermitian"))
         second = simulate_sequence(seq, twin)
         assert second is not first
         assert second.entries.tobytes() == first.entries.tobytes()
@@ -1462,14 +1447,6 @@ def random_program(rng: random.Random, index: int) -> PulseSequence:
     elif shape == 2:
         elements[cut:cut] = [Gradient(), Gradient()]
     return PulseSequence(tuple(elements))
-
-
-def forged_constants(**fields) -> PhysicalConstants:
-    """Constants with the given fields set past `__post_init__`'s domain checks."""
-    consts = object.__new__(PhysicalConstants)
-    for name, value in {**dataclasses.asdict(DEFAULT_CONSTANTS), **fields}.items():
-        object.__setattr__(consts, name, value)
-    return consts
 
 
 def fresh_prep_constants(count: int, seed: int) -> list:
@@ -1597,20 +1574,13 @@ class TestPrepBlock:
         monkeypatch.setattr(nmr, "rotation_2x2", lambda axis, angle: r * (1 + 1e-13))
         assert isinstance(prepare_pseudo_pure(PhysicalConstants(gamma_ratio=2.0)), DeviationMatrix)
 
-    def test_equilibrium_state_and_result_are_checked_deviation_matrices(self, monkeypatch):
-        consts = PhysicalConstants(nu1_hz=61e6, nu2_hz=377e6, j_hz=97.5, gamma_ratio=4.125)
-        out = prepare_pseudo_pure(consts)
+    def test_equilibrium_state_and_result_are_checked_deviation_matrices(self, recorded):
+        # The thermal start's checks, run before the prep's tail is read, are in test_memo_inventory.py.
+        checked = recorded((nmr, "check_hermitian"))
+        out = prepare_pseudo_pure(PhysicalConstants(nu1_hz=61e6, nu2_hz=377e6, j_hz=97.5, gamma_ratio=4.125))
         assert isinstance(out, DeviationMatrix) and not out.entries.flags.writeable
-        # The thermal start, gamma_ratio forged past `PhysicalConstants`' check, is refused
-        # as a deviation matrix with a non-finite entry is, after J.
-        with pytest.raises(ValueError, match="^deviation matrix must be Hermitian$"):
-            prepare_pseudo_pure(forged_constants(j_hz=97.5, gamma_ratio=np.inf))
-        with pytest.raises(ValueError, match="uncoupled pair"):
-            prepare_pseudo_pure(forged_constants(j_hz=0.0, gamma_ratio=np.inf))
         # The result is checked, for trace 0 and Hermiticity, as a deviation matrix.
-        checked = recorded(monkeypatch, "check_hermitian")
-        out = prepare_pseudo_pure(consts)
-        assert [(m.tobytes(), rest) for m, *rest in checked] == [(out.entries.tobytes(), [0, "deviation matrix"])]
+        assert [(m.tobytes(), rest) for _, m, *rest in checked] == [(out.entries.tobytes(), [0, "deviation matrix"])]
 
     def test_fresh_constants_leave_the_equilibrium_memo_alone(self):
         before = equilibrium_state.cache_info()
@@ -1808,7 +1778,7 @@ class TestBuildOnce:
                 assert r == e and hash(r) == hash(e) and repr(r) == repr(e)
                 assert dataclasses.replace(e) == e and hash(dataclasses.replace(e)) == hash(e)
 
-    def test_elements_hash_their_fields_and_only_a_program_stores_its_hash(self, monkeypatch):
+    def test_elements_hash_their_fields_and_only_a_program_stores_its_hash(self, recorded):
         # An element's hash is the dataclass's own, of its fields tuple, and it stores only its
         # derived value; a program, the simulation memo's key, keeps the hash of its elements.
         programs = library_and_protocol_programs()
@@ -1817,9 +1787,7 @@ class TestBuildOnce:
                 assert hash(e) == hash(dataclasses.astuple(e))
                 assert set(vars(e)) - {f.name for f in dataclasses.fields(e)} <= {"angle_rad", "j_fraction"}
             assert hash(seq) == hash(seq.elements)
-        hashed = []
-        for cls in (Rf, Delay, Gradient):
-            monkeypatch.setattr(cls, "__hash__", lambda e, h=cls.__hash__: hashed.append(e) or h(e))
+        hashed = recorded(*[(cls, "__hash__") for cls in (Rf, Delay, Gradient)])
         assert [hash(seq) for seq in programs] and hashed == []
 
     def test_replace_derives_and_validates_again(self):
