@@ -685,9 +685,10 @@ def prepare_pseudo_pure(consts: PhysicalConstants = DEFAULT_CONSTANTS) -> Deviat
     qstate._check_unitary(r)
     _PREP_AFTER_ALPHA.j_delay._check_coupled(consts)
     half = 0.5 * consts.gamma_ratio
-    d0, d1, d2, d3 = 0.5 + half, 0.5 - half, -0.5 + half, -0.5 - half  # diag(Iz1 + g Iz2)
-    if not all(map(math.isfinite, (d0, d1, d2, d3))):  # a real diagonal is Hermitian if finite
+    # A real diagonal is Hermitian if finite; each +-0.5 +- half is finite exactly when half is.
+    if not math.isfinite(half):
         raise ValueError("deviation matrix must be Hermitian")
+    d0, d1, d2, d3 = 0.5 + half, 0.5 - half, -0.5 + half, -0.5 - half  # diag(Iz1 + g Iz2)
     if not abs((d0 + d1) + (d2 + d3)) < qstate.EXACT_TOL:
         raise ValueError("deviation matrix must have trace 0")
     (c, s), _ = r.tolist()

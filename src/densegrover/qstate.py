@@ -140,12 +140,29 @@ def check_hermitian(m: np.ndarray, trace: int, name: str) -> None:
 
 
 def _check_unitary(m: np.ndarray) -> None:
-    """Raise a ValueError unless each entry of m m^dagger - I (m 2x2 or 4x4) is below EXACT_TOL."""
+    """Raise a ValueError unless each entry of m m^dagger - I (m 2x2 or 4x4) is below EXACT_TOL.
+
+    A 2x2 gets its verdict on Python complex numbers from one tolist(), as
+    `check_hermitian` reads its matrix: m m^dagger - I is Hermitian, so its
+    diagonal pair and one off-diagonal entry (the other is that one's
+    conjugate) decide.  A 4x4, and a 2x2 that fails, take the numpy gram,
+    which gives the message; a verdict within rounding of the bound may
+    differ between the two, as their products round apart."""
+    if len(m) == 2:
+        (a, b), (c, d) = m.tolist()
+        a_, b_ = a.conjugate(), b.conjugate()
+        try:  # a NaN fails each comparison
+            if (abs(a * a_ + b * b_ - 1) < EXACT_TOL and abs(c * a_ + d * b_) < EXACT_TOL
+                    and abs(c * c.conjugate() + d * d.conjugate() - 1) < EXACT_TOL):
+                return
+        except OverflowError:  # abs() of an entry whose finite parts overflow a float
+            pass
     # dot() dispatches faster than @; a complex identity, subtracted in place, is not cast.
     gram = m.dot(m.conj().T)
     gram -= _EYE4 if len(m) == 4 else _EYE2
     skews = np.abs(gram)
-    if not all(map(EXACT_TOL.__gt__, skews.ravel().tolist())):  # NaN fails; cheaper than max()
+    # A 2x2 here has failed; for a 4x4 a NaN fails, and all() is cheaper than max().
+    if len(m) == 2 or not all(map(EXACT_TOL.__gt__, skews.ravel().tolist())):
         raise ValueError(f"operator deviates from unitarity by {skews.max():.3e}")
 
 
@@ -242,12 +259,13 @@ def rotation_2x2(axis: str, angle: float) -> np.ndarray:
         raise ValueError("rotation angle must be finite")
     c = math.cos(angle / 2.0)
     s = math.sin(angle / 2.0)
+    # One flat tuple, reshaped: numpy reads it faster than nested lists.
     if axis == "x":
-        return np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
+        return np.array((c, 1j * s, 1j * s, c), dtype=complex).reshape(2, 2)
     if axis == "y":
-        return np.array([[c, s], [-s, c]], dtype=complex)
+        return np.array((c, s, -s, c), dtype=complex).reshape(2, 2)
     if axis == "z":
-        return np.array([[np.exp(1j * angle / 2.0), 0.0], [0.0, np.exp(-1j * angle / 2.0)]])
+        return np.array((np.exp(1j * angle / 2.0), 0.0, 0.0, np.exp(-1j * angle / 2.0))).reshape(2, 2)
     raise ValueError(f"unknown rotation axis {axis!r}; expected x, y, or z")
 
 

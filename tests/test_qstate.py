@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from densegrover import nmr
 from densegrover.bell import BellVector, bell_state, to_bell_coords
 from densegrover.coding import AncillaMessage, AncillaResult, run_ancilla_protocol, run_protocol
 from densegrover.grover import build_G, preset, table1
@@ -220,40 +221,63 @@ class TestOperators:
 
 
 def _old_unitary_defect(m):
-    """The residual Operator4 took against a float identity, kept here as the reference."""
+    """The residual the unitarity check took against a float identity, kept here as the reference."""
     m = np.array(m, dtype=complex)
-    return np.abs(m @ m.conj().T - np.eye(4)).max()
+    return np.abs(m @ m.conj().T - np.eye(len(m))).max()
+
+
+def _random_2x2_unitary(rng):
+    a, b = rng.uniform(-2 * np.pi, 2 * np.pi, size=2)
+    return rotation_2x2("x", a) @ rotation_2x2("y", b) * np.exp(2j * np.pi * rng.uniform())
 
 
 def _unitary_cases(rng, u):
     """u, u scaled and perturbed so its residual straddles EXACT_TOL, and non-finite entries."""
+    n = len(u)
     cases = [u]
     # (1 + eps) u has residual (2 + eps) eps: accepted below eps = 0.5 EXACT_TOL, refused above.
-    for factor in (0.3, 0.49, 0.499999, 0.500001, 0.51, 0.7):
+    # A 4x4's check takes the reference's own gram, so its factors come within 1e-6 of the bound.
+    # A 2x2's Python products round apart from the gram's by ~1e-16, which would decide a verdict
+    # that close, so its factors stay 2% away.
+    for factor in (0.3, 0.49, 0.499999, 0.500001, 0.51, 0.7) if n == 4 else (0.3, 0.49, 0.51, 0.7):
         cases.append(u * (1 + factor * EXACT_TOL))
     for _ in range(4):
         bumped = u.copy()
-        i, k = rng.integers(4, size=2)
+        i, k = rng.integers(n, size=2)
         bumped[i, k] += EXACT_TOL * 10 ** rng.uniform(-1, 1) * np.exp(2j * np.pi * rng.uniform())
         cases.append(bumped)
-    for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1.0), 1e200):
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1.0), 1e200,
+                complex(1e308, 1e308)):
         m = u.copy()
-        m[rng.integers(4), rng.integers(4)] = bad
+        m[rng.integers(n), rng.integers(n)] = bad
         cases.append(m)
+    # An entry of m m^dagger - I that is finite but whose abs() overflows a float.
+    m = np.eye(n, dtype=complex)
+    m[1, 0] = complex(1.3e308, 1.3e308)
+    cases.append(m)
     return cases
 
 
 class TestUnitarityCheck:
-    def test_accepts_exactly_what_the_old_predicate_accepts(self):
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_accepts_exactly_what_the_old_predicate_accepts(self, size, monkeypatch):
+        def check(m):
+            if size == 4:
+                Operator4(m)
+            else:  # the prep is the one caller of the 2x2 check; m stands in for its rotation
+                monkeypatch.setattr(nmr, "rotation_2x2", lambda axis, angle: m)
+                nmr.prepare_pseudo_pure()
+
         rng = np.random.default_rng(RNG_SEED + 9)
         finite_verdicts, messages = [], set()
         for _ in range(200):
-            for m in _unitary_cases(rng, random_unitary(rng).matrix):
+            u = random_unitary(rng).matrix if size == 4 else _random_2x2_unitary(rng)
+            for m in _unitary_cases(rng, u):
                 # inf and 1e200 entries overflow or make inf - inf in both residuals.
                 with np.errstate(invalid="ignore", over="ignore"):
                     defect = _old_unitary_defect(m)
                     try:
-                        Operator4(m)
+                        check(m)
                         accepted = True
                     except ValueError as exc:
                         accepted = False

@@ -37,6 +37,8 @@ def drawn_constants(count: int, seed: int) -> list:
 
 
 CONSTANTS = [nmr.DEFAULT_CONSTANTS, *drawn_constants(200, 29)]
+# The prep's domain edge and gamma_ratio values far above the drawn ones.
+EDGE_CONSTANTS = [nmr.PhysicalConstants(gamma_ratio=g) for g in (0.5, 1e7, 1e15)]
 
 
 def fit_error(a, b) -> float:
@@ -46,7 +48,7 @@ def fit_error(a, b) -> float:
 
 
 def unitarity_defect(m) -> float:
-    return float(np.abs(m @ m.conj().T - np.eye(4)).max())
+    return float(np.abs(m @ m.conj().T - np.eye(len(m))).max())
 
 
 def hermitian_errors(m, trace) -> tuple:
@@ -115,6 +117,9 @@ def margins() -> dict:
                 + [unitarity_defect(coding.encoder(kind, k).matrix)
                    for kind in "xy" for k in (1, 2, 3, 4)]
                 + [unitarity_defect(u) for u in lowered.values()]),
+            "unitarity of the prep's 2x2 rotation": max(
+                unitarity_defect(qstate.rotation_2x2("x", nmr.alpha_angle(c)))
+                for c in CONSTANTS + EDGE_CONSTANTS),
             "Hermitian skew and trace of the protocol states": max(
                 max(hermitian_errors(rho.entries, 0)) for rho in states),
             "Hermitian skew and trace of the reduced starting states": max(
